@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .sagnac import (CONSTANTS, OFF_TRANSMISSION, InterferometerGeometry,
-                     PhysicalConstants, SwitchState, noon_survival,
+                     PhysicalConstants, SwitchState, geometry_from_dict,
                      sagnac_phase, scale_factor, switch_transmission,
                      transmission)
 from .polarization import (H, V, PLUS, MINUS, JonesVector,
@@ -12,9 +12,9 @@ from .polarization import (H, V, PLUS, MINUS, JonesVector,
                            sagnac_loop, solve_triplet, vector_of,
                            waveplate_triplet)
 from .probe import (CLASSICAL, NOON2, SINGLE, ProbeKind, TwoModeState,
-                    coincidence_prob, coincidence_projection, evolve,
-                    fringe_visibility, hom_interfere, noon_probs, noon_state,
-                    output_state_after_hwp, single_photon_probs)
+                    coincidence_projection, evolve, fringe_probs,
+                    hom_interfere, noon_state, output_state_after_hwp,
+                    two_photon_hwp)
 from .expsim import (CountRecord, NoiseConfig, PolarimeterTrace, RateConfig,
                      SwitchSchedule, angle_sweep, read_counts_csv,
                      read_trace_csv, simulate_counts, simulate_polarimeter,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expsim import CountRecord, NoiseConfig, SwitchSchedule
+from .expsim import CountRecord, NoiseConfig, SwitchSchedule, seed_sequence
 from .sagnac import CONSTANTS, SwitchState
 
 
@@ -143,8 +143,8 @@ def _levenberg_marquardt(model, p0, x, y, w, max_iter=200, lam0=1e-3, rel_tol=1e
 
 def _canonicalize(model, params):
     """Map to visibility >= 0 and phase in (-pi, pi]; in place on a batch."""
-    iv = 1 if model == "noon" else 2
-    ip = 2 if model == "noon" else 3
+    names = _MODELS[model][1]
+    iv, ip = names.index("visibility"), names.index("phase")
     neg = params[:, iv] < 0.0
     params[neg, iv] = -params[neg, iv]
     params[neg, ip] += math.pi
@@ -291,28 +291,49 @@ def _check_records(records, min_span, min_points=5):
             f"{min_span:.3f} rad; phase and visibility are not separable")
 
 
+# count columns each model reads, in the order the bootstrap draws them
+_COUNT_COLUMNS = {"noon": ("n_hv",), "single": ("n_h", "n_v")}
+
+
+def _observations(model, n_h=None, n_v=None, n_hv=None):
+    """Fit data (y, w) from counts of any shape.
+
+    noon fits the coincidences with Poisson weights floored at one count;
+    single fits the ratio n_v / (n_h + n_v) with binomial weights.
+    """
+    if model == "noon":
+        return n_hv, 1.0 / np.maximum(n_hv, 1.0)
+    tot = n_h + n_v
+    if np.any(tot == 0):
+        raise FitError("record with zero total counts; ratio undefined")
+    return n_v / tot, 1.0 / (np.maximum(n_h, 1.0) * np.maximum(n_v, 1.0) / tot ** 3)
+
+
+def _fit_state(records, model):
+    """Fit the records of one switch state; returns (fit, x, counts).
+
+    counts maps each column the model reads to its observed values.
+    """
+    if model not in _MODELS:
+        raise ValueError(f"unknown fringe model {model!r}")
+    _check_records(records, min_span=math.pi / 2.0 if model == "noon" else math.pi)
+    x = np.array([r.phi0 for r in records], dtype=float)
+    counts = {c: np.array([getattr(r, c) for r in records], dtype=float)
+              for c in _COUNT_COLUMNS[model]}
+    y, w = _observations(model, **counts)
+    fit = nlls(model, x, y, weights=w)
+    if not fit.converged:
+        raise FitError(f"{model} fringe fit did not converge from any start; "
+                       f"best weighted rss {fit.rss:.3e}")
+    return fit, x, counts
+
+
 def fit_noon_fringe(records):
     """Fit counts n_hv to amplitude/2 * (1 + V cos(2 phi0 + phase)).
 
     Poisson weights from the observed counts, floored at one count.
     """
-    _check_records(records, min_span=math.pi / 2.0)
-    x = np.array([r.phi0 for r in records], dtype=float)
-    y = np.array([r.n_hv for r in records], dtype=float)
-    fit = nlls("noon", x, y)
-    if not fit.converged:
-        raise FitError(f"noon fringe fit did not converge from any start; "
-                       f"best weighted rss {fit.rss:.3e}")
-    return fit
-
-
-def _ratio_and_weights(n_h, n_v):
-    tot = n_h + n_v
-    if np.any(tot == 0):
-        raise FitError("record with zero total counts; ratio undefined")
-    y = n_v / tot
-    var = np.maximum(n_h, 1.0) * np.maximum(n_v, 1.0) / tot ** 3
-    return y, 1.0 / var
+    return _fit_state(records, "noon")[0]
 
 
 def fit_single_fringe(records):
@@ -322,16 +343,7 @@ def fit_single_fringe(records):
 
     with binomial weights from the observed channel counts.
     """
-    _check_records(records, min_span=math.pi)
-    x = np.array([r.phi0 for r in records], dtype=float)
-    n_h = np.array([r.n_h for r in records], dtype=float)
-    n_v = np.array([r.n_v for r in records], dtype=float)
-    y, w = _ratio_and_weights(n_h, n_v)
-    fit = nlls("single", x, y, weights=w)
-    if not fit.converged:
-        raise FitError(f"single fringe fit did not converge from any start; "
-                       f"best weighted rss {fit.rss:.3e}")
-    return fit
+    return _fit_state(records, "single")[0]
 
 
 @dataclass(frozen=True)
@@ -405,10 +417,11 @@ class McUncertainty:
         }
 
 
-def _split_states(records):
+def _group_by(records, attr):
+    """Records keyed by one attribute, in first-appearance order."""
     groups = {}
     for r in records:
-        groups.setdefault(r.switch, []).append(r)
+        groups.setdefault(getattr(r, attr), []).append(r)
     return groups
 
 
@@ -428,24 +441,12 @@ def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None,
         raise ValueError("need at least two resamples")
     if motor_sigma is None:
         motor_sigma = NoiseConfig().motor_sigma
-    fitter = fit_noon_fringe if model == "noon" else fit_single_fringe
     fn, names = _MODELS[model]
-    groups = _split_states(records)
+    groups = _group_by(records, "switch")
     states = [s for s in (SwitchState.ON, SwitchState.OFF) if s in groups]
+    base = {s: _fit_state(groups[s], model) for s in states}
 
-    base, xs, mus = {}, {}, {}
-    for s in states:
-        recs = groups[s]
-        base[s] = fitter(recs)
-        xs[s] = np.array([r.phi0 for r in recs], dtype=float)
-        if model == "noon":
-            mus[s] = np.array([r.n_hv for r in recs], dtype=float)
-        else:
-            mus[s] = (np.array([r.n_h for r in recs], dtype=float),
-                      np.array([r.n_v for r in recs], dtype=float))
-
-    rng = np.random.default_rng(
-        seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed_sequence(seed))
     samples = {s: [] for s in states}
     bad = 0
     left = n_samples
@@ -454,23 +455,15 @@ def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None,
         left -= b
         delta = rng.normal(0.0, motor_sigma, b) if motor_sigma > 0.0 else np.zeros(b)
         for s in states:
-            x_b = xs[s][None, :] + delta[:, None]
-            if model == "noon":
-                y = rng.poisson(mus[s], (b, len(xs[s]))).astype(float)
-                w = 1.0 / np.maximum(y, 1.0)
-            else:
-                mh, mv = mus[s]
-                n_h = rng.poisson(mh, (b, len(xs[s]))).astype(float)
-                n_v = rng.poisson(mv, (b, len(xs[s]))).astype(float)
-                tot = np.maximum(n_h + n_v, 1.0)
-                y = n_v / tot
-                w = tot ** 3 / (np.maximum(n_h, 1.0) * np.maximum(n_v, 1.0))
-            p0 = np.tile([base[s].params[n] for n in names], (b, 1))
-            p, _, conv, _ = _levenberg_marquardt(fn, p0, x_b, y, w)
+            fit, x, counts = base[s]
+            y, w = _observations(model, **{
+                c: rng.poisson(mu, (b, len(x))).astype(float) for c, mu in counts.items()})
+            p0 = np.tile([fit.params[n] for n in names], (b, 1))
+            p, _, conv, _ = _levenberg_marquardt(fn, p0, x[None, :] + delta[:, None], y, w)
             bad += int(np.count_nonzero(~conv))
             _canonicalize(model, p)
             ip = names.index("phase")
-            p[:, ip] = base[s].phase + wrap_phase(p[:, ip] - base[s].phase)
+            p[:, ip] = fit.phase + wrap_phase(p[:, ip] - fit.phase)
             samples[s].append(p)
 
     frac = bad / (n_samples * len(states))
@@ -486,7 +479,7 @@ def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None,
     phi_e_mean = phi_e_sigma = None
     if len(states) == 2:
         ip = names.index("phase")
-        base_e = wrap_phase(base[SwitchState.OFF].phase - base[SwitchState.ON].phase)
+        base_e = wrap_phase(base[SwitchState.OFF][0].phase - base[SwitchState.ON][0].phase)
         diff = stacked[SwitchState.OFF][:, ip] - stacked[SwitchState.ON][:, ip]
         diff = base_e + wrap_phase(diff - base_e)
         phi_e_mean = float(diff.mean())
@@ -629,8 +622,7 @@ def calibrate_scale_factor(angles, phases, sigmas, omega_earth=None,
     a0, b0, *_ = _cosine_lsq(angles, phases, w)
     theta0_center = math.atan2(-b0, a0)
 
-    rng = np.random.default_rng(
-        seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed))
+    rng = np.random.default_rng(seed_sequence(seed))
     th = angles[None, :] + rng.uniform(-angle_halfwidth, angle_halfwidth,
                                        (n_samples, len(angles)))
     ph = phases[None, :] + rng.normal(0.0, sigmas, (n_samples, len(angles)))
@@ -721,18 +713,14 @@ def enhancement_factor(two_photon, one_photon):
 
 def group_records_by_angle(records):
     """Records keyed by frame angle, in first-appearance order."""
-    grouped = {}
-    for r in records:
-        grouped.setdefault(r.theta, []).append(r)
-    return grouped
+    return _group_by(records, "theta")
 
 
 def fit_switch_pair(records, model):
     """Fit both switch states of one angle; returns (fit_on, fit_off, earth)."""
-    groups = _split_states(records)
+    groups = _group_by(records, "switch")
     if SwitchState.ON not in groups or SwitchState.OFF not in groups:
         raise ValueError("need records in both switch states")
-    fitter = fit_noon_fringe if model == "noon" else fit_single_fringe
-    fit_on = fitter(groups[SwitchState.ON])
-    fit_off = fitter(groups[SwitchState.OFF])
+    fit_on = _fit_state(groups[SwitchState.ON], model)[0]
+    fit_off = _fit_state(groups[SwitchState.OFF], model)[0]
     return fit_on, fit_off, extract_earth_phase(fit_on, fit_off)

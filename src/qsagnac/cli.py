@@ -28,13 +28,15 @@ from .expsim import (NoiseConfig, RateConfig, SwitchSchedule, angle_sweep,
                      read_counts_csv, read_trace_csv, simulate_polarimeter,
                      write_counts_csv, write_trace_csv)
 from .probe import NOON2, SINGLE
-from .sagnac import CONSTANTS, InterferometerGeometry, scale_factor
+from .sagnac import (CONSTANTS, config_kwargs, from_degrees, geometry_from_dict,
+                     scale_factor)
 from .sensedesign import (InfeasibleDesignError, design_from_dict, landscape,
                           optimize_gfring, rotation_resolution)
 
 SCHEMA_VERSION = 1
 
 _KINDS = {"noon": NOON2, "single": SINGLE}
+_FAST_SAMPLES = 1000  # Monte-Carlo sample count under --fast
 
 
 def _load_config(path):
@@ -43,6 +45,8 @@ def _load_config(path):
             config = json.load(f)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: config must be a JSON object")
     version = config.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: schema_version {version!r}, "
@@ -50,64 +54,82 @@ def _load_config(path):
     return config
 
 
-def _geometry_from(cfg):
-    if cfg is None:
-        raise ValueError("config needs a 'geometry' section")
-    kwargs = {
-        "frame_angle": math.radians(float(cfg.get("frame_angle_deg", 0.0))),
-        "latitude": math.radians(float(cfg.get("latitude_deg", 0.0))),
-        "wavelength": float(cfg.get("wavelength_m", 1550e-9)),
-    }
-    if cfg.get("effective_area_m2") is not None:
-        kwargs["effective_area"] = float(cfg["effective_area_m2"])
-    shape = cfg.get("shape", "square")
-    if shape == "square":
-        return InterferometerGeometry.square(float(cfg["fiber_length_m"]),
-                                             int(cfg["turns"]), **kwargs)
-    if shape == "circular":
-        return InterferometerGeometry.circular(float(cfg["fiber_length_m"]),
-                                               float(cfg["perimeter_m"]), **kwargs)
-    raise ValueError(f"unknown loop shape {shape!r}")
+# JSON key -> (keyword, type) for each config block, read by config_kwargs;
+# defaults stay with the dataclass or function each block configures
+_SCHEDULE_KEYS = {
+    "frequency_hz": ("frequency", float),
+    "duty": ("duty", float),
+    "transition_halfwidth_s": ("transition_halfwidth", float),
+}
+_RATES_KEYS = {
+    "pair_rate_detected_hz": ("pair_rate_detected", float),
+    "heralded_single_rate_hz": ("heralded_single_rate", float),
+    "cw_sample_rate_hz": ("cw_sample_rate", float),
+    "coincidence_window_s": ("coincidence_window", float),
+}
+_NOISE_KEYS = {
+    "dark_rate_hz": ("dark_rate", float),
+    "motor_sigma_rad": ("motor_sigma", float),
+    "drift_rate_rad_s": ("drift_rate", float),
+    "walk_sigma_rad": ("walk_sigma", float),
+    "polarimeter_sigma_rad": ("polarimeter_sigma", float),
+    "leakage_fraction": ("leakage_fraction", float),
+}
+_SIMULATE_KEYS = {
+    "true_omega_rad_s": ("true_omega", float),
+    "theta_deg": ("theta_list", from_degrees),
+    "sample_poisson": ("sample_poisson", bool),
+}
+# simulate keys that take a scalar or a {kind: value} map
+_PER_KIND_KEYS = {
+    "phi0_rad": ("phi0_list", float),
+    "base_phase_rad": ("base_phase", float),
+    "duration_s": ("duration_s", float),
+    "visibility": ("visibility", float),
+    "channel_asymmetry": ("channel_asymmetry", float),
+}
+_TRACE_KEYS = {
+    "theta_deg": ("frame_angle", from_degrees),
+    "total_time_s": ("total_time", float),
+    "transition_halfwidth_s": ("transition_halfwidth", float),
+}
+_FIT_KEYS = {
+    "scale_factor_s": ("scale_factor_s", float),
+    "trace_transition_halfwidth_s": ("transition_halfwidth", float),
+}
+_MC_KEYS = {
+    "mc_samples": ("n_samples", int),
+    "motor_sigma_rad": ("motor_sigma", float),
+}
+_CALIBRATION_KEYS = {
+    "angles_deg": ("angles", from_degrees),
+    "phases_rad": ("phases", float),
+    "sigmas_rad": ("sigmas", float),
+    "omega_earth_rad_s": ("omega_earth", float),
+    "mc_samples": ("n_samples", int),
+}
+_GFRING_KEYS = {
+    "latitude_deg": ("latitude", from_degrees),
+    "alpha_db_per_km": ("alpha_db_per_km", float),
+    "pair_rate_in_hz": ("pair_rate_in", float),
+    "integration_time_s": ("integration_time", float),
+    "target_snr": ("target_snr", float),
+    "wavelength_m": ("wavelength", float),
+    "nt_max": ("nt_max", int),
+    "l_min_m": ("l_min", float),
+}
 
 
-def _schedule_from(cfg):
-    cfg = cfg or {}
-    return SwitchSchedule(
-        frequency=float(cfg.get("frequency_hz", 0.1)),
-        duty=float(cfg.get("duty", 0.5)),
-        transition_halfwidth=float(cfg.get("transition_halfwidth_s", 0.010)))
+def _section(config, sub, name):
+    """A config block from the command section, else from the top level."""
+    return sub.get(name) or config.get(name) or {}
 
 
-def _rates_from(cfg):
-    cfg = cfg or {}
-    base = RateConfig()
-    return RateConfig(
-        pair_rate_detected=float(cfg.get("pair_rate_detected_hz",
-                                         base.pair_rate_detected)),
-        heralded_single_rate=float(cfg.get("heralded_single_rate_hz",
-                                           base.heralded_single_rate)),
-        cw_sample_rate=float(cfg.get("cw_sample_rate_hz", base.cw_sample_rate)),
-        coincidence_window=float(cfg.get("coincidence_window_s",
-                                         base.coincidence_window)))
-
-
-def _noise_from(cfg):
-    cfg = cfg or {}
-    base = NoiseConfig()
-    return NoiseConfig(
-        dark_rate=float(cfg.get("dark_rate_hz", base.dark_rate)),
-        motor_sigma=float(cfg.get("motor_sigma_rad", base.motor_sigma)),
-        drift_rate=float(cfg.get("drift_rate_rad_s", base.drift_rate)),
-        walk_sigma=float(cfg.get("walk_sigma_rad", base.walk_sigma)),
-        polarimeter_sigma=float(cfg.get("polarimeter_sigma_rad",
-                                        base.polarimeter_sigma)),
-        leakage_fraction=float(cfg.get("leakage_fraction", base.leakage_fraction)))
-
-
-def _per_kind(value, kind, default=None):
-    if isinstance(value, dict):
-        value = value.get(kind, default)
-    return default if value is None else value
+def _per_kind(cfg, kind):
+    """The per-kind simulate keys of cfg resolved for one probe kind."""
+    return config_kwargs({k: v.get(kind) if isinstance(v, dict) else v
+                          for k, v in cfg.items() if k in _PER_KIND_KEYS},
+                         _PER_KIND_KEYS)
 
 
 def _resolve(path, out_dir):
@@ -119,7 +141,7 @@ def _write_manifest(out_dir, command, args, config, outputs):
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
         "command": command,
-        "seed": args.seed if args.seed is not None else config.get("seed", 0),
+        "seed": _seed_of(args, config),
         "fast": bool(getattr(args, "fast", False)),
         "config_sha256": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()).hexdigest(),
@@ -141,13 +163,14 @@ def cmd_simulate(args):
     sim = config.get("simulate")
     if sim is None:
         raise ValueError("config has no 'simulate' section")
-    geom = _geometry_from(sim.get("geometry") or config.get("geometry"))
-    schedule = _schedule_from(sim.get("schedule") or config.get("schedule"))
-    rates = _rates_from(sim.get("rates") or config.get("rates"))
-    noise = _noise_from(sim.get("noise") or config.get("noise"))
-    true_omega = float(sim.get("true_omega_rad_s", CONSTANTS.omega_earth))
-    thetas = [math.radians(float(t))
-              for t in sim.get("theta_deg", [math.degrees(geom.frame_angle)])]
+    geom = geometry_from_dict(_section(config, sim, "geometry"))
+    schedule = SwitchSchedule(**config_kwargs(_section(config, sim, "schedule"),
+                                              _SCHEDULE_KEYS))
+    rates = RateConfig(**config_kwargs(_section(config, sim, "rates"), _RATES_KEYS))
+    noise = NoiseConfig(**config_kwargs(_section(config, sim, "noise"), _NOISE_KEYS))
+    opts = config_kwargs(sim, _SIMULATE_KEYS)
+    true_omega = opts.pop("true_omega", CONSTANTS.omega_earth)
+    thetas = opts.pop("theta_list", [geom.frame_angle])
     kinds = sim.get("kinds", ["noon"])
     os.makedirs(args.out, exist_ok=True)
 
@@ -156,18 +179,12 @@ def cmd_simulate(args):
     for kind in kinds:
         if kind not in _KINDS:
             raise ValueError(f"unknown probe kind {kind!r}")
-        phi0 = _per_kind(sim.get("phi0_rad"), kind)
-        if phi0 is None:
+        kind_opts = _per_kind(sim, kind)
+        if "phi0_list" not in kind_opts:
             raise ValueError(f"simulate.phi0_rad missing for kind {kind!r}")
-        records = angle_sweep(
-            _KINDS[kind], geom, thetas, [float(p) for p in phi0], true_omega,
-            root.spawn(1)[0],
-            base_phase=_per_kind(sim.get("base_phase_rad"), kind, 0.0),
-            duration_s=float(_per_kind(sim.get("duration_s"), kind, 1800.0)),
-            schedule=schedule, rates=rates, noise=noise,
-            visibility=_per_kind(sim.get("visibility"), kind),
-            channel_asymmetry=float(_per_kind(sim.get("channel_asymmetry"), kind, 0.0)),
-            sample_poisson=bool(sim.get("sample_poisson", True)))
+        records = angle_sweep(_KINDS[kind], geom, thetas, true_omega=true_omega,
+                              seed=root.spawn(1)[0], schedule=schedule,
+                              rates=rates, noise=noise, **opts, **kind_opts)
         name = f"counts_{kind}.csv"
         write_counts_csv(records, os.path.join(args.out, name))
         outputs.append(name)
@@ -175,14 +192,12 @@ def cmd_simulate(args):
 
     trace_cfg = sim.get("trace")
     if trace_cfg is not None:
-        t_geom = replace(geom, frame_angle=math.radians(
-            float(trace_cfg.get("theta_deg", math.degrees(geom.frame_angle)))))
-        t_sched = schedule
-        if trace_cfg.get("transition_halfwidth_s") is not None:
-            t_sched = replace(schedule, transition_halfwidth=float(
-                trace_cfg["transition_halfwidth_s"]))
+        trace_opts = config_kwargs(trace_cfg, _TRACE_KEYS)
+        t_geom = replace(geom, frame_angle=trace_opts.get("frame_angle", geom.frame_angle))
+        t_sched = replace(schedule, transition_halfwidth=trace_opts.get(
+            "transition_halfwidth", schedule.transition_halfwidth))
         trace = simulate_polarimeter(t_geom, true_omega,
-                                     float(trace_cfg.get("total_time_s", 600.0)),
+                                     trace_opts.get("total_time", 600.0),
                                      root.spawn(1)[0], schedule=t_sched,
                                      rates=rates, noise=noise)
         write_trace_csv(trace, os.path.join(args.out, "trace.csv"))
@@ -193,12 +208,11 @@ def cmd_simulate(args):
     return 0
 
 
-def _fit_one_kind(kind, records, mc_n, motor_sigma, root):
+def _fit_one_kind(kind, records, mc_opts, root):
     rows = []
     for theta, recs in group_records_by_angle(records).items():
         fit_on, fit_off, _ = fit_switch_pair(recs, model=kind)
-        mc = mc_uncertainty(recs, kind, n_samples=mc_n,
-                            motor_sigma=motor_sigma, seed=root.spawn(1)[0])
+        mc = mc_uncertainty(recs, kind, seed=root.spawn(1)[0], **mc_opts)
         earth = extract_earth_phase(fit_on, fit_off, mc)
         rows.append({"theta": theta, "fit_on": fit_on, "fit_off": fit_off,
                      "mc": mc, "earth": earth})
@@ -234,15 +248,15 @@ def cmd_fit(args):
     if fit_cfg is None:
         raise ValueError("config has no 'fit' section")
     os.makedirs(args.out, exist_ok=True)
-    mc_n = 1000 if args.fast else int(fit_cfg.get("mc_samples", 100_000))
-    motor_sigma = fit_cfg.get("motor_sigma_rad")
-    if motor_sigma is not None:
-        motor_sigma = float(motor_sigma)
+    mc_opts = config_kwargs(fit_cfg, _MC_KEYS)
+    opts = config_kwargs(fit_cfg, _FIT_KEYS)
+    if args.fast:
+        mc_opts["n_samples"] = _FAST_SAMPLES
 
-    scale = fit_cfg.get("scale_factor_s")
-    geom_cfg = fit_cfg.get("geometry") or config.get("geometry")
-    if scale is None and geom_cfg is not None:
-        scale = scale_factor(_geometry_from(geom_cfg))
+    scale = opts.get("scale_factor_s")
+    geom_cfg = _section(config, fit_cfg, "geometry")
+    if scale is None and geom_cfg:
+        scale = scale_factor(geometry_from_dict(geom_cfg))
     root = np.random.SeedSequence(_seed_of(args, config))
     report = {"schema_version": SCHEMA_VERSION, "package_version": __version__,
               "seed": _seed_of(args, config), "kinds": {}}
@@ -258,7 +272,7 @@ def cmd_fit(args):
         records = read_counts_csv(_resolve(path, args.out))
         if not records:
             raise ValueError(f"{path}: no count records")
-        rows = _fit_one_kind(kind, records, mc_n, motor_sigma, root)
+        rows = _fit_one_kind(kind, records, mc_opts, root)
         kind_report = {"angles": []}
         for row in rows:
             kind_report["angles"].append({
@@ -282,7 +296,7 @@ def cmd_fit(args):
                 [row["theta"] for row in rows],
                 [row["earth"].phi_e for row in rows],
                 [row["earth"].phi_e_sigma for row in rows],
-                float(scale), enhancement=_KINDS[kind].enhancement)
+                scale, enhancement=_KINDS[kind].enhancement)
             sweeps[kind] = sweep
             kind_report["angle_sweep"] = sweep.to_dict()
             print(f"{kind} sweep: amplitude = {1e3 * sweep.amplitude:.2f} "
@@ -305,10 +319,10 @@ def cmd_fit(args):
 
     trace_path = fit_cfg.get("trace")
     if trace_path is not None:
-        schedule = _schedule_from(fit_cfg.get("schedule") or config.get("schedule"))
-        if fit_cfg.get("trace_transition_halfwidth_s") is not None:
-            schedule = replace(schedule, transition_halfwidth=float(
-                fit_cfg["trace_transition_halfwidth_s"]))
+        schedule = SwitchSchedule(**config_kwargs(_section(config, fit_cfg, "schedule"),
+                                                  _SCHEDULE_KEYS))
+        if "transition_halfwidth" in opts:
+            schedule = replace(schedule, transition_halfwidth=opts["transition_halfwidth"])
         demod = demodulate_trace(read_trace_csv(_resolve(trace_path, args.out)),
                                  schedule)
         report["demodulation"] = demod.to_dict()
@@ -316,14 +330,10 @@ def cmd_fit(args):
 
     cal_cfg = fit_cfg.get("calibration")
     if cal_cfg is not None:
-        cal = calibrate_scale_factor(
-            [math.radians(float(a)) for a in cal_cfg["angles_deg"]],
-            [float(p) for p in cal_cfg["phases_rad"]],
-            [float(s) for s in cal_cfg["sigmas_rad"]],
-            omega_earth=float(cal_cfg.get("omega_earth_rad_s",
-                                          CONSTANTS.omega_earth)),
-            n_samples=1000 if args.fast else int(cal_cfg.get("mc_samples", 10_000)),
-            seed=root.spawn(1)[0])
+        cal_opts = config_kwargs(cal_cfg, _CALIBRATION_KEYS)
+        if args.fast:
+            cal_opts["n_samples"] = _FAST_SAMPLES
+        cal = calibrate_scale_factor(seed=root.spawn(1)[0], **cal_opts)
         report["calibration"] = cal.to_dict()
         print(f"calibration: S = {cal.scale_factor:.2f} "
               f"+- {cal.scale_factor_sigma:.2f} s, "
@@ -384,15 +394,7 @@ def cmd_design(args):
         g = design_cfg.get("gfring")
         if g is None:
             raise ValueError("--optimize-gfring needs a design.gfring section")
-        optimum = optimize_gfring(
-            latitude=math.radians(float(g["latitude_deg"])),
-            alpha_db_per_km=float(g.get("alpha_db_per_km", 0.16)),
-            pair_rate_in=float(g.get("pair_rate_in_hz", 1e10)),
-            integration_time=float(g.get("integration_time_s", 5.56e6)),
-            target_snr=float(g.get("target_snr", 3.0)),
-            wavelength=float(g.get("wavelength_m", 1550e-9)),
-            nt_max=int(g.get("nt_max", 64)),
-            l_min=float(g.get("l_min_m", 100.0)))
+        optimum = optimize_gfring(**config_kwargs(g, _GFRING_KEYS))
         out_json["gfring_optimum"] = optimum.to_dict()
         print(f"gfring optimum: L = {optimum.fiber_length / 1e3:.2f} km, "
               f"n_t = {optimum.turns}, "

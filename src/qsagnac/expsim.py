@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .probe import ProbeKind
+from .probe import ProbeKind, fringe_probs
 from .sagnac import (CONSTANTS, SwitchState, sagnac_phase, switch_transmission)
 
 
@@ -112,7 +112,8 @@ class PolarimeterTrace:
             raise ValueError("sample times must increase")
 
 
-def _seed_sequence(seed):
+def seed_sequence(seed):
+    """SeedSequence from an int, None, or an existing SeedSequence (kept as is)."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(seed)
@@ -130,9 +131,10 @@ def simulate_counts(kind, geom, phi0_list, true_omega, seed, duration_s=1800.0,
                     sample_poisson=True, constants=CONSTANTS):
     """Count records for one angle: every bias set point in both switch states.
 
-    The fringe argument is k * phi0 + base_phase - k * phi_s with k the
-    probe's phase enhancement, so the fitted phase drops by k * phi_s
+    Port probabilities are fringe_probs(k (phi0 - phi_s) + base_phase) with
+    k the probe's phase enhancement, so the fitted phase drops by k * phi_s
     when the loop is switched in and the on/off difference is positive.
+    visibility defaults to 1 - distinguishability for pairs, 1 otherwise.
     Bias noise (set-point jitter, drift, walk) is drawn once per set
     point and shared by the two switch states.
     """
@@ -154,7 +156,7 @@ def simulate_counts(kind, geom, phi0_list, true_omega, seed, duration_s=1800.0,
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must be in [0, 1]")
 
-    children = _seed_sequence(seed).spawn(len(phi0_list))
+    children = seed_sequence(seed).spawn(len(phi0_list))
     records = []
     walk = 0.0
     for k, phi0 in enumerate(phi0_list):
@@ -171,10 +173,10 @@ def simulate_counts(kind, geom, phi0_list, true_omega, seed, duration_s=1800.0,
             t_use = duration_s * schedule.usable_fraction(switch)
             phs = sagnac_phase(geom, true_omega, switch, constants)
             trans = switch_transmission(switch)
-            arg = kind.enhancement * (phi - phs) + base_phase
+            p_h, p_v = fringe_probs(kind.enhancement * (phi - phs) + base_phase,
+                                    visibility)
             if kind.name == "noon":
-                r_pair = trans * rates.pair_rate_detected \
-                    * 0.5 * (1.0 + visibility * math.cos(arg))
+                r_pair = trans * rates.pair_rate_detected * p_h
                 r_h = trans * 0.5 * rates.heralded_single_rate + noise.dark_rate
                 r_v = r_h
                 r_acc = r_h * r_v * rates.coincidence_window
@@ -187,8 +189,8 @@ def simulate_counts(kind, geom, phi0_list, true_omega, seed, duration_s=1800.0,
                     * rates.coincidence_window
                 a_h = rates.heralded_single_rate * (1.0 + channel_asymmetry)
                 a_v = rates.heralded_single_rate * (1.0 - channel_asymmetry)
-                r_h = trans * 0.5 * a_h * (1.0 + visibility * math.cos(arg)) + r_bg
-                r_v = trans * 0.5 * a_v * (1.0 - visibility * math.cos(arg)) + r_bg
+                r_h = trans * a_h * p_h + r_bg
+                r_v = trans * a_v * p_v + r_bg
                 r_acc = r_h * r_v * rates.coincidence_window
                 n_h = _draw_counts(count_rng, r_h * t_use, sample_poisson)
                 n_v = _draw_counts(count_rng, r_v * t_use, sample_poisson)
@@ -230,7 +232,7 @@ def simulate_polarimeter(geom, true_omega, total_time, seed, schedule=None,
         envelope[in_fall] = (hw - s_fall[in_fall]) / (2.0 * hw)
 
     phs = sagnac_phase(geom, true_omega, SwitchState.ON, constants)
-    rng = np.random.default_rng(_seed_sequence(seed))
+    rng = np.random.default_rng(seed_sequence(seed))
     chi = 0.5 * phs * math.sqrt(1.0 - noise.leakage_fraction) * envelope \
         + 0.5 * noise.drift_rate * t \
         + rng.normal(0.0, noise.polarimeter_sigma, n)
@@ -254,7 +256,7 @@ def angle_sweep(kind, geom, theta_list, phi0_list, true_omega, seed,
     except TypeError:
         phases = [float(base_phase)] * len(theta_list)
 
-    children = _seed_sequence(seed).spawn(len(theta_list))
+    children = seed_sequence(seed).spawn(len(theta_list))
     records = []
     for theta, bp, child in zip(theta_list, phases, children):
         geom_t = replace(geom, frame_angle=theta)

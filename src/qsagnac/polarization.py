@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 
 def _rotation(theta):
@@ -184,6 +183,8 @@ def solve_triplet(target, tol=1e-8):
     the phase-aligned matrix residual from a fixed grid of starts and
     raises if no start reaches `tol`.
     """
+    from scipy.optimize import least_squares  # deferred: scipy.optimize is slow to import
+
     target = np.asarray(target, dtype=complex)
     if not is_unitary(target, tol=1e-9):
         raise ValueError("target must be unitary")

@@ -1,10 +1,13 @@
 """Probe states through the rotating loop.
 
 Two-mode photon number states over the loop polarization modes (H, V).
-The loop imprints its phase on the V-occupation; a half-wave plate at
-pi/8 mixes the modes before detection.  The two-photon probe is the
-path-entangled pair (|2,0> - |0,2>)/sqrt(2), which accumulates phase at
-twice the single-photon rate.
+The loop imprints its phase phi_s on the H-occupation and the bias its
+phase phi0 on the V-occupation, as the Jones matrices sagnac_loop and
+phase_shift do; a half-wave plate at pi/8 mixes the modes before
+detection.  The two-photon probe is the path-entangled pair
+(|2,0> - |0,2>)/sqrt(2), which accumulates phase at twice the
+single-photon rate, so a probe of phase gain k sees the fringe argument
+k (phi0 - phi_s): see fringe_probs.
 """
 
 import math
@@ -80,13 +83,13 @@ def noon_state(n=2):
 
 
 def evolve(state, phi_s, n=None):
-    """Loop pass: each occupation (n_h, n_v) gains phase n_v * phi_s.
+    """Loop pass: each occupation (n_h, n_v) gains phase n_h * phi_s.
 
     n, when given, asserts the total photon number of the probe.
     """
     if n is not None and any(sum(occ) != n for occ in state.basis):
         raise ValueError(f"state is not an {n}-photon probe")
-    amps = tuple(a * np.exp(1.0j * occ[1] * phi_s)
+    amps = tuple(a * np.exp(1.0j * occ[0] * phi_s)
                  for occ, a in zip(state.basis, state.amplitudes))
     return TwoModeState(state.basis, amps)
 
@@ -106,14 +109,6 @@ def hom_interfere(distinguishability=0.0):
                         (bunched, -1.0j * d / _SQRT2, -bunched))
 
 
-def fringe_visibility(distinguishability):
-    """Coincidence fringe visibility of a pair with the given distinguishability."""
-    d = float(distinguishability)
-    if not 0.0 <= d <= 1.0:
-        raise ValueError("distinguishability must be in [0, 1]")
-    return 1.0 - d
-
-
 def two_photon_hwp():
     """Half-wave plate at pi/8 on the symmetric two-photon subspace.
 
@@ -131,31 +126,14 @@ def coincidence_projection(state):
     return state.probability((1, 1))
 
 
-def single_photon_probs(phi_s):
-    """(P_a, P_b) = ((1 + cos phi_s)/2, (1 - cos phi_s)/2) at the output ports."""
-    p_a = 0.5 * (1.0 + math.cos(phi_s))
-    return (p_a, 1.0 - p_a)
+def fringe_probs(arg, visibility=1.0):
+    """Output-port probabilities (1/2 (1 + V cos arg), 1/2 (1 - V cos arg)).
 
-
-def noon_probs(n, phi_s):
-    """(P_a, P_b) = ((1 + cos(n phi_s))/2, (1 - cos(n phi_s))/2).
-
-    The n-photon probe sees the loop phase n times.  For n = 2 the P_a
-    outcome is the coincidence projection after the output plate.
+    arg is k (phi0 - phi_s) plus any base phase.  For the pair (k = 2) the
+    first port is the coincidence projection after the output plate.
     """
-    if n < 1:
-        raise ValueError("need at least one photon")
-    p_a = 0.5 * (1.0 + math.cos(n * phi_s))
-    return (p_a, 1.0 - p_a)
-
-
-def coincidence_prob(phi0, phi_s):
-    """Two-photon coincidence fringe versus bias phase phi0.
-
-    The pair sees bias and rotation phase doubled:
-    P = (1/2)(1 + cos(2 phi0 + 2 phi_s)).
-    """
-    return 0.5 * (1.0 + math.cos(2.0 * (phi0 + phi_s)))
+    c = visibility * math.cos(arg)
+    return (0.5 * (1.0 + c), 0.5 * (1.0 - c))
 
 
 def output_state_after_hwp(phi_s):

@@ -7,6 +7,8 @@ phase shift between its counter-propagating modes
 
 where Theta is the angle between the loop normal and the rotation axis.
 The scale factor S = 8 pi A / (lambda c) converts rotation rate to phase.
+config_kwargs reads every JSON config block of the package, the geometry
+block here and the others in sensedesign and cli.
 """
 
 import math
@@ -144,10 +146,55 @@ def transmission(alpha_db_per_km, fiber_length, n_photons=1):
     return eta ** n_photons
 
 
-def noon_survival(eta, n):
-    """Survival probability of an n-photon path-entangled probe at per-photon efficiency eta."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError("per-photon efficiency must be in (0, 1]")
-    if n < 1:
-        raise ValueError("need at least one photon")
-    return eta ** n
+def config_kwargs(cfg, table):
+    """Keyword arguments from a JSON object through a key -> (field, type) table.
+
+    Only keys present (and not null) in cfg are passed on, so every default
+    stays with the signature it configures.  The type applies to each item
+    of a list value.  Raises ValueError on values the type rejects and on
+    non-finite numbers.
+    """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"expected a JSON object, got {cfg!r}")
+    kwargs = {}
+    for key, (field, kind) in table.items():
+        raw = cfg.get(key)
+        if raw is None:
+            continue
+        try:
+            items = [kind(v) for v in (raw if isinstance(raw, list) else [raw])]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{key}: {exc}") from exc
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ValueError(f"{key}: non-finite value in {raw!r}")
+        kwargs[field] = items if isinstance(raw, list) else items[0]
+    return kwargs
+
+
+def from_degrees(degrees):
+    """Config converter: degrees in, radians out."""
+    return math.radians(float(degrees))
+
+
+_GEOMETRY_KEYS = {
+    "fiber_length_m": ("fiber_length", float),
+    "turns": ("turns", int),
+    "perimeter_m": ("perimeter", float),
+    "frame_angle_deg": ("frame_angle", from_degrees),
+    "latitude_deg": ("latitude", from_degrees),
+    "wavelength_m": ("wavelength", float),
+    "effective_area_m2": ("effective_area", float),
+}
+
+
+def geometry_from_dict(d):
+    """InterferometerGeometry from its JSON form; `shape` defaults to square."""
+    kwargs = config_kwargs(d, _GEOMETRY_KEYS)
+    shape = d.get("shape", "square")
+    if shape == "square":
+        kwargs.pop("perimeter", None)
+        return InterferometerGeometry.square(**kwargs)
+    if shape == "circular":
+        kwargs.pop("turns", None)
+        return InterferometerGeometry.circular(**kwargs)
+    raise ValueError(f"unknown loop shape {shape!r}")

@@ -10,10 +10,9 @@ rate resolution.
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .sagnac import (CONSTANTS, InterferometerGeometry, PhysicalConstants,
-                     scale_factor, transmission)
+                     config_kwargs, geometry_from_dict, scale_factor,
+                     transmission)
 
 
 class InfeasibleDesignError(ValueError):
@@ -122,7 +121,7 @@ def rotation_resolution(spec):
     g = spec.geometry
     s = scale_factor(g, spec.constants)
     eta_all = transmission(spec.alpha_db_per_km, g.fiber_length, spec.photons_per_probe)
-    r_out = spec.pair_rate_in * eta_all
+    r_out = pair_rate_out(spec)
     d_phi = phase_resolution(spec)
     d_omega = d_phi / (s * p)
     return SensitivityReport(
@@ -152,16 +151,6 @@ class GfringOptimum:
                 "report": self.report.to_dict()}
 
 
-def _gfring_spec(fiber_length, turns, latitude, alpha_db_per_km, pair_rate_in,
-                 integration_time, wavelength, constants):
-    geom = InterferometerGeometry.square(fiber_length, turns, latitude=latitude,
-                                         wavelength=wavelength)
-    return DesignSpec(name="GFRING", geometry=geom,
-                      alpha_db_per_km=alpha_db_per_km, pair_rate_in=pair_rate_in,
-                      integration_time=integration_time, photons_per_probe=2,
-                      projection="sin_latitude", constants=constants)
-
-
 def optimize_gfring(latitude, alpha_db_per_km=0.16, pair_rate_in=1e10,
                     integration_time=5.56e6, target_snr=3.0, wavelength=1550e-9,
                     nt_max=64, l_min=100.0, constants=CONSTANTS):
@@ -180,26 +169,27 @@ def optimize_gfring(latitude, alpha_db_per_km=0.16, pair_rate_in=1e10,
     if nt_max < 1 or l_min <= 0.0:
         raise ValueError("search bounds must be positive")
 
-    def d_omega(turns, length):
-        spec = _gfring_spec(length, turns, latitude, alpha_db_per_km,
-                            pair_rate_in, integration_time, wavelength, constants)
-        return rotation_resolution(spec).delta_omega
+    def report(turns, length):
+        geom = InterferometerGeometry.square(length, turns, latitude=latitude,
+                                             wavelength=wavelength)
+        return rotation_resolution(DesignSpec(
+            name="GFRING", geometry=geom, alpha_db_per_km=alpha_db_per_km,
+            pair_rate_in=pair_rate_in, integration_time=integration_time,
+            photons_per_probe=2, projection="sin_latitude", constants=constants))
 
     l_star = 20000.0 / (alpha_db_per_km * math.log(10.0))
 
     def build(turns, length):
-        spec = _gfring_spec(length, turns, latitude, alpha_db_per_km,
-                            pair_rate_in, integration_time, wavelength, constants)
         return GfringOptimum(fiber_length=length, turns=turns,
                              target_snr=target_snr, loss_optimal_length=l_star,
-                             report=rotation_resolution(spec))
+                             report=report(turns, length))
 
     if target_snr <= 0.0:
         # any design passes; report the configured search bounds
         return build(nt_max, l_min)
 
     limit = constants.omega_gr / target_snr
-    base = d_omega(1, l_star)
+    base = report(1, l_star).delta_omega
     if base > limit:
         raise InfeasibleDesignError(
             f"single turn at the loss-optimal length {l_star:.0f} m reaches "
@@ -207,10 +197,11 @@ def optimize_gfring(latitude, alpha_db_per_km=0.16, pair_rate_in=1e10,
     turns = min(int(math.floor(limit / base + 1e-9)), nt_max)
 
     def excess(length):
-        return d_omega(turns, length) - limit
+        return report(turns, length).delta_omega - limit
 
     if excess(l_min) <= 0.0:
         return build(turns, l_min)
+    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
     length = brentq(excess, l_min, l_star, xtol=1e-3, rtol=1e-13)
     return build(turns, float(length))
 
@@ -256,37 +247,23 @@ def landscape(specs):
     return rows
 
 
+_DESIGN_KEYS = {
+    "alpha_db_per_km": ("alpha_db_per_km", float),
+    "pair_rate_in_hz": ("pair_rate_in", float),
+    "integration_time_s": ("integration_time", float),
+    "photons_per_probe": ("photons_per_probe", int),
+    "projection": ("projection", str),
+    "measured_delta_phi_rad": ("measured_delta_phi", float),
+}
+
+
 def design_from_dict(d):
-    """DesignSpec from its JSON form."""
+    """DesignSpec from its JSON form: geometry keys plus the design keys."""
     try:
-        name = d["name"]
-        shape = d["shape"]
-        fiber_length = float(d["fiber_length_m"])
-        kwargs = {
-            "frame_angle": math.radians(float(d.get("frame_angle_deg", 0.0))),
-            "latitude": math.radians(float(d.get("latitude_deg", 0.0))),
-            "wavelength": float(d.get("wavelength_m", 1550e-9)),
-        }
-        if d.get("effective_area_m2") is not None:
-            kwargs["effective_area"] = float(d["effective_area_m2"])
-        if shape == "square":
-            geom = InterferometerGeometry.square(fiber_length, int(d["turns"]), **kwargs)
-        elif shape == "circular":
-            geom = InterferometerGeometry.circular(fiber_length,
-                                                   float(d["perimeter_m"]), **kwargs)
-        else:
-            raise ValueError(f"unknown loop shape {shape!r}")
-        measured = d.get("measured_delta_phi_rad")
-        return DesignSpec(
-            name=name, geometry=geom,
-            alpha_db_per_km=float(d["alpha_db_per_km"]),
-            pair_rate_in=float(d["pair_rate_in_hz"]),
-            integration_time=float(d["integration_time_s"]),
-            photons_per_probe=int(d.get("photons_per_probe", 2)),
-            projection=d.get("projection", "cos_frame_angle"),
-            measured_delta_phi=None if measured is None else float(measured))
-    except KeyError as exc:
-        raise ValueError(f"design spec missing field {exc}") from exc
+        return DesignSpec(name=d["name"], geometry=geometry_from_dict(d),
+                          **config_kwargs(d, _DESIGN_KEYS))
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"design spec missing field: {exc}") from exc
 
 
 def design_to_dict(spec):

@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
 
+import qsagnac
 from qsagnac.cli import main
 
 
@@ -62,6 +66,31 @@ def test_missing_config_exits_2(tmp_path):
 def test_wrong_schema_version_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"schema_version": 99, "simulate": {}})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
+def test_non_object_config_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, [1, 2, 3])
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+def test_non_finite_design_value_exits_2(tmp_path, capsys):
+    base = json.loads(open(recipe("table3")).read())
+    base["design"]["specs"][1]["fiber_length_m"] = float("nan")
+    cfg = write_config(tmp_path, base)
+    assert main(["design", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "designs.csv").exists()
+
+
+def test_cli_import_leaves_scipy_out():
+    src = os.path.dirname(os.path.dirname(qsagnac.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qsagnac.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_invalid_simulation_parameters_exit_2(tmp_path):

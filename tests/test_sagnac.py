@@ -3,7 +3,7 @@ import math
 import pytest
 
 from qsagnac import (CONSTANTS, InterferometerGeometry, PhysicalConstants,
-                     SwitchState, noon_survival, sagnac_phase, scale_factor,
+                     SwitchState, sagnac_phase, scale_factor,
                      switch_transmission, transmission)
 
 OMEGA_E = 7.29e-5
@@ -142,11 +142,13 @@ def test_transmission_rejects_gain():
 
 
 def test_noon_survival():
-    assert noon_survival(0.1, 2) == pytest.approx(0.01, rel=1e-12)
-    assert 1.0 - noon_survival(0.1, 2) == pytest.approx(0.99, rel=1e-9)
-    assert noon_survival(1.0, 5) == 1.0
+    # 10 dB over the loop leaves each photon eta = 0.1; the pair survives with eta^2
+    assert transmission(10.0, 1000.0, n_photons=2) == pytest.approx(0.01, rel=1e-12)
+    assert 1.0 - transmission(10.0, 1000.0, 2) == pytest.approx(0.99, rel=1e-9)
+    assert transmission(0.0, 1000.0, 5) == 1.0
     # heralded single photon: trigger arm 0.5, loop arm 0.1
-    assert 1.0 - noon_survival(0.5 * 0.1, 1) == pytest.approx(0.95, rel=1e-9)
+    alpha = -10.0 * math.log10(0.5 * 0.1)
+    assert 1.0 - transmission(alpha, 1000.0, 1) == pytest.approx(0.95, rel=1e-9)
 
 
 def test_constants():
