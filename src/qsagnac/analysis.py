@@ -1,10 +1,15 @@
 """Estimation pipeline: fringe fits, Monte-Carlo errors, demodulation, calibration.
 
-Count fringes are fit by damped Gauss-Newton with Poisson weights taken
-from the observed counts.  Uncertainties come from a parametric
-bootstrap: counts are resampled around the observed values and a common
-bias-phase offset, shared by every set point and both switch states of a
-resample, models the motor repeatability.
+Count fringes are fit with weights taken from the observed counts: the
+two-photon fringe is linear in (c0, c1, c2) = a/2 (1, V cos phase,
+-V sin phase) and is solved in closed form; the one-photon fringe is fit
+by damped Gauss-Newton.  Uncertainties come from a parametric bootstrap:
+counts are resampled around the observed values and a common bias-phase
+offset delta, shared by every set point and both switch states of a
+resample, models the motor repeatability.  Shifting every set point by
+delta only moves the fitted phase by -k delta (k = 2 for noon, 1 for
+single), so each resample is fit on the observed set points and the
+offset is subtracted from its phase.
 """
 
 import math
@@ -35,8 +40,8 @@ def wrap_phase(phi):
     return float(w) if np.isscalar(phi) or np.ndim(phi) == 0 else w
 
 
-# model functions return (f, J) for a parameter batch (B, P) against x
-# of shape (M,) or (B, M); f is (B, M), J is (B, M, P)
+# model functions return (f, J) for a parameter batch (B, P) against
+# shared set points x of shape (M,); f is (B, M), J is (B, M, P)
 
 NOON_PARAMS = ("amplitude", "visibility", "phase")
 SINGLE_PARAMS = ("amplitude", "asymmetry", "visibility", "phase")
@@ -46,7 +51,6 @@ def _noon_model(params, x):
     a = params[:, 0:1]
     v = params[:, 1:2]
     ph = params[:, 2:3]
-    x = np.atleast_2d(x)
     arg = 2.0 * x + ph
     c = np.cos(arg)
     f = 0.5 * a * (1.0 + v * c)
@@ -62,7 +66,6 @@ def _single_model(params, x):
     eta = params[:, 1:2]
     v = params[:, 2:3]
     ph = params[:, 3:4]
-    x = np.atleast_2d(x)
     arg = x + ph
     c = np.cos(arg)
     num = 1.0 - v * c
@@ -80,7 +83,7 @@ _MODELS = {"noon": (_noon_model, NOON_PARAMS), "single": (_single_model, SINGLE_
 
 
 def _levenberg_marquardt(model, p0, x, y, w, max_iter=200, lam0=1e-3, rel_tol=1e-12):
-    """Batched damped least squares.
+    """Batched damped least squares against shared set points x.
 
     Damping scales the normal-matrix diagonal, x10 on a rejected step and
     /10 on an accepted one; a batch element stops on relative cost change
@@ -98,7 +101,6 @@ def _levenberg_marquardt(model, p0, x, y, w, max_iter=200, lam0=1e-3, rel_tol=1e
     done = np.zeros(nb, dtype=bool)
     converged = np.zeros(nb, dtype=bool)
     n_iter = np.zeros(nb, dtype=int)
-    x2 = np.atleast_2d(x)
 
     for _ in range(max_iter):
         idx = np.flatnonzero(~done)
@@ -114,11 +116,10 @@ def _levenberg_marquardt(model, p0, x, y, w, max_iter=200, lam0=1e-3, rel_tol=1e
         ad[:, step, step] += lam[idx, None] * diag
         delta = np.linalg.solve(ad, g[..., None])[..., 0]
         p_trial = p[idx] + delta
-        x_trial = x2 if x2.shape[0] == 1 else x2[idx]
         # a wild trial step may overflow the model; the non-finite cost
         # loses the comparison below and the step is simply rejected
         with np.errstate(all="ignore"):
-            f_t, j_t = model(p_trial, x_trial)
+            f_t, j_t = model(p_trial, x)
             r_t = y[idx] - f_t
             cost_t = np.einsum("bm,bm->b", w[idx], r_t * r_t)
         better = cost_t <= cost[idx]
@@ -196,36 +197,54 @@ class FringeFit:
 _N_PHASE_STARTS = 8
 
 
-def _phase_starts():
-    return np.linspace(-math.pi, math.pi, _N_PHASE_STARTS, endpoint=False)
-
-
-def _default_starts(model, y):
-    """Initial-guess policy: data-driven amplitude and visibility, 8 phase starts."""
+def _default_starts(y):
+    """Single-model starts: data-driven amplitude and visibility, 8 phase starts."""
     y = np.asarray(y, dtype=float)
     lo, hi = float(np.min(y)), float(np.max(y))
-    if model == "noon":
-        cols = [
-            np.full(_N_PHASE_STARTS, max(hi + lo, 1.0)),
-            np.full(_N_PHASE_STARTS, np.clip((hi - lo) / max(hi + lo, 1.0), 0.05, 1.0)),
-        ]
-    else:
-        cols = [
-            np.full(_N_PHASE_STARTS, np.clip(np.mean(y), 1e-3, 1.0)),
-            np.zeros(_N_PHASE_STARTS),
-            np.full(_N_PHASE_STARTS, np.clip((hi - lo) / max(hi + lo, 1e-12), 0.05, 1.0)),
-        ]
-    cols.append(_phase_starts())
-    return np.column_stack(cols)
+    return np.column_stack([
+        np.full(_N_PHASE_STARTS, np.clip(np.mean(y), 1e-3, 1.0)),
+        np.zeros(_N_PHASE_STARTS),
+        np.full(_N_PHASE_STARTS, np.clip((hi - lo) / max(hi + lo, 1e-12), 0.05, 1.0)),
+        np.linspace(-math.pi, math.pi, _N_PHASE_STARTS, endpoint=False),
+    ])
+
+
+def _noon_solve(x, y, w, cond_limit=None):
+    """Weighted least squares of the noon fringe, batched over rows of y, w.
+
+    1/2 a (1 + V cos(2x + phase)) = c0 + c1 cos 2x + c2 sin 2x, so one 3x3
+    solve per row gives amplitude 2 c0, visibility hypot(c1, c2)/c0 and
+    phase atan2(-c2, c1).  With cond_limit the first row's normal matrix
+    is checked as it stands, not in unit-diagonal form: the regressors
+    share the range [-1, 1], and rescaling would blow a sin 2x column of
+    rounding noise (set points at multiples of pi/2) up to a regressor.
+    """
+    g = np.column_stack([np.ones_like(x), np.cos(2.0 * x), np.sin(2.0 * x)])
+    outer = (g[:, :, None] * g[:, None, :]).reshape(len(x), 9)
+    a = (w @ outer).reshape(-1, 3, 3)
+    if cond_limit is not None and not np.linalg.cond(a[0]) <= cond_limit:
+        raise DegenerateDesignError(
+            "noon set points do not separate cos 2x and sin 2x; "
+            "phase and visibility are unidentifiable")
+    c = np.linalg.solve(a, ((w * y) @ g)[..., None])[..., 0]
+    c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
+    return np.column_stack([2.0 * c0, np.hypot(c1, c2) / c0, np.arctan2(-c2, c1)])
 
 
 def nlls(model, x, y, weights=None, starts=None, cond_limit=1e12):
-    """Weighted damped least-squares fit of one fringe family.
+    """Weighted least-squares fit of one fringe family.
 
     model is "noon" or "single".  weights default to the inverse Poisson
-    variance 1/max(y, 1); starts to a data-driven batch with 8 phase
-    starts.  When every start exhausts the iteration budget the best-cost
-    parameters are still reported with converged=False.
+    variance 1/max(y, 1).  The noon fringe is linear in its cosine and
+    sine coefficients and is solved exactly (converged, n_iter 0).  The
+    single fringe is fit by damped least squares from starts, which
+    apply to that model only and default to a data-driven batch with 8
+    phase starts; when every start exhausts the iteration budget the
+    best-cost parameters are still reported with converged=False.
+    DegenerateDesignError is raised when the noon set points do not
+    separate cos 2x and sin 2x, and for both models when the normal
+    matrix at the solution, in unit-diagonal form, has condition above
+    cond_limit.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown fringe model {model!r}")
@@ -241,12 +260,17 @@ def nlls(model, x, y, weights=None, starts=None, cond_limit=1e12):
             f"{model} data are constant; phase and visibility are unidentifiable")
     w = 1.0 / np.maximum(y, 1.0) if weights is None \
         else np.asarray(weights, dtype=float)
-    starts = _default_starts(model, y) if starts is None \
-        else np.atleast_2d(np.asarray(starts, dtype=float))
-    p, cost, conv, n_iter = _levenberg_marquardt(fn, starts, x, y, w)
-    ok = bool(conv.any())
-    best = int(np.argmin(np.where(conv, cost, np.inf) if ok else cost))
-    params = _canonicalize(model, p[best:best + 1].copy())
+    if model == "noon":
+        params = _noon_solve(x, y[None, :], w[None, :], cond_limit)
+        ok, n_iter = True, 0
+    else:
+        starts = _default_starts(y) if starts is None \
+            else np.atleast_2d(np.asarray(starts, dtype=float))
+        p, cost, conv, iters = _levenberg_marquardt(fn, starts, x, y, w)
+        ok = bool(conv.any())
+        best = int(np.argmin(np.where(conv, cost, np.inf) if ok else cost))
+        params, n_iter = p[best:best + 1].copy(), int(iters[best])
+    params = _canonicalize(model, params)
 
     f, jac = fn(params, x)
     resid = y - f[0]
@@ -263,7 +287,7 @@ def nlls(model, x, y, weights=None, starts=None, cond_limit=1e12):
     sigmas = {n: float(s) for n, s in zip(names, np.sqrt(np.diag(cov)))}
     return FringeFit(model=model, params=values, sigmas=sigmas, covariance=cov,
                      rss=float(np.einsum("m,m->", w, resid * resid)),
-                     converged=ok, n_iter=int(n_iter[best]), n_points=len(resid))
+                     converged=ok, n_iter=n_iter, n_points=len(resid))
 
 
 def _check_records(records, min_span, min_points=5):
@@ -331,7 +355,9 @@ def _fit_state(records, model):
 def fit_noon_fringe(records):
     """Fit counts n_hv to amplitude/2 * (1 + V cos(2 phi0 + phase)).
 
-    Poisson weights from the observed counts, floored at one count.
+    Poisson weights from the observed counts, floored at one count; the
+    fringe is linear in its cosine and sine coefficients, so the weighted
+    fit is one exact 3x3 solve.
     """
     return _fit_state(records, "noon")[0]
 
@@ -425,15 +451,41 @@ def _group_by(records, attr):
     return groups
 
 
+def _resample_fits(fit, x, y, w, delta):
+    """Fits of the resamples (rows of y, w) taken at set points x + delta.
+
+    Each row is fit on the shared x and its phase moved by -k delta, which
+    is exact: f(x + delta; phase) = f(x; phase + k delta).  Phases come
+    back canonical and unwrapped next to fit.phase.  Returns (params,
+    number of refits that did not converge).
+    """
+    fn, names = _MODELS[fit.model]
+    ip = names.index("phase")
+    if fit.model == "noon":
+        p, bad = _noon_solve(x, y, w), 0
+    else:
+        p0 = np.tile([fit.params[n] for n in names], (len(y), 1))
+        p, _, conv, _ = _levenberg_marquardt(fn, p0, x, y, w)
+        bad = int(np.count_nonzero(~conv))
+    p[:, ip] -= (2.0 if fit.model == "noon" else 1.0) * delta
+    _canonicalize(fit.model, p)
+    p[:, ip] = fit.phase + wrap_phase(p[:, ip] - fit.phase)
+    return p, bad
+
+
 def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None,
                    seed=None, chunk_size=20_000):
     """Parametric bootstrap of the fringe fits.
 
     Each resample draws Poisson counts around the observed ones and one
-    Gaussian set-point offset with sigma motor_sigma that displaces every
-    bias value of the resample, in both switch states.  Refits are warm
-    started from the observed-data fit.  Raises FitError if more than 1%
-    of resamples fail to converge.
+    Gaussian set-point offset delta with sigma motor_sigma that displaces
+    every bias value of the resample, in both switch states.  A common
+    shift of the set points only moves the fitted phase by -k delta (k = 2
+    for noon, 1 for single), so every resample is fit on the observed set
+    points and k delta is subtracted from its phase.  Noon resamples are
+    solved in closed form; single refits are warm started from the
+    observed-data fit.  Raises FitError if more than 1% of resamples fail
+    to converge.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown fringe model {model!r}")
@@ -441,7 +493,7 @@ def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None,
         raise ValueError("need at least two resamples")
     if motor_sigma is None:
         motor_sigma = NoiseConfig().motor_sigma
-    fn, names = _MODELS[model]
+    names = _MODELS[model][1]
     groups = _group_by(records, "switch")
     states = [s for s in (SwitchState.ON, SwitchState.OFF) if s in groups]
     base = {s: _fit_state(groups[s], model) for s in states}
@@ -458,12 +510,8 @@ def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None,
             fit, x, counts = base[s]
             y, w = _observations(model, **{
                 c: rng.poisson(mu, (b, len(x))).astype(float) for c, mu in counts.items()})
-            p0 = np.tile([fit.params[n] for n in names], (b, 1))
-            p, _, conv, _ = _levenberg_marquardt(fn, p0, x[None, :] + delta[:, None], y, w)
-            bad += int(np.count_nonzero(~conv))
-            _canonicalize(model, p)
-            ip = names.index("phase")
-            p[:, ip] = fit.phase + wrap_phase(p[:, ip] - fit.phase)
+            p, n_bad = _resample_fits(fit, x, y, w, delta)
+            bad += n_bad
             samples[s].append(p)
 
     frac = bad / (n_samples * len(states))

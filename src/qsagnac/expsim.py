@@ -293,9 +293,13 @@ def read_counts_csv(path):
             if len(row) != len(COUNTS_CSV_COLUMNS):
                 raise ValueError(f"{path}: row {i} has {len(row)} fields")
             try:
+                theta, phi0, duration = (float(row[j]) for j in (0, 1, 3))
+                for j, v in zip((0, 1, 3), (theta, phi0, duration)):
+                    if not math.isfinite(v):
+                        raise ValueError(f"non-finite {COUNTS_CSV_COLUMNS[j]} {row[j]!r}")
                 records.append(CountRecord(
-                    theta=math.radians(float(row[0])), phi0=float(row[1]),
-                    switch=SwitchState(row[2]), duration=float(row[3]),
+                    theta=math.radians(theta), phi0=phi0,
+                    switch=SwitchState(row[2]), duration=duration,
                     n_h=int(row[4]), n_v=int(row[5]), n_hv=int(row[6])))
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"{path}: row {i}: {exc}") from exc

@@ -10,8 +10,10 @@ from qsagnac import (NOON2, SINGLE, RateConfig, SwitchState,
                      fit_noon_fringe, fit_single_fringe, fit_switch_pair,
                      group_records_by_angle, mc_uncertainty, nlls,
                      simulate_counts, simulate_polarimeter, wrap_phase)
-from qsagnac.analysis import (DegenerateDesignError, FitError, FringeFit,
-                              UndefinedRatioError)
+from qsagnac.analysis import (_MODELS, DegenerateDesignError, FitError,
+                              FringeFit, UndefinedRatioError, _canonicalize,
+                              _fit_state, _levenberg_marquardt, _noon_model,
+                              _observations, _resample_fits)
 from qsagnac.expsim import PolarimeterTrace
 
 OMEGA_E = 7.29e-5
@@ -81,6 +83,60 @@ def test_nlls_multistart_reaches_distant_phase():
     assert fit.phase == pytest.approx(2.8, abs=1e-9)
 
 
+def test_noon_closed_form_matches_multistart_lm():
+    """The exact noon solve finds the optimum the 8-start LM converges to."""
+    rng = np.random.default_rng(11)
+    for trial in range(24):
+        x = np.linspace(0.0, math.pi, 22, endpoint=False) if trial % 2 \
+            else np.sort(rng.uniform(0.0, math.pi, 11))
+        amp, vis, ph = rng.uniform(1e3, 1e6), rng.uniform(0.1, 1.0), rng.uniform(-math.pi, math.pi)
+        y = rng.poisson(0.5 * amp * (1.0 + vis * np.cos(2.0 * x + ph))).astype(float)
+        w = 1.0 / np.maximum(y, 1.0)
+        lo, hi = y.min(), y.max()
+        starts = np.column_stack([
+            np.full(8, hi + lo), np.full(8, np.clip((hi - lo) / (hi + lo), 0.05, 1.0)),
+            np.linspace(-math.pi, math.pi, 8, endpoint=False)])
+        p, cost, conv, _ = _levenberg_marquardt(_noon_model, starts, x, y, w)
+        assert conv.any()
+        best = int(np.argmin(np.where(conv, cost, np.inf)))
+        ref = _canonicalize("noon", p[best:best + 1])[0]
+
+        fit = nlls("noon", x, y)
+        assert fit.converged and fit.n_iter == 0
+        assert wrap_phase(fit.phase - ref[2]) == pytest.approx(0.0, abs=1e-9)
+        assert fit.amplitude == pytest.approx(ref[0], rel=1e-8)
+        assert fit.visibility == pytest.approx(ref[1], rel=1e-8)
+
+
+@pytest.mark.parametrize("kind", [NOON2, SINGLE], ids=["noon", "single"])
+def test_resample_fit_on_shared_set_points_is_shifted_fit(bench_geometry, kind):
+    """Fitting at x + delta equals fitting at x and moving the phase by -k delta."""
+    model = "noon" if kind is NOON2 else "single"
+    span = math.pi if kind is NOON2 else 2.0 * math.pi
+    phi0 = list(np.linspace(0.0, span, 11))
+    recs = [r for r in simulate_counts(kind, bench_geometry, phi0, OMEGA_E, seed=3,
+                                       duration_s=200.0)
+            if r.switch is SwitchState.ON]
+    fit, x, counts = _fit_state(recs, model)
+    rng = np.random.default_rng(4)
+    n = 200
+    delta = rng.normal(0.0, 0.02, n)
+    y, w = _observations(model, **{c: rng.poisson(mu, (n, len(x))).astype(float)
+                                   for c, mu in counts.items()})
+    p, bad = _resample_fits(fit, x, y, w, delta)
+    assert bad == 0
+
+    fn, names = _MODELS[model]
+    ip = names.index("phase")
+    p0 = np.array([[fit.params[k] for k in names]])
+    for i in range(n):
+        ref, _, conv, _ = _levenberg_marquardt(fn, p0, x + delta[i], y[i], w[i])
+        assert conv[0]
+        ref = _canonicalize(model, ref)[0]
+        assert wrap_phase(p[i, ip] - ref[ip]) == pytest.approx(0.0, abs=1e-8)
+        assert p[i, ip] - fit.phase == pytest.approx(wrap_phase(p[i, ip] - fit.phase))
+
+
 def test_nlls_validation():
     x = np.linspace(0.0, math.pi, 8)
     y = np.ones(8)
@@ -125,6 +181,30 @@ def test_single_fit_reads_channel_asymmetry(quiet_noise):
 def test_flat_fringe_is_degenerate(quiet_noise):
     recs = [r for r in noiseless_records(NOON2, quiet_noise, visibility=0.0)
             if r.switch is SwitchState.ON]
+    with pytest.raises(DegenerateDesignError):
+        fit_noon_fringe(recs)
+
+
+def test_noon_set_points_at_multiples_of_half_pi_are_degenerate():
+    """sin 2x vanishes at x = k pi/2, so cos and sin of the phase are not separable."""
+    rng = np.random.default_rng(0)
+    x = np.arange(8) * (math.pi / 2.0)
+    for vis, ph in ((0.9, 0.3), (0.5, -2.0), (0.97, 1.2)):
+        mu = 0.5 * 1e5 * (1.0 + vis * np.cos(2.0 * x + ph))
+        for y in (mu, rng.poisson(mu).astype(float)):
+            with pytest.raises(DegenerateDesignError):
+                nlls("noon", x, y)
+            with pytest.raises(DegenerateDesignError):
+                nlls("noon", x[:5], y[:5])
+
+
+def test_noon_records_at_multiples_of_half_pi_are_degenerate():
+    from qsagnac import CountRecord
+    x = np.arange(5) * (math.pi / 2.0)
+    y = np.round(0.5 * 1e5 * (1.0 + 0.9 * np.cos(2.0 * x + 0.3)))
+    recs = [CountRecord(theta=0.0, phi0=float(p), switch=SwitchState.ON,
+                        duration=1.0, n_h=0, n_v=0, n_hv=int(v))
+            for p, v in zip(x, y)]
     with pytest.raises(DegenerateDesignError):
         fit_noon_fringe(recs)
 

@@ -144,6 +144,19 @@ def test_fit_empty_counts_exits_2(tmp_path):
                  "--fast"]) == 2
 
 
+def test_fit_non_finite_counts_field_exits_2(tmp_path, capsys):
+    out = str(tmp_path)
+    main(["simulate", "--config", recipe("fig2"), "--out", out])
+    path = tmp_path / "counts_noon.csv"
+    lines = path.read_text().splitlines()
+    lines[3] = "nan," + lines[3].split(",", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--config", recipe("fig2"), "--out", out, "--fast"]) == 2
+    err = capsys.readouterr().err
+    assert "counts_noon.csv: row 4: non-finite theta_deg" in err
+    assert "both switch states" not in err
+
+
 def test_angle_sweep_flow(tmp_path, capsys):
     """Six-angle run: sweep fits recover the true rate, ratio near two."""
     out = str(tmp_path)
