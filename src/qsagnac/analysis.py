@@ -1,15 +1,17 @@
 """Estimation pipeline: fringe fits, Monte-Carlo errors, demodulation, calibration.
 
-Count fringes are fit with weights taken from the observed counts: the
-two-photon fringe is linear in (c0, c1, c2) = a/2 (1, V cos phase,
--V sin phase) and is solved in closed form; the one-photon fringe is fit
-by damped Gauss-Newton.  Uncertainties come from a parametric bootstrap:
-counts are resampled around the observed values and a common bias-phase
-offset delta, shared by every set point and both switch states of a
-resample, models the motor repeatability.  Shifting every set point by
-delta only moves the fitted phase by -k delta (k = 2 for noon, 1 for
-single), so each resample is fit on the observed set points and the
-offset is subtracted from its phase.
+Count fringes are fit with weights taken from the observed counts.  Both
+start from one weighted linear solve of c0 + c1 cos kx + c2 sin kx (k = 2
+for the two-photon fringe, 1 for the one-photon fringe): the two-photon
+fringe is exactly that harmonic, so the solve is its fit; the one-photon
+fringe is that harmonic when its channel asymmetry is zero, so the solve
+is the one start of its damped Gauss-Newton fit.  Uncertainties come from
+a parametric bootstrap: counts are resampled around the observed values
+and a common bias-phase offset delta, shared by every set point and both
+switch states of a resample, models the motor repeatability.  Shifting
+every set point by delta only moves the fitted phase by -k delta, so each
+resample is fit on the observed set points and the offset is subtracted
+from its phase.
 """
 
 import math
@@ -80,14 +82,24 @@ def _single_model(params, x):
 
 
 _MODELS = {"noon": (_noon_model, NOON_PARAMS), "single": (_single_model, SINGLE_PARAMS)}
+# fringe harmonic k of each model: the phase enters as k x + phase
+_HARMONIC = {"noon": 2, "single": 1}
 
 
-def _levenberg_marquardt(model, p0, x, y, w, max_iter=200, lam0=1e-3, rel_tol=1e-12):
+# condition-number limit of every design check
+_COND_LIMIT = 1e12
+# damped least squares: iteration budget, initial damping, relative cost stop
+_LM_MAX_ITER = 200
+_LM_LAM0 = 1e-3
+_LM_REL_TOL = 1e-12
+
+
+def _levenberg_marquardt(model, p0, x, y, w):
     """Batched damped least squares against shared set points x.
 
     Damping scales the normal-matrix diagonal, x10 on a rejected step and
     /10 on an accepted one; a batch element stops on relative cost change
-    below rel_tol.  Returns (params, cost, converged, n_iter).
+    below _LM_REL_TOL.  Returns (params, cost, converged, n_iter).
     """
     p = np.array(p0, dtype=float)
     nb = p.shape[0]
@@ -97,12 +109,12 @@ def _levenberg_marquardt(model, p0, x, y, w, max_iter=200, lam0=1e-3, rel_tol=1e
         f, jac = model(p, x)
     r = y - f
     cost = np.einsum("bm,bm->b", w, r * r)
-    lam = np.full(nb, lam0)
+    lam = np.full(nb, _LM_LAM0)
     done = np.zeros(nb, dtype=bool)
     converged = np.zeros(nb, dtype=bool)
     n_iter = np.zeros(nb, dtype=int)
 
-    for _ in range(max_iter):
+    for _ in range(_LM_MAX_ITER):
         idx = np.flatnonzero(~done)
         if idx.size == 0:
             break
@@ -135,7 +147,7 @@ def _levenberg_marquardt(model, p0, x, y, w, max_iter=200, lam0=1e-3, rel_tol=1e
         lam[rej] *= 10.0
         n_iter[idx] += 1
 
-        settled = old - cost[acc] <= rel_tol * np.maximum(old, 1e-300)
+        settled = old - cost[acc] <= _LM_REL_TOL * np.maximum(old, 1e-300)
         done[acc[settled]] = True
         converged[acc[settled]] = True
         done[rej[lam[rej] > 1e12]] = True
@@ -194,57 +206,46 @@ class FringeFit:
         }
 
 
-_N_PHASE_STARTS = 8
+def _harmonic_solve(x, y, w, k):
+    """Weighted fit of c0 + c1 cos kx + c2 sin kx, batched over rows of y, w.
 
-
-def _default_starts(y):
-    """Single-model starts: data-driven amplitude and visibility, 8 phase starts."""
-    y = np.asarray(y, dtype=float)
-    lo, hi = float(np.min(y)), float(np.max(y))
-    return np.column_stack([
-        np.full(_N_PHASE_STARTS, np.clip(np.mean(y), 1e-3, 1.0)),
-        np.zeros(_N_PHASE_STARTS),
-        np.full(_N_PHASE_STARTS, np.clip((hi - lo) / max(hi + lo, 1e-12), 0.05, 1.0)),
-        np.linspace(-math.pi, math.pi, _N_PHASE_STARTS, endpoint=False),
-    ])
-
-
-def _noon_solve(x, y, w, cond_limit=None):
-    """Weighted least squares of the noon fringe, batched over rows of y, w.
-
-    1/2 a (1 + V cos(2x + phase)) = c0 + c1 cos 2x + c2 sin 2x, so one 3x3
-    solve per row gives amplitude 2 c0, visibility hypot(c1, c2)/c0 and
-    phase atan2(-c2, c1).  With cond_limit the first row's normal matrix
-    is checked as it stands, not in unit-diagonal form: the regressors
-    share the range [-1, 1], and rescaling would blow a sin 2x column of
-    rounding noise (set points at multiples of pi/2) up to a regressor.
+    For k = 2 this is the noon fringe 1/2 a (1 + V cos(2x + phase)), so the
+    solve is the fit: amplitude 2 c0, visibility hypot(c1, c2)/c0, phase
+    atan2(-c2, c1).  For k = 1 it is the single fringe at asymmetry 0,
+    a (1 - V cos(x + phase)), and gives the start (c0, 0, hypot(c1, c2)/c0,
+    atan2(c2, -c1)) of the damped least-squares fit.  The first row's normal
+    matrix is checked as it stands, not in unit-diagonal form: the
+    regressors share the range [-1, 1], and rescaling would blow a sin kx
+    column of rounding noise (set points at multiples of pi/k) up to a
+    regressor.
     """
-    g = np.column_stack([np.ones_like(x), np.cos(2.0 * x), np.sin(2.0 * x)])
+    g = np.column_stack([np.ones_like(x), np.cos(k * x), np.sin(k * x)])
     outer = (g[:, :, None] * g[:, None, :]).reshape(len(x), 9)
     a = (w @ outer).reshape(-1, 3, 3)
-    if cond_limit is not None and not np.linalg.cond(a[0]) <= cond_limit:
+    if not np.linalg.cond(a[0]) <= _COND_LIMIT:
         raise DegenerateDesignError(
-            "noon set points do not separate cos 2x and sin 2x; "
+            f"set points do not separate cos {k}x and sin {k}x; "
             "phase and visibility are unidentifiable")
     c = np.linalg.solve(a, ((w * y) @ g)[..., None])[..., 0]
     c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
-    return np.column_stack([2.0 * c0, np.hypot(c1, c2) / c0, np.arctan2(-c2, c1)])
+    v = np.hypot(c1, c2) / c0
+    if k == 2:
+        return np.column_stack([2.0 * c0, v, np.arctan2(-c2, c1)])
+    return np.column_stack([c0, np.zeros_like(c0), v, np.arctan2(c2, -c1)])
 
 
-def nlls(model, x, y, weights=None, starts=None, cond_limit=1e12):
+def nlls(model, x, y, weights=None):
     """Weighted least-squares fit of one fringe family.
 
     model is "noon" or "single".  weights default to the inverse Poisson
-    variance 1/max(y, 1).  The noon fringe is linear in its cosine and
-    sine coefficients and is solved exactly (converged, n_iter 0).  The
-    single fringe is fit by damped least squares from starts, which
-    apply to that model only and default to a data-driven batch with 8
-    phase starts; when every start exhausts the iteration budget the
-    best-cost parameters are still reported with converged=False.
-    DegenerateDesignError is raised when the noon set points do not
-    separate cos 2x and sin 2x, and for both models when the normal
-    matrix at the solution, in unit-diagonal form, has condition above
-    cond_limit.
+    variance 1/max(y, 1).  Both fringes start from the weighted solve of
+    c0 + c1 cos kx + c2 sin kx (k = 2 noon, 1 single).  The noon fringe is
+    exactly that solve (converged, n_iter 0); the single fringe is fit by
+    damped least squares from it, and when the iteration budget runs out
+    the parameters reached are still reported with converged=False.
+    DegenerateDesignError is raised when the set points do not separate
+    cos kx and sin kx, and when the normal matrix at the solution, in
+    unit-diagonal form, has condition above _COND_LIMIT.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown fringe model {model!r}")
@@ -260,16 +261,11 @@ def nlls(model, x, y, weights=None, starts=None, cond_limit=1e12):
             f"{model} data are constant; phase and visibility are unidentifiable")
     w = 1.0 / np.maximum(y, 1.0) if weights is None \
         else np.asarray(weights, dtype=float)
-    if model == "noon":
-        params = _noon_solve(x, y[None, :], w[None, :], cond_limit)
-        ok, n_iter = True, 0
-    else:
-        starts = _default_starts(y) if starts is None \
-            else np.atleast_2d(np.asarray(starts, dtype=float))
-        p, cost, conv, iters = _levenberg_marquardt(fn, starts, x, y, w)
-        ok = bool(conv.any())
-        best = int(np.argmin(np.where(conv, cost, np.inf) if ok else cost))
-        params, n_iter = p[best:best + 1].copy(), int(iters[best])
+    params = _harmonic_solve(x, y[None, :], w[None, :], _HARMONIC[model])
+    ok, n_iter = True, 0
+    if model == "single":
+        params, _, conv, iters = _levenberg_marquardt(fn, params, x, y, w)
+        ok, n_iter = bool(conv[0]), int(iters[0])
     params = _canonicalize(model, params)
 
     f, jac = fn(params, x)
@@ -279,7 +275,7 @@ def nlls(model, x, y, weights=None, starts=None, cond_limit=1e12):
     # scale (counts vs radians) does not masquerade as degeneracy
     d = np.sqrt(np.abs(np.diag(a)))
     if not np.all(np.isfinite(a)) or np.any(d <= 0.0) \
-            or np.linalg.cond(a / np.outer(d, d)) > cond_limit:
+            or np.linalg.cond(a / np.outer(d, d)) > _COND_LIMIT:
         raise DegenerateDesignError(
             f"{model} fit is degenerate; the data do not constrain all parameters")
     cov = np.linalg.inv(a)
@@ -347,8 +343,8 @@ def _fit_state(records, model):
     y, w = _observations(model, **counts)
     fit = nlls(model, x, y, weights=w)
     if not fit.converged:
-        raise FitError(f"{model} fringe fit did not converge from any start; "
-                       f"best weighted rss {fit.rss:.3e}")
+        raise FitError(f"{model} fringe fit did not converge from the harmonic "
+                       f"start; weighted rss {fit.rss:.3e}")
     return fit, x, counts
 
 
@@ -462,19 +458,22 @@ def _resample_fits(fit, x, y, w, delta):
     fn, names = _MODELS[fit.model]
     ip = names.index("phase")
     if fit.model == "noon":
-        p, bad = _noon_solve(x, y, w), 0
+        p, bad = _harmonic_solve(x, y, w, _HARMONIC["noon"]), 0
     else:
         p0 = np.tile([fit.params[n] for n in names], (len(y), 1))
         p, _, conv, _ = _levenberg_marquardt(fn, p0, x, y, w)
         bad = int(np.count_nonzero(~conv))
-    p[:, ip] -= (2.0 if fit.model == "noon" else 1.0) * delta
+    p[:, ip] -= _HARMONIC[fit.model] * delta
     _canonicalize(fit.model, p)
     p[:, ip] = fit.phase + wrap_phase(p[:, ip] - fit.phase)
     return p, bad
 
 
-def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None,
-                   seed=None, chunk_size=20_000):
+# resamples drawn and fit per batch; the RNG stream depends on it
+_MC_CHUNK = 20_000
+
+
+def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None, seed=None):
     """Parametric bootstrap of the fringe fits.
 
     Each resample draws Poisson counts around the observed ones and one
@@ -484,8 +483,9 @@ def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None,
     for noon, 1 for single), so every resample is fit on the observed set
     points and k delta is subtracted from its phase.  Noon resamples are
     solved in closed form; single refits are warm started from the
-    observed-data fit.  Raises FitError if more than 1% of resamples fail
-    to converge.
+    observed-data fit.  Resamples are drawn and fit in batches of
+    _MC_CHUNK (20 000), which fixes the RNG stream for a seed.  Raises
+    FitError if more than 1% of resamples fail to converge.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown fringe model {model!r}")
@@ -503,7 +503,7 @@ def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None,
     bad = 0
     left = n_samples
     while left > 0:
-        b = min(chunk_size, left)
+        b = min(_MC_CHUNK, left)
         left -= b
         delta = rng.normal(0.0, motor_sigma, b) if motor_sigma > 0.0 else np.zeros(b)
         for s in states:
@@ -617,7 +617,9 @@ def _cosine_lsq(angles, phases, weights):
     """Weighted exact solve of phase = a cos(theta) + b sin(theta).
 
     Works on batches: angles/phases may be (B, K), weights (K,) or (B, K).
-    Returns (a, b, sxx, sxy, syy).
+    Raises DegenerateDesignError when a normal matrix has condition above
+    _COND_LIMIT (angles all at multiples of pi, say).  Returns (a, b, sxx,
+    sxy, syy).
     """
     c, s = np.cos(angles), np.sin(angles)
     sxx = np.sum(weights * c * c, axis=-1)
@@ -626,7 +628,8 @@ def _cosine_lsq(angles, phases, weights):
     bx = np.sum(weights * c * phases, axis=-1)
     by = np.sum(weights * s * phases, axis=-1)
     det = sxx * syy - sxy * sxy
-    if np.any(np.abs(det) < 1e-300):
+    # det / trace^2 is about 1 / condition of the raw normal matrix
+    if not np.all(det * _COND_LIMIT > (sxx + syy) ** 2):
         raise DegenerateDesignError("angle set does not separate cos and sin")
     a = (syy * bx - sxy * by) / det
     b = (sxx * by - sxy * bx) / det

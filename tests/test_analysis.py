@@ -10,10 +10,12 @@ from qsagnac import (NOON2, SINGLE, RateConfig, SwitchState,
                      fit_noon_fringe, fit_single_fringe, fit_switch_pair,
                      group_records_by_angle, mc_uncertainty, nlls,
                      simulate_counts, simulate_polarimeter, wrap_phase)
-from qsagnac.analysis import (_MODELS, DegenerateDesignError, FitError,
-                              FringeFit, UndefinedRatioError, _canonicalize,
-                              _fit_state, _levenberg_marquardt, _noon_model,
-                              _observations, _resample_fits)
+from qsagnac import analysis
+from qsagnac.analysis import (_MODELS, SINGLE_PARAMS, DegenerateDesignError,
+                              FitError, FringeFit, UndefinedRatioError,
+                              _canonicalize, _fit_state, _levenberg_marquardt,
+                              _noon_model, _observations, _resample_fits,
+                              _single_model)
 from qsagnac.expsim import PolarimeterTrace
 
 OMEGA_E = 7.29e-5
@@ -108,6 +110,57 @@ def test_noon_closed_form_matches_multistart_lm():
         assert fit.visibility == pytest.approx(ref[1], rel=1e-8)
 
 
+def single_eight_start_fit(x, y, w):
+    """Reference fit: LM from 8 blind phase starts, best converged cost wins."""
+    lo, hi = y.min(), y.max()
+    starts = np.column_stack([
+        np.full(8, np.clip(np.mean(y), 1e-3, 1.0)), np.zeros(8),
+        np.full(8, np.clip((hi - lo) / max(hi + lo, 1e-12), 0.05, 1.0)),
+        np.linspace(-math.pi, math.pi, 8, endpoint=False)])
+    p, cost, conv, _ = _levenberg_marquardt(_single_model, starts, x, y, w)
+    assert conv.any()
+    best = int(np.argmin(np.where(conv, cost, np.inf)))
+    return _canonicalize("single", p[best:best + 1])[0], cost[best]
+
+
+def test_single_harmonic_start_matches_eight_start_lm():
+    """LM from the k = 1 harmonic solve reaches the optimum of the 8-start search."""
+    rng = np.random.default_rng(12)
+    for trial in range(64):
+        n = int(rng.integers(8, 25))
+        span = math.pi if trial % 2 else 2.0 * math.pi
+        x = np.linspace(0.0, span, n) if trial % 4 < 2 \
+            else np.sort(np.r_[0.0, span, rng.uniform(0.0, span, n - 2)])
+        eta, vis = rng.uniform(-0.5, 0.5), rng.uniform(0.1, 1.0)
+        c = np.cos(x + rng.uniform(-math.pi, math.pi))
+        p = 0.5 * (1.0 - eta) * (1.0 - vis * c) / (1.0 + eta * vis * c)
+        total = rng.uniform(1e3, 1e7)
+        y, w = _observations("single", n_h=rng.poisson(total * (1.0 - p)).astype(float),
+                             n_v=rng.poisson(total * p).astype(float))
+        ref, ref_cost = single_eight_start_fit(x, y, w)
+
+        fit = nlls("single", x, y, weights=w)
+        assert fit.converged
+        assert fit.rss <= ref_cost * (1.0 + 1e-9)
+        for name, value in zip(SINGLE_PARAMS, ref):
+            shift = fit.params[name] - value
+            if name == "phase":
+                shift = wrap_phase(shift)
+            assert abs(shift) <= 1e-5 * fit.sigmas[name], (trial, name)
+
+
+def test_single_base_fit_runs_one_lm_start(monkeypatch, quiet_noise):
+    rows = []
+
+    def recording_lm(model, p0, x, y, w):
+        rows.append(np.shape(p0)[0])
+        return _levenberg_marquardt(model, p0, x, y, w)
+
+    monkeypatch.setattr(analysis, "_levenberg_marquardt", recording_lm)
+    fit_switch_pair(noiseless_records(SINGLE, quiet_noise), "single")
+    assert rows == [1, 1]
+
+
 @pytest.mark.parametrize("kind", [NOON2, SINGLE], ids=["noon", "single"])
 def test_resample_fit_on_shared_set_points_is_shifted_fit(bench_geometry, kind):
     """Fitting at x + delta equals fitting at x and moving the phase by -k delta."""
@@ -185,17 +238,30 @@ def test_flat_fringe_is_degenerate(quiet_noise):
         fit_noon_fringe(recs)
 
 
-def test_noon_set_points_at_multiples_of_half_pi_are_degenerate():
-    """sin 2x vanishes at x = k pi/2, so cos and sin of the phase are not separable."""
+@pytest.mark.parametrize("model", ["noon", "single"])
+def test_noon_set_points_at_multiples_of_half_pi_are_degenerate(model):
+    """sin kx vanishes at x = m pi/k (k = 2 noon, 1 single), so cos and sin
+    of the phase are not separable."""
     rng = np.random.default_rng(0)
-    x = np.arange(8) * (math.pi / 2.0)
+    k = 2.0 if model == "noon" else 1.0
+    x = np.arange(8) * (math.pi / k)
     for vis, ph in ((0.9, 0.3), (0.5, -2.0), (0.97, 1.2)):
-        mu = 0.5 * 1e5 * (1.0 + vis * np.cos(2.0 * x + ph))
-        for y in (mu, rng.poisson(mu).astype(float)):
+        c = np.cos(k * x + ph)
+        if model == "noon":
+            mu = 0.5 * 1e5 * (1.0 + vis * c)
+            data = [(y, 1.0 / np.maximum(y, 1.0))
+                    for y in (mu, rng.poisson(mu).astype(float))]
+        else:
+            p = 0.45 * (1.0 - vis * c) / (1.0 + 0.1 * vis * c)
+            data = [_observations("single", n_h=n_h, n_v=n_v) for n_h, n_v in (
+                (1e5 * (1.0 - p), 1e5 * p),
+                (rng.poisson(1e5 * (1.0 - p)).astype(float),
+                 rng.poisson(1e5 * p).astype(float)))]
+        for y, w in data:
             with pytest.raises(DegenerateDesignError):
-                nlls("noon", x, y)
+                nlls(model, x, y, weights=w)
             with pytest.raises(DegenerateDesignError):
-                nlls("noon", x[:5], y[:5])
+                nlls(model, x[:5], y[:5], weights=w[:5])
 
 
 def test_noon_records_at_multiples_of_half_pi_are_degenerate():
@@ -445,6 +511,20 @@ def test_calibration_validation():
     with pytest.raises(ValueError):
         calibrate_scale_factor([0.0, 0.5, 1.0], [1, 2, 3], [1e-5] * 3,
                                n_samples=1)
+
+
+@pytest.mark.parametrize("deg", [(0.0, 180.0, 360.0), (90.0, 270.0, 450.0)],
+                         ids=["cos-only", "sin-only"])
+def test_angle_sets_at_multiples_of_pi_are_degenerate(deg):
+    """Three distinct angles that leave sin (or cos) at rounding noise."""
+    angles = np.radians(deg)
+    phases = 38.8 * OMEGA_E * np.cos(angles) + np.array([1e-5, -2e-5, 1.5e-5])
+    sigmas = np.full(3, 2e-5)
+    with pytest.raises(DegenerateDesignError, match="separate"):
+        fit_angle_sweep(angles, phases, sigmas, 38.8)
+    with pytest.raises(DegenerateDesignError, match="separate"):
+        calibrate_scale_factor(angles, phases, sigmas, omega_earth=OMEGA_E,
+                               n_samples=64, seed=0)
 
 
 def test_angle_sweep_fit_one_photon_table():

@@ -113,9 +113,9 @@ def test_fit_fig2_fast(tmp_path, capsys):
     assert noon["earth_phase"]["phi_e"] == pytest.approx(
         5.504638278626572e-3, rel=1e-12)
     assert single["earth_phase"]["phi_e"] == pytest.approx(
-        2.6433263654692674e-3, rel=1e-12)
+        2.643326305073135e-3, rel=1e-12)
     assert report["enhancement"]["value"] == pytest.approx(
-        2.082466376659221, rel=1e-12)
+        2.0824664242391817, rel=1e-12)
     assert 0.0 < report["enhancement"]["sigma"] < 1.0
 
     assert len(rows_of(tmp_path / "table_noon.csv")) == 1
