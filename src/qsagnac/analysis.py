@@ -5,7 +5,11 @@ start from one weighted linear solve of c0 + c1 cos kx + c2 sin kx (k = 2
 for the two-photon fringe, 1 for the one-photon fringe): the two-photon
 fringe is exactly that harmonic, so the solve is its fit; the one-photon
 fringe is that harmonic when its channel asymmetry is zero, so the solve
-is the one start of its damped Gauss-Newton fit.  Uncertainties come from
+is the one start of its damped Gauss-Newton fit.  That fit builds its
+normal equations from one weighted-Jacobian matmul per iteration, batched
+over resamples, and a base fit ends with undamped Gauss-Newton steps to
+the optimum, so its result does not depend on the damped path or on the
+arithmetic of the normal equations.  Uncertainties come from
 a parametric bootstrap: counts are resampled around the observed values
 and a common bias-phase offset delta, shared by every set point and both
 switch states of a resample, models the motor repeatability.  Shifting
@@ -70,15 +74,17 @@ def _single_model(params, x):
     ph = params[:, 3:4]
     arg = x + ph
     c = np.cos(arg)
-    num = 1.0 - v * c
-    den = 1.0 + eta * v * c
-    f = av * num / den
-    jac = np.empty(f.shape + (4,))
-    jac[..., 0] = num / den
-    jac[..., 1] = -av * num * v * c / (den * den)
-    jac[..., 2] = -av * c * (1.0 + eta) / (den * den)
-    jac[..., 3] = av * v * (1.0 + eta) * np.sin(arg) / (den * den)
-    return f, jac
+    vc = v * c
+    num = 1.0 - vc
+    inv = 1.0 / (1.0 + eta * vc)
+    # av / den^2, shared by the three Jacobian columns that carry it
+    q = av * inv * inv
+    jac = np.empty(c.shape + (4,))
+    jac[..., 0] = num * inv
+    jac[..., 1] = -q * num * vc
+    jac[..., 2] = -q * c * (1.0 + eta)
+    jac[..., 3] = q * v * (1.0 + eta) * np.sin(arg)
+    return av * jac[..., 0], jac
 
 
 _MODELS = {"noon": (_noon_model, NOON_PARAMS), "single": (_single_model, SINGLE_PARAMS)}
@@ -92,14 +98,31 @@ _COND_LIMIT = 1e12
 _LM_MAX_ITER = 200
 _LM_LAM0 = 1e-3
 _LM_REL_TOL = 1e-12
+# Gauss-Newton polish of a converged base fit: step budget, and the length
+# (in sigmas, the metric of the normal matrix) of the step that ends it
+_POLISH_MAX_STEPS = 10
+_POLISH_TOL = 1e-9
+
+
+def _normal_equations(jac, w, r):
+    """Normal matrix J^T W J and gradient J^T W r of a batch, one matmul each.
+
+    jac is (B, M, P), w and r are (B, M); the weighted Jacobian is formed
+    once and both products run on BLAS.
+    """
+    jw = np.swapaxes(jac * w[..., None], 1, 2)
+    return jw @ jac, (jw @ r[..., None])[..., 0]
 
 
 def _levenberg_marquardt(model, p0, x, y, w):
     """Batched damped least squares against shared set points x.
 
-    Damping scales the normal-matrix diagonal, x10 on a rejected step and
-    /10 on an accepted one; a batch element stops on relative cost change
-    below _LM_REL_TOL.  Returns (params, cost, converged, n_iter).
+    Each iteration solves the normal equations of _normal_equations with
+    the damping added to their diagonal in place.  Damping scales the
+    normal-matrix diagonal, x10 on a rejected step and /10 on an accepted
+    one; a batch element stops on relative cost change below _LM_REL_TOL,
+    so where it stops depends on its path (see _polish).  Returns (params,
+    cost, converged, n_iter).
     """
     p = np.array(p0, dtype=float)
     nb = p.shape[0]
@@ -113,20 +136,17 @@ def _levenberg_marquardt(model, p0, x, y, w):
     done = np.zeros(nb, dtype=bool)
     converged = np.zeros(nb, dtype=bool)
     n_iter = np.zeros(nb, dtype=int)
+    step = np.arange(p.shape[1])
 
     for _ in range(_LM_MAX_ITER):
         idx = np.flatnonzero(~done)
         if idx.size == 0:
             break
-        ja, ra, wa = jac[idx], r[idx], w[idx]
-        a = np.einsum("bmp,bm,bmq->bpq", ja, wa, ja)
-        g = np.einsum("bmp,bm->bp", ja, wa * ra)
-        diag = np.einsum("bpp->bp", a).copy()
+        a, g = _normal_equations(jac[idx], w[idx], r[idx])
+        diag = a[:, step, step]
         diag[diag <= 0.0] = 1.0
-        ad = a.copy()
-        step = np.arange(p.shape[1])
-        ad[:, step, step] += lam[idx, None] * diag
-        delta = np.linalg.solve(ad, g[..., None])[..., 0]
+        a[:, step, step] += lam[idx, None] * diag
+        delta = np.linalg.solve(a, g[..., None])[..., 0]
         p_trial = p[idx] + delta
         # a wild trial step may overflow the model; the non-finite cost
         # loses the comparison below and the step is simply rejected
@@ -152,6 +172,40 @@ def _levenberg_marquardt(model, p0, x, y, w):
         converged[acc[settled]] = True
         done[rej[lam[rej] > 1e12]] = True
     return p, cost, converged, n_iter
+
+
+def _polish(model, p, x, y, w):
+    """Undamped Gauss-Newton steps from a converged fit p of shape (1, P).
+
+    _levenberg_marquardt stops on a relative cost change, so where it stops
+    depends on its path, up to about 1e-8 relative.  Gauss-Newton steps on
+    the same normal equations carry it to the optimum itself, whatever the
+    path: a step is kept unless the cost rises beyond its rounding, and the
+    polish ends after a kept step shorter than _POLISH_TOL sigmas (its
+    length in the metric of the normal matrix, sqrt(d . g)).
+    """
+    f, jac = model(p, x)
+    r = y - f
+    cost = float(np.sum(w * r * r))
+    for _ in range(_POLISH_MAX_STEPS):
+        a, g = _normal_equations(jac, w[None, :], r)
+        try:
+            d = np.linalg.solve(a, g[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            break  # singular normal matrix; nlls reports the design
+        with np.errstate(all="ignore"):
+            f_t, j_t = model(p + d, x)
+            r_t = y - f_t
+            cost_t = float(np.sum(w * r_t * r_t))
+            # rounding of the cost: residuals carry a few ulps of y and f
+            noise = 4.0 * np.finfo(float).eps * float(
+                np.sum(w * np.abs(r_t) * (np.abs(y) + np.abs(f_t))))
+        if not cost_t <= cost + noise:
+            break
+        p, jac, r, cost = p + d, j_t, r_t, cost_t
+        if float(d[0] @ g[0]) <= _POLISH_TOL ** 2:
+            break
+    return p
 
 
 def _canonicalize(model, params):
@@ -241,8 +295,10 @@ def nlls(model, x, y, weights=None):
     variance 1/max(y, 1).  Both fringes start from the weighted solve of
     c0 + c1 cos kx + c2 sin kx (k = 2 noon, 1 single).  The noon fringe is
     exactly that solve (converged, n_iter 0); the single fringe is fit by
-    damped least squares from it, and when the iteration budget runs out
-    the parameters reached are still reported with converged=False.
+    damped least squares from it and, once converged, polished by undamped
+    Gauss-Newton steps (_polish) to the optimum itself; n_iter counts the
+    damped iterations.  When the iteration budget runs out the parameters
+    reached are reported unpolished with converged=False.
     DegenerateDesignError is raised when the set points do not separate
     cos kx and sin kx, and when the normal matrix at the solution, in
     unit-diagonal form, has condition above _COND_LIMIT.
@@ -266,6 +322,8 @@ def nlls(model, x, y, weights=None):
     if model == "single":
         params, _, conv, iters = _levenberg_marquardt(fn, params, x, y, w)
         ok, n_iter = bool(conv[0]), int(iters[0])
+        if ok:
+            params = _polish(fn, params, x, y, w)
     params = _canonicalize(model, params)
 
     f, jac = fn(params, x)
@@ -553,6 +611,18 @@ class DemodResult:
                 "phi_s": self.phi_s, "n_on": self.n_on, "n_off": self.n_off}
 
 
+def _edge_distance(t, edges):
+    """Distance from each time in t to its nearest edge; edges sorted.
+
+    Only the two edges that bracket a time can be nearest, so this is the
+    minimum over all edges, bit for bit, without a samples x edges array.
+    """
+    i = np.searchsorted(edges, t)
+    below = edges[np.maximum(i - 1, 0)]
+    above = edges[np.minimum(i, len(edges) - 1)]
+    return np.minimum(np.abs(t - below), np.abs(t - above))
+
+
 def demodulate_trace(trace, schedule=None):
     """Loop phase from the on/off contrast of the polarization ellipse.
 
@@ -574,8 +644,8 @@ def demodulate_trace(trace, schedule=None):
     cut[flips] = True
     cut[flips + 1] = True
     if schedule.transition_halfwidth > 0.0:
-        near = np.min(np.abs(t[:, None] - edges[None, :]), axis=1)
-        cut |= near <= schedule.transition_halfwidth
+        # sorted, since a trace read from a file need not be in time order
+        cut |= _edge_distance(t, np.sort(edges)) <= schedule.transition_halfwidth
     valid = ~cut
 
     segment = np.zeros(len(t), dtype=int)

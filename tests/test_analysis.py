@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,10 +14,11 @@ from qsagnac import (NOON2, SINGLE, RateConfig, SwitchState,
 from qsagnac import analysis
 from qsagnac.analysis import (_MODELS, SINGLE_PARAMS, DegenerateDesignError,
                               FitError, FringeFit, UndefinedRatioError,
-                              _canonicalize, _fit_state, _levenberg_marquardt,
-                              _noon_model, _observations, _resample_fits,
-                              _single_model)
-from qsagnac.expsim import PolarimeterTrace
+                              _canonicalize, _edge_distance, _fit_state,
+                              _harmonic_solve, _levenberg_marquardt,
+                              _noon_model, _observations, _polish,
+                              _resample_fits, _single_model)
+from qsagnac.expsim import PolarimeterTrace, SwitchSchedule
 
 OMEGA_E = 7.29e-5
 PHI_S = 2.8264857358648266e-3   # loop phase of the 715 m^2 geometry at theta = 0
@@ -159,6 +161,52 @@ def test_single_base_fit_runs_one_lm_start(monkeypatch, quiet_noise):
     monkeypatch.setattr(analysis, "_levenberg_marquardt", recording_lm)
     fit_switch_pair(noiseless_records(SINGLE, quiet_noise), "single")
     assert rows == [1, 1]
+
+
+@pytest.mark.parametrize("model", ["noon", "single"])
+def test_model_jacobian_matches_central_differences(model):
+    fn, names = _MODELS[model]
+    rng = np.random.default_rng(13)
+    n = 64
+    x = np.sort(rng.uniform(0.0, 2.0 * math.pi, 15))
+    columns = {"amplitude": rng.uniform(0.1, 1e4, n),
+               "asymmetry": rng.choice([-1.0, 1.0], n) * rng.uniform(0.05, 0.5, n),
+               "visibility": rng.uniform(0.1, 1.0, n),
+               "phase": rng.uniform(-math.pi, math.pi, n)}
+    p = np.column_stack([columns[name] for name in names])
+    f, jac = fn(p, x)
+    assert f.shape == (n, len(x)) and jac.shape == (n, len(x), len(names))
+    for j in range(len(names)):
+        h = 1e-6 * np.maximum(np.abs(p[:, j:j + 1]), 1.0)
+        up, down = p.copy(), p.copy()
+        up[:, j:j + 1] += h
+        down[:, j:j + 1] -= h
+        fd = (fn(up, x)[0] - fn(down, x)[0]) / (2.0 * h)
+        scale = np.max(np.abs(fd), axis=1, keepdims=True)
+        assert np.all(np.abs(jac[..., j] - fd) <= 1e-6 * scale), names[j]
+
+
+def test_polished_single_fit_does_not_depend_on_the_lm_path(bench_geometry):
+    """Polishing the LM result and starts 1e-3 sigma away reach one optimum."""
+    phi0 = list(np.linspace(0.0, 2.0 * math.pi, 11))
+    recs = [r for r in simulate_counts(SINGLE, bench_geometry, phi0, OMEGA_E, seed=3,
+                                       duration_s=200.0)
+            if r.switch is SwitchState.ON]
+    fit, x, counts = _fit_state(recs, "single")
+    y, w = _observations("single", **counts)
+    p, _, conv, _ = _levenberg_marquardt(
+        _single_model, _harmonic_solve(x, y[None, :], w[None, :], 1), x, y, w)
+    assert conv[0]
+    polished = _polish(_single_model, p, x, y, w)
+    assert _canonicalize("single", polished.copy())[0] == pytest.approx(
+        [fit.params[n] for n in SINGLE_PARAMS], rel=1e-15)
+
+    sigma = np.array([fit.sigmas[n] for n in SINGLE_PARAMS])
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        start = p + 1e-3 * sigma * rng.choice([-1.0, 1.0], len(sigma))
+        assert _polish(_single_model, start, x, y, w)[0] == pytest.approx(
+            polished[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", [NOON2, SINGLE], ids=["noon", "single"])
@@ -443,6 +491,34 @@ def test_demod_rejects_slow_sine(bench_geometry, quiet_noise):
     bent = PolarimeterTrace(trace.t, trace.psi, trace.chi + slow, trace.drive)
     res = demodulate_trace(bent)
     assert res.phi_s == pytest.approx(PHI_S, abs=1e-7)
+
+
+def test_edge_distance_equals_samples_by_edges_minimum():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        period = rng.uniform(1.0, 5.0)
+        duty = rng.uniform(0.2, 0.8)
+        t = np.cumsum(rng.uniform(0.05, 0.3, int(rng.integers(40, 400))))
+        drive = (np.mod(t, period) < duty * period).astype(float)
+        flips = np.flatnonzero(drive[1:] != drive[:-1])
+        edges = 0.5 * (t[flips] + t[flips + 1])
+        brute = np.min(np.abs(t[:, None] - edges[None, :]), axis=1)
+        assert np.array_equal(_edge_distance(t, edges), brute)
+
+
+def test_demod_memory_is_linear_in_trace_length(bench_geometry):
+    # 48k samples, 480 edges: a samples x edges array would take 184 MB
+    schedule = SwitchSchedule(duty=0.4, transition_halfwidth=0.2)
+    trace = simulate_polarimeter(bench_geometry, OMEGA_E, 2400.0, seed=3,
+                                 schedule=schedule)
+    assert len(trace.t) == 48_000
+    tracemalloc.start()
+    try:
+        demodulate_trace(trace, schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_demod_validation():
