@@ -156,48 +156,41 @@ def phase_distance(a, b):
     return float(np.linalg.norm(aligned - b))
 
 
-def _triplet_residual(angles, target):
-    w = waveplate_triplet(*angles)
-    tr = np.trace(target.conj().T @ w)
-    aligned = target if abs(tr) == 0.0 else target * np.exp(1.0j * np.angle(tr))
-    d = (w - aligned).ravel()
-    return np.concatenate([d.real, d.imag])
+# looser than the 1e-9 unitarity check on the input, so a target that passes
+# that check is never refused for its own small non-unitarity
+_TRIPLET_TOL = 1e-8
 
 
-_TRIPLET_STARTS = [
-    (0.0, 0.0, 0.0),
-    (math.pi / 4, 0.0, 0.0),
-    (0.0, math.pi / 4, 0.0),
-    (0.0, 0.0, math.pi / 4),
-    (math.pi / 4, math.pi / 4, 0.0),
-    (math.pi / 4, 0.0, math.pi / 4),
-    (0.0, math.pi / 4, math.pi / 4),
-    (math.pi / 4, math.pi / 4, math.pi / 4),
-]
-
-
-def solve_triplet(target, tol=1e-8):
+def solve_triplet(target):
     """Waveplate angles (theta1, theta2, theta3) realizing `target` up to global phase.
 
-    Any 2x2 unitary can be written as QWP-QWP-HWP up to phase.  Minimizes
-    the phase-aligned matrix residual from a fixed grid of starts and
-    raises if no start reaches `tol`.
+    Any 2x2 unitary is a QWP-QWP-HWP triplet up to phase; the angles are
+    the closed-form decomposition of Simon & Mukunda, "Minimal
+    three-component SU(2) gadget for polarization optics", Phys. Lett. A
+    143, 165 (1990).  Raises ValueError for a non-unitary target.
     """
-    from scipy.optimize import least_squares  # deferred: scipy.optimize is slow to import
-
     target = np.asarray(target, dtype=complex)
     if not is_unitary(target, tol=1e-9):
         raise ValueError("target must be unitary")
-    best = None
-    for start in _TRIPLET_STARTS:
-        res = least_squares(_triplet_residual, start, args=(target,),
-                            method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        if best is None or res.cost < best.cost:
-            best = res
-        if best.cost < (tol * tol) / 4.0:
-            break
-    angles = tuple(float(a) for a in best.x)
-    if phase_distance(waveplate_triplet(*angles), target) > tol:
+    u = target / np.sqrt(np.linalg.det(target))
+    # u = u0 - i(u1 s1 + u2 s2 + u3 s3) with s1 = diag(1, -1), s2 = sigma_x,
+    # s3 = sigma_y, so that hwp(theta) = -i(cos 2theta s1 + sin 2theta s2) up to sign
+    u0 = 0.5 * (u[0, 0] + u[1, 1]).real
+    u1 = 0.5 * (u[1, 1] - u[0, 0]).imag
+    u2 = -0.5 * (u[0, 1] + u[1, 0]).imag
+    u3 = 0.5 * (u[1, 0] - u[0, 1]).real
+    # theta3 = gamma / 2 leaves q = hwp(theta3)^-1 u with q1^2 + q2^2 = 1 - q0,
+    # which makes q a quarter-wave pair; atan2 keeps precision where acos would not
+    gamma = math.atan2(u2, u1) + math.atan2(math.hypot(u0, u3), math.hypot(u1, u2))
+    c, s = math.cos(gamma), math.sin(gamma)
+    q = np.array([-(c * u1 + s * u2), u0 * c + s * u3, u0 * s - c * u3, c * u2 - s * u1])
+    q0, q1, q2, q3 = q if q[0] >= 0.0 else -q
+    # qwp(theta2) qwp(theta1) has q0 = sin^2(theta1 - theta2) and (q1, q2)
+    # pointing along theta1 + theta2
+    total = math.atan2(q2, q1)
+    diff = math.copysign(math.atan2(math.sqrt(q0), math.hypot(q1, q2)), q3)
+    angles = (0.5 * (total + diff), 0.5 * (total - diff), 0.5 * gamma)
+    if phase_distance(waveplate_triplet(*angles), target) > _TRIPLET_TOL:
         raise ValueError("no waveplate triplet found within tolerance")
     return angles
 

@@ -159,8 +159,11 @@ def optimize_gfring(latitude, alpha_db_per_km=0.16, pair_rate_in=1e10,
     delta_omega grows with both turn count and loss, and scales as
     n_t 10^(alpha L / 10) / L^2: the loss term wins beyond the turnover
     L* = 20000 / (alpha ln 10) meters.  The search takes the largest
-    turn count feasible at L*, then bisects the shortest length still
-    meeting the target.  A surface-parallel ring projects sin(latitude).
+    turn count feasible at L*, then bisects [l_min, L*] until its ends are
+    adjacent floats and returns the feasible end, so the design meets the
+    target exactly.  A floor l_min at or past L* that misses the target
+    raises InfeasibleDesignError.  A surface-parallel ring projects
+    sin(latitude).
     """
     if math.sin(latitude) <= 0.0:
         raise ValueError("latitude must project a positive rotation component")
@@ -199,11 +202,21 @@ def optimize_gfring(latitude, alpha_db_per_km=0.16, pair_rate_in=1e10,
     def excess(length):
         return report(turns, length).delta_omega - limit
 
+    if excess(l_star) > 0.0:
+        turns -= 1  # the slack above admitted a count infeasible by rounding
     if excess(l_min) <= 0.0:
         return build(turns, l_min)
-    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
-    length = brentq(excess, l_min, l_star, xtol=1e-3, rtol=1e-13)
-    return build(turns, float(length))
+    if l_min >= l_star:
+        raise InfeasibleDesignError(
+            f"floor {l_min:.0f} m lies past the loss-optimal length {l_star:.0f} m, "
+            f"where delta_omega only grows with length")
+    lo, hi = l_min, l_star
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if excess(mid) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return build(turns, hi)
 
 
 @dataclass(frozen=True)

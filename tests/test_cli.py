@@ -83,14 +83,32 @@ def test_non_finite_design_value_exits_2(tmp_path, capsys):
     assert not (tmp_path / "designs.csv").exists()
 
 
-def test_cli_import_leaves_scipy_out():
+SCIPY_BLOCKED = """
+import importlib, pkgutil, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import numpy as np
+import qsagnac
+for info in pkgutil.iter_modules(qsagnac.__path__):
+    importlib.import_module("qsagnac." + info.name)
+from qsagnac.cli import main
+from qsagnac.polarization import solve_triplet
+z = np.random.default_rng(3).standard_normal((2, 2, 2))
+solve_triplet(np.linalg.qr(z[0] + 1j * z[1])[0])
+code = main(["design", "--config", sys.argv[1], "--out", sys.argv[2], "--optimize-gfring"])
+del sys.modules["scipy"]
+print(code, "scipy" in sys.modules or any(m.startswith("scipy.") for m in sys.modules))
+"""
+
+
+def test_cli_import_leaves_scipy_out(tmp_path):
     src = os.path.dirname(os.path.dirname(qsagnac.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, qsagnac.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", SCIPY_BLOCKED, recipe("table3"), str(tmp_path)],
         env=env, capture_output=True, text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "0 False"
+    assert "gfring_optimum" in json.loads((tmp_path / "design_report.json").read_text())
 
 
 def test_invalid_simulation_parameters_exit_2(tmp_path):

@@ -94,26 +94,44 @@ def test_triplet_qwp_pair_collapses_to_hwp():
 
 def test_solve_triplet_identity():
     angles = solve_triplet(np.eye(2, dtype=complex))
-    assert phase_distance(waveplate_triplet(*angles), np.eye(2)) < 1e-8
+    assert phase_distance(waveplate_triplet(*angles), np.eye(2)) < 1e-12
 
 
 def test_solve_triplet_bias():
     target = bias_unitary(1.0)
     angles = solve_triplet(target)
-    assert phase_distance(waveplate_triplet(*angles), target) < 1e-8
+    assert phase_distance(waveplate_triplet(*angles), target) < 1e-12
 
 
 def test_solve_triplet_round_trips_bias_point_four():
     target = bias_unitary(0.4)
     angles = solve_triplet(target)
-    assert phase_distance(waveplate_triplet(*angles), target) < 1e-8
+    assert phase_distance(waveplate_triplet(*angles), target) < 1e-12
 
 
 def test_solve_triplet_random_unitaries():
     for seed in range(100):
         target = random_unitary(seed)
         angles = solve_triplet(target)
-        assert phase_distance(waveplate_triplet(*angles), target) < 1e-8, seed
+        assert phase_distance(waveplate_triplet(*angles), target) < 1e-12, seed
+
+
+def test_solve_triplet_exact_on_every_target_family():
+    rng = np.random.default_rng(2024)
+    z = rng.standard_normal((10000, 2, 2)) + 1j * rng.standard_normal((10000, 2, 2))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=1, axis2=2)
+    targets = list(q * (d / np.abs(d))[:, None, :])
+    # this grid reaches both edges of the decomposition, where the target's
+    # hypot(u1, u2) or hypot(u0, u3) is zero
+    grid = (0.0, math.pi / 8, -math.pi / 8, math.pi / 4, math.pi / 2)
+    targets += [waveplate_triplet(a, b, c) for a in grid for b in grid for c in grid]
+    targets += [np.eye(2), np.diag([1.0, 1.0j]), np.array([[0.0, 1.0], [1.0, 0.0]])]
+    for x in np.linspace(-math.pi, math.pi, 17):
+        targets += [hwp(x), qwp(x), sagnac_loop(x)]
+    for i, target in enumerate(targets):
+        angles = solve_triplet(target)
+        assert phase_distance(waveplate_triplet(*angles), target) < 1e-12, i
 
 
 def test_solve_triplet_rejects_nonunitary():

@@ -167,7 +167,7 @@ def test_gfring_optimum_reproduces_design_point():
     assert opt.report.snr_gr == pytest.approx(3.0, rel=1e-6)
     assert opt.loss_optimal_length == pytest.approx(20000.0 / (0.16 * LN10),
                                                     rel=1e-12)
-    assert opt.report.delta_omega <= CONSTANTS.omega_gr / 3.0 * (1 + 1e-9)
+    assert opt.report.delta_omega <= CONSTANTS.omega_gr / 3.0
 
 
 def test_gfring_lower_rate_prefers_fewer_turns():
@@ -189,6 +189,29 @@ def test_gfring_single_turn_cap():
     assert opt.turns == 1
     assert opt.report.snr_gr == pytest.approx(3.0, rel=1e-6)
     assert opt.fiber_length < 47290.0
+
+
+def test_gfring_never_returns_a_length_below_its_floor():
+    # past L* = 54287 m delta_omega grows with length; the root beyond the
+    # turnover (61941 m) lies below this floor
+    with pytest.raises(InfeasibleDesignError):
+        optimize_gfring(math.radians(48.2), l_min=1e6)
+    assert optimize_gfring(math.radians(48.2), l_min=60000.0).fiber_length == 60000.0
+
+
+def test_gfring_turn_count_infeasible_by_rounding_falls_back():
+    lat = math.radians(48.2)
+    geom = InterferometerGeometry.square(20000.0 / (0.16 * LN10), 1, latitude=lat,
+                                         wavelength=1550e-9)
+    base = rotation_resolution(DesignSpec(
+        name="GFRING", geometry=geom, alpha_db_per_km=0.16, pair_rate_in=1e10,
+        integration_time=5.56e6, projection="sin_latitude")).delta_omega
+    # targets a few rounding steps either side of exactly 8 turns at L*
+    for k in range(-8, 9):
+        target = CONSTANTS.omega_gr / (8.0 * base) * (1.0 + k * 2.2e-16)
+        opt = optimize_gfring(lat, target_snr=target)
+        assert opt.turns in (7, 8), k
+        assert opt.report.delta_omega <= CONSTANTS.omega_gr / target, k
 
 
 def test_gfring_infeasible_target():
