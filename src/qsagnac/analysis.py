@@ -5,17 +5,18 @@ start from one weighted linear solve of c0 + c1 cos kx + c2 sin kx (k = 2
 for the two-photon fringe, 1 for the one-photon fringe): the two-photon
 fringe is exactly that harmonic, so the solve is its fit; the one-photon
 fringe is that harmonic when its channel asymmetry is zero, so the solve
-is the one start of its damped Gauss-Newton fit.  That fit builds its
-normal equations from one weighted-Jacobian matmul per iteration, batched
-over resamples, and a base fit ends with undamped Gauss-Newton steps to
-the optimum, so its result does not depend on the damped path or on the
-arithmetic of the normal equations.  Uncertainties come from
-a parametric bootstrap: counts are resampled around the observed values
-and a common bias-phase offset delta, shared by every set point and both
-switch states of a resample, models the motor repeatability.  Shifting
-every set point by delta only moves the fitted phase by -k delta, so each
-resample is fit on the observed set points and the offset is subtracted
-from its phase.
+is the one start of its damped Gauss-Newton fit.  That fit ends with
+undamped Gauss-Newton steps to the optimum, so its result does not depend
+on the damped path or on the arithmetic of the normal equations, which
+come from one weighted-Jacobian matmul per iteration.  Uncertainties come
+from a parametric bootstrap: counts are resampled around the observed
+values and a common bias-phase offset delta, shared by every set point
+and both switch states of a resample, models the motor repeatability.
+Shifting every set point by delta only moves the fitted phase by
+-k delta, so each resample is fit on the observed set points and the
+offset is subtracted from its phase.  One-photon resamples are fit by the
+same undamped steps, batched, from the observed-data fit to their own
+optimum; only rows those steps do not settle take the damped fit.
 """
 
 import math
@@ -98,10 +99,13 @@ _COND_LIMIT = 1e12
 _LM_MAX_ITER = 200
 _LM_LAM0 = 1e-3
 _LM_REL_TOL = 1e-12
-# Gauss-Newton polish of a converged base fit: step budget, and the length
-# (in sigmas, the metric of the normal matrix) of the step that ends it
+# Gauss-Newton to the optimum: step budget, and the length (in sigmas, the
+# metric of the normal matrix) of the step that settles a row
 _POLISH_MAX_STEPS = 10
 _POLISH_TOL = 1e-9
+# rows per Gauss-Newton solve of single resamples: small enough that the
+# block's temporaries stay in cache, with no effect on the results
+_GN_BLOCK = 2048
 
 
 def _normal_equations(jac, w, r):
@@ -121,8 +125,8 @@ def _levenberg_marquardt(model, p0, x, y, w):
     the damping added to their diagonal in place.  Damping scales the
     normal-matrix diagonal, x10 on a rejected step and /10 on an accepted
     one; a batch element stops on relative cost change below _LM_REL_TOL,
-    so where it stops depends on its path (see _polish).  Returns (params,
-    cost, converged, n_iter).
+    so where it stops depends on its path (see _gauss_newton).  Returns
+    (params, cost, converged, n_iter).
     """
     p = np.array(p0, dtype=float)
     nb = p.shape[0]
@@ -174,38 +178,57 @@ def _levenberg_marquardt(model, p0, x, y, w):
     return p, cost, converged, n_iter
 
 
-def _polish(model, p, x, y, w):
-    """Undamped Gauss-Newton steps from a converged fit p of shape (1, P).
+def _gauss_newton(model, p, x, y, w):
+    """Undamped Gauss-Newton steps of a batch, each row to its own optimum.
 
     _levenberg_marquardt stops on a relative cost change, so where it stops
     depends on its path, up to about 1e-8 relative.  Gauss-Newton steps on
-    the same normal equations carry it to the optimum itself, whatever the
-    path: a step is kept unless the cost rises beyond its rounding, and the
-    polish ends after a kept step shorter than _POLISH_TOL sigmas (its
-    length in the metric of the normal matrix, sqrt(d . g)).
+    the same normal equations carry a row to the optimum itself, whatever
+    the path: a step is kept unless the cost rises beyond its rounding, and
+    a row settles after a kept step shorter than _POLISH_TOL sigmas (its
+    length in the metric of the normal matrix, sqrt(d . g)).  A row stops
+    unsettled on a rejected step, on a singular normal matrix or when the
+    step budget runs out.  Rows are updated in place by mask, so every row
+    sees the arithmetic of a whole-batch solve.  Returns (params, settled).
     """
+    p = np.array(p, dtype=float)
     f, jac = model(p, x)
+    y = np.broadcast_to(y, f.shape)
+    w = np.broadcast_to(w, f.shape)
     r = y - f
-    cost = float(np.sum(w * r * r))
+    cost = np.einsum("bm,bm->b", w, r * r)
+    settled = np.zeros(len(p), dtype=bool)
+    active = np.ones(len(p), dtype=bool)
     for _ in range(_POLISH_MAX_STEPS):
-        a, g = _normal_equations(jac, w[None, :], r)
+        a, g = _normal_equations(jac, w, r)
         try:
             d = np.linalg.solve(a, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
-            break  # singular normal matrix; nlls reports the design
+            # one singular row fails the batch; solve the rest one by one
+            d = np.zeros_like(g)
+            for i in np.flatnonzero(active):
+                try:
+                    d[i] = np.linalg.solve(a[i], g[i])
+                except np.linalg.LinAlgError:
+                    active[i] = False
+        p_t = p + d
         with np.errstate(all="ignore"):
-            f_t, j_t = model(p + d, x)
+            f_t, j_t = model(p_t, x)
             r_t = y - f_t
-            cost_t = float(np.sum(w * r_t * r_t))
+            cost_t = np.einsum("bm,bm->b", w, r_t * r_t)
             # rounding of the cost: residuals carry a few ulps of y and f
-            noise = 4.0 * np.finfo(float).eps * float(
-                np.sum(w * np.abs(r_t) * (np.abs(y) + np.abs(f_t))))
-        if not cost_t <= cost + noise:
+            noise = 4.0 * np.finfo(float).eps * np.einsum(
+                "bm,bm->b", w, np.abs(r_t) * (np.abs(y) + np.abs(f_t)))
+        keep = active & (cost_t <= cost + noise)
+        np.copyto(p, p_t, where=keep[:, None])
+        np.copyto(jac, j_t, where=keep[:, None, None])
+        np.copyto(r, r_t, where=keep[:, None])
+        np.copyto(cost, cost_t, where=keep)
+        settled |= keep & (np.einsum("bp,bp->b", d, g) <= _POLISH_TOL ** 2)
+        active &= keep & ~settled
+        if not active.any():
             break
-        p, jac, r, cost = p + d, j_t, r_t, cost_t
-        if float(d[0] @ g[0]) <= _POLISH_TOL ** 2:
-            break
-    return p
+    return p, settled
 
 
 def _canonicalize(model, params):
@@ -295,10 +318,10 @@ def nlls(model, x, y, weights=None):
     variance 1/max(y, 1).  Both fringes start from the weighted solve of
     c0 + c1 cos kx + c2 sin kx (k = 2 noon, 1 single).  The noon fringe is
     exactly that solve (converged, n_iter 0); the single fringe is fit by
-    damped least squares from it and, once converged, polished by undamped
-    Gauss-Newton steps (_polish) to the optimum itself; n_iter counts the
-    damped iterations.  When the iteration budget runs out the parameters
-    reached are reported unpolished with converged=False.
+    damped least squares from it and, once converged, carried by undamped
+    Gauss-Newton steps (_gauss_newton) to the optimum itself; n_iter counts
+    the damped iterations.  When the iteration budget runs out the
+    parameters reached are reported unpolished with converged=False.
     DegenerateDesignError is raised when the set points do not separate
     cos kx and sin kx, and when the normal matrix at the solution, in
     unit-diagonal form, has condition above _COND_LIMIT.
@@ -323,7 +346,7 @@ def nlls(model, x, y, weights=None):
         params, _, conv, iters = _levenberg_marquardt(fn, params, x, y, w)
         ok, n_iter = bool(conv[0]), int(iters[0])
         if ok:
-            params = _polish(fn, params, x, y, w)
+            params = _gauss_newton(fn, params, x, y, w)[0]
     params = _canonicalize(model, params)
 
     f, jac = fn(params, x)
@@ -509,18 +532,34 @@ def _resample_fits(fit, x, y, w, delta):
     """Fits of the resamples (rows of y, w) taken at set points x + delta.
 
     Each row is fit on the shared x and its phase moved by -k delta, which
-    is exact: f(x + delta; phase) = f(x; phase + k delta).  Phases come
-    back canonical and unwrapped next to fit.phase.  Returns (params,
-    number of refits that did not converge).
+    is exact: f(x + delta; phase) = f(x; phase + k delta).  Noon rows are
+    solved in closed form.  Single rows take undamped Gauss-Newton steps
+    from fit, in blocks of _GN_BLOCK rows, to their own optimum; a row
+    those steps leave unsettled (a rejected step, a singular normal matrix,
+    the step budget spent) is refit by damped least squares from fit and
+    then polished.  Phases come back canonical and unwrapped next to
+    fit.phase.  Returns (params, number of rows whose damped refit did not
+    converge).
     """
     fn, names = _MODELS[fit.model]
     ip = names.index("phase")
     if fit.model == "noon":
         p, bad = _harmonic_solve(x, y, w, _HARMONIC["noon"]), 0
     else:
-        p0 = np.tile([fit.params[n] for n in names], (len(y), 1))
-        p, _, conv, _ = _levenberg_marquardt(fn, p0, x, y, w)
-        bad = int(np.count_nonzero(~conv))
+        p0 = np.array([[fit.params[n] for n in names]])
+        p = np.empty((len(y), len(names)))
+        settled = np.empty(len(y), dtype=bool)
+        for i in range(0, len(y), _GN_BLOCK):
+            rows = slice(i, i + _GN_BLOCK)
+            p[rows], settled[rows] = _gauss_newton(
+                fn, p0.repeat(len(y[rows]), axis=0), x, y[rows], w[rows])
+        redo = np.flatnonzero(~settled)
+        bad = 0
+        if redo.size:
+            q, _, conv, _ = _levenberg_marquardt(
+                fn, p0.repeat(redo.size, axis=0), x, y[redo], w[redo])
+            p[redo] = _gauss_newton(fn, q, x, y[redo], w[redo])[0]
+            bad = int(np.count_nonzero(~conv))
     p[:, ip] -= _HARMONIC[fit.model] * delta
     _canonicalize(fit.model, p)
     p[:, ip] = fit.phase + wrap_phase(p[:, ip] - fit.phase)
@@ -540,10 +579,13 @@ def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None, seed=Non
     shift of the set points only moves the fitted phase by -k delta (k = 2
     for noon, 1 for single), so every resample is fit on the observed set
     points and k delta is subtracted from its phase.  Noon resamples are
-    solved in closed form; single refits are warm started from the
-    observed-data fit.  Resamples are drawn and fit in batches of
-    _MC_CHUNK (20 000), which fixes the RNG stream for a seed.  Raises
-    FitError if more than 1% of resamples fail to converge.
+    solved in closed form; single resamples are fit from the observed-data
+    fit to their optimum by undamped Gauss-Newton steps, and the rare rows
+    that do not settle fall back to damped least squares (_resample_fits).
+    Resamples are drawn and fit in batches of _MC_CHUNK (20 000), which
+    fixes the RNG stream for a seed.  nonconverged_fraction counts the
+    resamples whose damped fallback also failed to converge; FitError is
+    raised if it exceeds 1%.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown fringe model {model!r}")

@@ -28,10 +28,10 @@ from .expsim import (NoiseConfig, RateConfig, SwitchSchedule, angle_sweep,
                      read_counts_csv, read_trace_csv, simulate_polarimeter,
                      write_counts_csv, write_trace_csv)
 from .probe import NOON2, SINGLE
-from .sagnac import (CONSTANTS, config_kwargs, from_degrees, geometry_from_dict,
-                     scale_factor)
-from .sensedesign import (InfeasibleDesignError, design_from_dict, landscape,
-                          optimize_gfring, rotation_resolution)
+from .sagnac import (_GEOMETRY_KEYS, CONSTANTS, config_kwargs, from_degrees,
+                     geometry_from_dict, scale_factor)
+from .sensedesign import (_DESIGN_KEYS, InfeasibleDesignError, design_from_dict,
+                          landscape, optimize_gfring, rotation_resolution)
 
 SCHEMA_VERSION = 1
 
@@ -51,6 +51,7 @@ def _load_config(path):
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: schema_version {version!r}, "
                          f"this build reads {SCHEMA_VERSION}")
+    _check_keys(config, _CONFIG_KEYS, "config")
     return config
 
 
@@ -118,6 +119,46 @@ _GFRING_KEYS = {
     "nt_max": ("nt_max", int),
     "l_min_m": ("l_min", float),
 }
+
+
+def _block(*tables, **blocks):
+    """Keys of a config block: the keys of its tables, then the blocks in it."""
+    return {**dict.fromkeys(key for table in tables for key in table), **blocks}
+
+
+_SHARED_BLOCKS = {
+    "geometry": _block(_GEOMETRY_KEYS, ["shape"]),
+    "schedule": _block(_SCHEDULE_KEYS),
+    "rates": _block(_RATES_KEYS),
+    "noise": _block(_NOISE_KEYS),
+}
+# every key a config may hold; a key maps to the keys of the block it holds,
+# [keys] for a list of blocks, or None for a value
+_CONFIG_KEYS = _block(
+    ["schema_version", "seed"], **_SHARED_BLOCKS,
+    simulate=_block(_SIMULATE_KEYS, _PER_KIND_KEYS, ["kinds"],
+                    trace=_block(_TRACE_KEYS), **_SHARED_BLOCKS),
+    fit=_block(_FIT_KEYS, _MC_KEYS, ["counts", "trace"],
+               calibration=_block(_CALIBRATION_KEYS),
+               geometry=_SHARED_BLOCKS["geometry"],
+               schedule=_SHARED_BLOCKS["schedule"]),
+    design=_block(["landscape"], gfring=_block(_GFRING_KEYS),
+                  specs=[_block(_GEOMETRY_KEYS, _DESIGN_KEYS, ["name", "shape"])]),
+)
+
+
+def _check_keys(block, keys, where):
+    """Raise ValueError on a key that no block of the config reads."""
+    if isinstance(keys, list):
+        for i, item in enumerate(block if isinstance(block, list) else []):
+            _check_keys(item, keys[0], f"{where}[{i}]")
+    elif isinstance(block, dict):
+        unknown = sorted(set(block) - set(keys))
+        if unknown:
+            raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
+        for key, sub in keys.items():
+            if sub is not None and key in block:
+                _check_keys(block[key], sub, f"{where}.{key}")
 
 
 def _section(config, sub, name):
@@ -247,7 +288,6 @@ def cmd_fit(args):
     fit_cfg = config.get("fit")
     if fit_cfg is None:
         raise ValueError("config has no 'fit' section")
-    os.makedirs(args.out, exist_ok=True)
     mc_opts = config_kwargs(fit_cfg, _MC_KEYS)
     opts = config_kwargs(fit_cfg, _FIT_KEYS)
     if args.fast:
@@ -260,7 +300,9 @@ def cmd_fit(args):
     root = np.random.SeedSequence(_seed_of(args, config))
     report = {"schema_version": SCHEMA_VERSION, "package_version": __version__,
               "seed": _seed_of(args, config), "kinds": {}}
-    outputs = []
+    # every result is computed before the first file is written, so a
+    # failed fit leaves --out as it found it
+    tables = {}
     sweeps = {}
 
     counts = fit_cfg.get("counts", {})
@@ -285,9 +327,7 @@ def cmd_fit(args):
             print(f"{kind} theta={math.degrees(row['theta']):+7.2f} deg: "
                   f"phi_e = {1e3 * row['earth'].phi_e:+.3f} "
                   f"+- {1e3 * row['earth'].phi_e_sigma:.3f} mrad")
-        table_name = f"table_{kind}.csv"
-        _write_table_csv(os.path.join(args.out, table_name), rows)
-        outputs.append(table_name)
+        tables[f"table_{kind}.csv"] = rows
 
         if len(rows) >= 3:
             if scale is None:
@@ -340,10 +380,12 @@ def cmd_fit(args):
               f"theta_offset = {math.degrees(cal.theta_offset):+.3f} "
               f"+- {math.degrees(cal.theta_offset_sigma):.3f} deg")
 
+    os.makedirs(args.out, exist_ok=True)
+    for name, rows in tables.items():
+        _write_table_csv(os.path.join(args.out, name), rows)
     with open(os.path.join(args.out, "fit_report.json"), "w") as f:
         json.dump(report, f, indent=2)
-    outputs.append("fit_report.json")
-    _write_manifest(args.out, "fit", args, config, outputs)
+    _write_manifest(args.out, "fit", args, config, [*tables, "fit_report.json"])
     return 0
 
 

@@ -1,0 +1,47 @@
+"""Rewrite the same-answers goldens of tests/test_golden.py.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+It runs simulate + fit --fast of each golden recipe in a temporary
+directory, prints the largest move of each field class against the
+goldens it replaces, and writes the new outputs to tests/golden/<recipe>/.
+"""
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from test_golden import GOLDEN_DIR, RECIPES, largest_moves, run_fast_recipe  # noqa: E402
+
+
+def main():
+    for name in RECIPES:
+        with tempfile.TemporaryDirectory() as tmp:
+            files = run_fast_recipe(name, tmp)
+        target = GOLDEN_DIR / name
+        old = target / "fit_report.json"
+        if old.exists():
+            moves = largest_moves(json.loads(old.read_text()),
+                                  json.loads(files["fit_report.json"]))
+            for cls, (move, path) in sorted(moves.items()):
+                print(f"{name}: {cls}: largest move {move:.3g} at {path}")
+            for file_name, text in files.items():
+                path = target / file_name
+                if file_name != "fit_report.json" and \
+                        (not path.exists() or path.read_text() != text):
+                    print(f"{name}: {file_name} changed")
+        target.mkdir(parents=True, exist_ok=True)
+        for stale in target.iterdir():
+            stale.unlink()
+        for file_name, text in files.items():
+            (target / file_name).write_text(text)
+        print(f"{name}: wrote {', '.join(sorted(files))}")
+
+
+if __name__ == "__main__":
+    main()

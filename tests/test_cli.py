@@ -175,6 +175,34 @@ def test_fit_non_finite_counts_field_exits_2(tmp_path, capsys):
     assert "both switch states" not in err
 
 
+def test_failed_fit_leaves_no_new_file(tmp_path, capsys):
+    """The noon kind fits, the single kind fails: nothing is written."""
+    out = str(tmp_path)
+    main(["simulate", "--config", recipe("fig2"), "--out", out])
+    path = tmp_path / "counts_single.csv"
+    path.write_text("\n".join(path.read_text().splitlines()[:4]) + "\n")
+    before = sorted(os.listdir(out))
+    assert main(["fit", "--config", recipe("fig2"), "--out", out, "--fast"]) == 3
+    assert sorted(os.listdir(out)) == before
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["fit", "top level"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, where):
+    """A typo such as fit.mc_sample would otherwise run the 100k default."""
+    config = json.loads(open(recipe("fig2")).read())
+    if where == "fit":
+        config["fit"]["mc_sample"] = 5
+    else:
+        config["fit_options"] = {}
+    out = str(tmp_path)
+    main(["simulate", "--config", recipe("fig2"), "--out", out])
+    assert main(["fit", "--config", write_config(tmp_path, config), "--out", out,
+                 "--fast"]) == 2
+    assert "unknown key(s) " + ("mc_sample" if where == "fit" else "fit_options") \
+        in capsys.readouterr().err
+
+
 def test_angle_sweep_flow(tmp_path, capsys):
     """Six-angle run: sweep fits recover the true rate, ratio near two."""
     out = str(tmp_path)

@@ -1,0 +1,112 @@
+"""Same answers: simulate + fit --fast of three recipes against committed goldens.
+
+tests/golden/<recipe>/ holds the fit_report.json, table_*.csv files and fit
+stdout of one run; `python tests/golden/regenerate.py` rewrites them and
+prints the largest move of each field class.  Text outputs must match
+exactly.  Report fields compare by class:
+
+- integers, strings, booleans and null exactly;
+- every float of a noon (two-photon) fringe to 1e-12 relative;
+- single (one-photon) base-fit parameters, and the Earth phases built from
+  them, to 1e-6 of their sigmas;
+- every other float (bootstrap and derived fields) to 1e-7 relative.
+"""
+
+import contextlib
+import io
+import json
+import math
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from qsagnac.cli import main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+RECIPES = ("fig2", "fig3_tables12", "fig4_cw")
+LIMITS = {"noon": 1e-12, "single base fit": 1e-6, "bootstrap and derived": 1e-7}
+# Earth-phase fields of a single fit and the sigma each is measured in
+_EARTH_SIGMAS = {"phi_on": "phi_on_sigma", "phi_off": "phi_off_sigma",
+                 "phi_e": "phi_e_sigma"}
+
+
+def run_fast_recipe(name, out_dir):
+    """simulate + fit --fast of a bundled recipe; returns {file name: text}."""
+    config = str(resources.files("qsagnac") / "recipes" / f"{name}.json")
+    out = Path(out_dir)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", config, "--out", str(out)]) == 0
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["fit", "--config", config, "--out", str(out), "--fast"]) == 0
+    files = {p.name: p.read_text() for p in sorted(out.glob("table_*.csv"))}
+    files["fit_report.json"] = (out / "fit_report.json").read_text()
+    files["fit_stdout.txt"] = stdout.getvalue()
+    return files
+
+
+def _at(report, path):
+    for key in path:
+        report = report[key]
+    return report
+
+
+def _move(golden_report, path, value, golden):
+    """(class, move in that class's unit) of one float field."""
+    parent = path[-2] if len(path) > 1 else None
+    if path[:2] == ("kinds", "noon"):
+        cls = "noon"
+    elif parent == "params":
+        sigma = _at(golden_report, path[:-2])["sigmas"][path[-1]]
+        return "single base fit", abs(value - golden) / sigma
+    elif parent == "earth_phase" and path[-1] in _EARTH_SIGMAS:
+        sigma = _at(golden_report, path[:-1])[_EARTH_SIGMAS[path[-1]]]
+        return "single base fit", abs(value - golden) / sigma
+    else:
+        cls = "bootstrap and derived"
+    return cls, abs(value - golden) / abs(golden) if golden else abs(value)
+
+
+def field_moves(golden_report, current_report):
+    """Yield (path, class, move) for every float field of two reports.
+
+    Raises AssertionError where keys, lengths, types or exact fields differ.
+    """
+    stack = [((), golden_report, current_report)]
+    while stack:
+        path, golden, current = stack.pop()
+        if isinstance(golden, dict):
+            assert isinstance(current, dict) and golden.keys() == current.keys(), path
+            stack.extend((path + (k,), golden[k], current[k]) for k in golden)
+        elif isinstance(golden, list):
+            assert isinstance(current, list) and len(golden) == len(current), path
+            stack.extend((path + (i,), g, c)
+                         for i, (g, c) in enumerate(zip(golden, current)))
+        elif isinstance(golden, float):
+            assert isinstance(current, float) and math.isfinite(current), path
+            yield (path, *_move(golden_report, path, current, golden))
+        else:
+            assert type(current) is type(golden) and current == golden, path
+
+
+def largest_moves(golden, current):
+    """Largest move of each field class, with the path where it occurs."""
+    worst = {}
+    for path, cls, move in field_moves(golden, current):
+        if move >= worst.get(cls, (-1.0,))[0]:
+            worst[cls] = (move, "/".join(map(str, path)))
+    return worst
+
+
+@pytest.mark.parametrize("name", RECIPES)
+def test_fast_recipe_matches_golden(tmp_path, name):
+    files = run_fast_recipe(name, tmp_path)
+    golden_dir = GOLDEN_DIR / name
+    assert sorted(files) == sorted(p.name for p in golden_dir.iterdir())
+    for file_name, text in files.items():
+        if file_name != "fit_report.json":
+            assert text == (golden_dir / file_name).read_text(), file_name
+    golden = json.loads((golden_dir / "fit_report.json").read_text())
+    for path, cls, move in field_moves(golden, json.loads(files["fit_report.json"])):
+        assert move <= LIMITS[cls], (cls, "/".join(map(str, path)), move)
