@@ -5,18 +5,18 @@ start from one weighted linear solve of c0 + c1 cos kx + c2 sin kx (k = 2
 for the two-photon fringe, 1 for the one-photon fringe): the two-photon
 fringe is exactly that harmonic, so the solve is its fit; the one-photon
 fringe is that harmonic when its channel asymmetry is zero, so the solve
-is the one start of its damped Gauss-Newton fit.  That fit ends with
-undamped Gauss-Newton steps to the optimum, so its result does not depend
-on the damped path or on the arithmetic of the normal equations, which
-come from one weighted-Jacobian matmul per iteration.  Uncertainties come
-from a parametric bootstrap: counts are resampled around the observed
-values and a common bias-phase offset delta, shared by every set point
-and both switch states of a resample, models the motor repeatability.
-Shifting every set point by delta only moves the fitted phase by
--k delta, so each resample is fit on the observed set points and the
-offset is subtracted from its phase.  One-photon resamples are fit by the
-same undamped steps, batched, from the observed-data fit to their own
-optimum; only rows those steps do not settle take the damped fit.
+is the one start of its least-squares fit.  That fit takes Gauss-Newton
+steps, damped only after a refused step, and ends, unless its steps
+shrink only linearly, on an undamped step shorter than 1e-9 sigma: its
+result does not depend on the path or on the arithmetic of the normal
+equations, which come from one weighted-Jacobian matmul per step.
+Uncertainties come from a parametric bootstrap: counts are resampled
+around the observed values and a common bias-phase offset delta, shared
+by every set point and both switch states of a resample, models the motor
+repeatability.  Shifting every set point by delta only moves the fitted
+phase by -k delta, so each resample is fit on the observed set points and
+the offset is subtracted from its phase.  One-photon resamples are fit by
+the same solver, batched, from the observed-data fit to their own optimum.
 """
 
 import math
@@ -95,17 +95,21 @@ _HARMONIC = {"noon": 2, "single": 1}
 
 # condition-number limit of every design check
 _COND_LIMIT = 1e12
-# damped least squares: iteration budget, initial damping, relative cost stop
-_LM_MAX_ITER = 200
-_LM_LAM0 = 1e-3
-_LM_REL_TOL = 1e-12
-# Gauss-Newton to the optimum: step budget, and the length (in sigmas, the
-# metric of the normal matrix) of the step that settles a row
-_POLISH_MAX_STEPS = 10
-_POLISH_TOL = 1e-9
-# rows per Gauss-Newton solve of single resamples: small enough that the
+# least squares: step budget, damping after a row's first refused step,
+# relative cost change that ends a linearly converging row, and the length
+# (in sigmas, the metric of the normal matrix) of the undamped step that
+# settles a row
+_MAX_STEPS = 210
+_LAM0 = 1e-3
+_REL_TOL = 1e-12
+_STEP_TOL = 1e-9
+# rows per least-squares solve of single resamples: small enough that the
 # block's temporaries stay in cache, with no effect on the results
 _GN_BLOCK = 2048
+# steps a solve takes on every row of its batch; rows still active after
+# them converge slowly, and only those are stepped from then on, so a few
+# of them do not keep the whole batch iterating (no effect on the results)
+_FULL_STEPS = 10
 
 
 def _normal_equations(jac, w, r):
@@ -118,89 +122,52 @@ def _normal_equations(jac, w, r):
     return jw @ jac, (jw @ r[..., None])[..., 0]
 
 
-def _levenberg_marquardt(model, p0, x, y, w):
-    """Batched damped least squares against shared set points x.
+def _least_squares(model, p, x, y, w):
+    """Batched least squares of rows p, y, w against shared set points x.
 
-    Each iteration solves the normal equations of _normal_equations with
-    the damping added to their diagonal in place.  Damping scales the
-    normal-matrix diagonal, x10 on a rejected step and /10 on an accepted
-    one; a batch element stops on relative cost change below _LM_REL_TOL,
-    so where it stops depends on its path (see _gauss_newton).  Returns
-    (params, cost, converged, n_iter).
-    """
-    p = np.array(p0, dtype=float)
-    nb = p.shape[0]
-    y = np.broadcast_to(np.asarray(y, dtype=float), (nb, np.shape(y)[-1])).copy()
-    w = np.broadcast_to(np.asarray(w, dtype=float), y.shape).copy()
-    with np.errstate(all="ignore"):
-        f, jac = model(p, x)
-    r = y - f
-    cost = np.einsum("bm,bm->b", w, r * r)
-    lam = np.full(nb, _LM_LAM0)
-    done = np.zeros(nb, dtype=bool)
-    converged = np.zeros(nb, dtype=bool)
-    n_iter = np.zeros(nb, dtype=int)
-    step = np.arange(p.shape[1])
+    Each step d of a row solves the normal equations of _normal_equations
+    with lam times their diagonal added.  A row starts undamped (lam 0); a
+    refused step sets lam to _LAM0, or multiplies it by 10, and a kept one
+    divides it by 10, back to 0 below 1e-9.  A step is kept unless the
+    cost rises beyond its rounding.  A row converges
 
-    for _ in range(_LM_MAX_ITER):
-        idx = np.flatnonzero(~done)
-        if idx.size == 0:
-            break
-        a, g = _normal_equations(jac[idx], w[idx], r[idx])
-        diag = a[:, step, step]
-        diag[diag <= 0.0] = 1.0
-        a[:, step, step] += lam[idx, None] * diag
-        delta = np.linalg.solve(a, g[..., None])[..., 0]
-        p_trial = p[idx] + delta
-        # a wild trial step may overflow the model; the non-finite cost
-        # loses the comparison below and the step is simply rejected
-        with np.errstate(all="ignore"):
-            f_t, j_t = model(p_trial, x)
-            r_t = y[idx] - f_t
-            cost_t = np.einsum("bm,bm->b", w[idx], r_t * r_t)
-        better = cost_t <= cost[idx]
+    - on a kept undamped step shorter than _STEP_TOL sigmas (its length in
+      the metric of the normal matrix, sqrt(d . g)), which carries it to
+      the optimum itself, whatever its path;
+    - at the rounding floor: the predicted decrease d . g of its step is
+      below the rounding of the cost, and the step was refused, or was
+      undamped and no shorter than the step before;
+    - on a kept step that lowers the cost by less than _REL_TOL of itself
+      while its d . g is above a tenth of the step before's: steps that
+      shrink that slowly converge only linearly (a damped or large-residual
+      row), and the step test could take hundreds of steps.
 
-        acc = idx[better]
-        rej = idx[~better]
-        old = cost[acc]
-        p[acc] = p_trial[better]
-        jac[acc] = j_t[better]
-        r[acc] = r_t[better]
-        cost[acc] = cost_t[better]
-        lam[acc] = np.maximum(lam[acc] / 10.0, 1e-12)
-        lam[rej] *= 10.0
-        n_iter[idx] += 1
-
-        settled = old - cost[acc] <= _LM_REL_TOL * np.maximum(old, 1e-300)
-        done[acc[settled]] = True
-        converged[acc[settled]] = True
-        done[rej[lam[rej] > 1e12]] = True
-    return p, cost, converged, n_iter
-
-
-def _gauss_newton(model, p, x, y, w):
-    """Undamped Gauss-Newton steps of a batch, each row to its own optimum.
-
-    _levenberg_marquardt stops on a relative cost change, so where it stops
-    depends on its path, up to about 1e-8 relative.  Gauss-Newton steps on
-    the same normal equations carry a row to the optimum itself, whatever
-    the path: a step is kept unless the cost rises beyond its rounding, and
-    a row settles after a kept step shorter than _POLISH_TOL sigmas (its
-    length in the metric of the normal matrix, sqrt(d . g)).  A row stops
-    unsettled on a rejected step, on a singular normal matrix or when the
-    step budget runs out.  Rows are updated in place by mask, so every row
-    sees the arithmetic of a whole-batch solve.  Returns (params, settled).
+    A row stops unconverged on a singular normal matrix, on damping above
+    1e12, or when the step budget runs out.  Rows are updated in place by
+    mask; after _FULL_STEPS steps the rows still active are gathered, so
+    every row sees the arithmetic of a solve of its own.  Returns (params,
+    converged, n_iter); n_iter counts every step, kept or refused.
     """
     p = np.array(p, dtype=float)
-    f, jac = model(p, x)
-    y = np.broadcast_to(y, f.shape)
-    w = np.broadcast_to(w, f.shape)
-    r = y - f
-    cost = np.einsum("bm,bm->b", w, r * r)
-    settled = np.zeros(len(p), dtype=bool)
+    with np.errstate(all="ignore"):
+        f, jac = model(p, x)
+        y = np.broadcast_to(y, f.shape)
+        w = np.broadcast_to(w, f.shape)
+        r = y - f
+        cost = np.einsum("bm,bm->b", w, r * r)
+    lam = np.zeros(len(p))
+    last = np.full(len(p), np.inf)
     active = np.ones(len(p), dtype=bool)
-    for _ in range(_POLISH_MAX_STEPS):
+    out = np.empty_like(p)
+    rows = np.arange(len(p))
+    converged = np.zeros(len(p), dtype=bool)
+    n_iter = np.zeros(len(p), dtype=int)
+    diag = np.arange(p.shape[1])
+    for step in range(1, _MAX_STEPS + 1):
         a, g = _normal_equations(jac, w, r)
+        dd = a[:, diag, diag]
+        a[:, diag, diag] = dd + lam[:, None] * np.where(dd > 0.0, dd, 1.0)
+        ok = active.copy()
         try:
             d = np.linalg.solve(a, g[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -210,8 +177,9 @@ def _gauss_newton(model, p, x, y, w):
                 try:
                     d[i] = np.linalg.solve(a[i], g[i])
                 except np.linalg.LinAlgError:
-                    active[i] = False
+                    ok[i] = False
         p_t = p + d
+        # a wild step may overflow the model; its non-finite cost is refused
         with np.errstate(all="ignore"):
             f_t, j_t = model(p_t, x)
             r_t = y - f_t
@@ -219,16 +187,30 @@ def _gauss_newton(model, p, x, y, w):
             # rounding of the cost: residuals carry a few ulps of y and f
             noise = 4.0 * np.finfo(float).eps * np.einsum(
                 "bm,bm->b", w, np.abs(r_t) * (np.abs(y) + np.abs(f_t)))
-        keep = active & (cost_t <= cost + noise)
+            dg = np.einsum("bp,bp->b", d, g)
+        keep = ok & (cost_t <= cost + noise)
+        undamped = lam == 0.0
+        conv = keep & undamped & (dg <= _STEP_TOL ** 2)
+        conv |= ok & (dg <= noise) & (~keep | undamped & (dg >= last))
+        conv |= keep & (dg >= 0.1 * last) & (cost - cost_t <= _REL_TOL * cost)
         np.copyto(p, p_t, where=keep[:, None])
         np.copyto(jac, j_t, where=keep[:, None, None])
         np.copyto(r, r_t, where=keep[:, None])
         np.copyto(cost, cost_t, where=keep)
-        settled |= keep & (np.einsum("bp,bp->b", d, g) <= _POLISH_TOL ** 2)
-        active &= keep & ~settled
+        last = dg
+        lam = np.where(keep, lam / 10.0, np.where(undamped, _LAM0, 10.0 * lam))
+        lam[lam < 1e-9] = 0.0
+        n_iter[rows] += active
+        converged[rows] |= conv
+        active &= ok & ~conv & (lam <= 1e12)
         if not active.any():
             break
-    return p, settled
+        if step >= _FULL_STEPS and not active.all():
+            out[rows] = p
+            rows, p, jac, r, cost, lam, last, y, w, active = (
+                v[active] for v in (rows, p, jac, r, cost, lam, last, y, w, active))
+    out[rows] = p
+    return out, converged, n_iter
 
 
 def _canonicalize(model, params):
@@ -290,7 +272,7 @@ def _harmonic_solve(x, y, w, k):
     solve is the fit: amplitude 2 c0, visibility hypot(c1, c2)/c0, phase
     atan2(-c2, c1).  For k = 1 it is the single fringe at asymmetry 0,
     a (1 - V cos(x + phase)), and gives the start (c0, 0, hypot(c1, c2)/c0,
-    atan2(c2, -c1)) of the damped least-squares fit.  The first row's normal
+    atan2(c2, -c1)) of the least-squares fit.  The first row's normal
     matrix is checked as it stands, not in unit-diagonal form: the
     regressors share the range [-1, 1], and rescaling would blow a sin kx
     column of rounding noise (set points at multiples of pi/k) up to a
@@ -318,10 +300,10 @@ def nlls(model, x, y, weights=None):
     variance 1/max(y, 1).  Both fringes start from the weighted solve of
     c0 + c1 cos kx + c2 sin kx (k = 2 noon, 1 single).  The noon fringe is
     exactly that solve (converged, n_iter 0); the single fringe is fit by
-    damped least squares from it and, once converged, carried by undamped
-    Gauss-Newton steps (_gauss_newton) to the optimum itself; n_iter counts
-    the damped iterations.  When the iteration budget runs out the
-    parameters reached are reported unpolished with converged=False.
+    _least_squares from it, and n_iter counts its steps, kept or refused.
+    A single fit that does not converge (a singular normal matrix, runaway
+    damping, the step budget spent) reports the parameters reached with
+    converged=False.
     DegenerateDesignError is raised when the set points do not separate
     cos kx and sin kx, and when the normal matrix at the solution, in
     unit-diagonal form, has condition above _COND_LIMIT.
@@ -343,10 +325,8 @@ def nlls(model, x, y, weights=None):
     params = _harmonic_solve(x, y[None, :], w[None, :], _HARMONIC[model])
     ok, n_iter = True, 0
     if model == "single":
-        params, _, conv, iters = _levenberg_marquardt(fn, params, x, y, w)
+        params, conv, iters = _least_squares(fn, params, x, y, w)
         ok, n_iter = bool(conv[0]), int(iters[0])
-        if ok:
-            params = _gauss_newton(fn, params, x, y, w)[0]
     params = _canonicalize(model, params)
 
     f, jac = fn(params, x)
@@ -533,13 +513,10 @@ def _resample_fits(fit, x, y, w, delta):
 
     Each row is fit on the shared x and its phase moved by -k delta, which
     is exact: f(x + delta; phase) = f(x; phase + k delta).  Noon rows are
-    solved in closed form.  Single rows take undamped Gauss-Newton steps
-    from fit, in blocks of _GN_BLOCK rows, to their own optimum; a row
-    those steps leave unsettled (a rejected step, a singular normal matrix,
-    the step budget spent) is refit by damped least squares from fit and
-    then polished.  Phases come back canonical and unwrapped next to
-    fit.phase.  Returns (params, number of rows whose damped refit did not
-    converge).
+    solved in closed form.  Single rows are fit by _least_squares from fit,
+    in blocks of _GN_BLOCK rows, each to its own optimum.  Phases come back
+    canonical and unwrapped next to fit.phase.  Returns (params, number of
+    rows that did not converge).
     """
     fn, names = _MODELS[fit.model]
     ip = names.index("phase")
@@ -548,18 +525,12 @@ def _resample_fits(fit, x, y, w, delta):
     else:
         p0 = np.array([[fit.params[n] for n in names]])
         p = np.empty((len(y), len(names)))
-        settled = np.empty(len(y), dtype=bool)
+        conv = np.empty(len(y), dtype=bool)
         for i in range(0, len(y), _GN_BLOCK):
             rows = slice(i, i + _GN_BLOCK)
-            p[rows], settled[rows] = _gauss_newton(
+            p[rows], conv[rows], _ = _least_squares(
                 fn, p0.repeat(len(y[rows]), axis=0), x, y[rows], w[rows])
-        redo = np.flatnonzero(~settled)
-        bad = 0
-        if redo.size:
-            q, _, conv, _ = _levenberg_marquardt(
-                fn, p0.repeat(redo.size, axis=0), x, y[redo], w[redo])
-            p[redo] = _gauss_newton(fn, q, x, y[redo], w[redo])[0]
-            bad = int(np.count_nonzero(~conv))
+        bad = int(np.count_nonzero(~conv))
     p[:, ip] -= _HARMONIC[fit.model] * delta
     _canonicalize(fit.model, p)
     p[:, ip] = fit.phase + wrap_phase(p[:, ip] - fit.phase)
@@ -580,12 +551,11 @@ def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None, seed=Non
     for noon, 1 for single), so every resample is fit on the observed set
     points and k delta is subtracted from its phase.  Noon resamples are
     solved in closed form; single resamples are fit from the observed-data
-    fit to their optimum by undamped Gauss-Newton steps, and the rare rows
-    that do not settle fall back to damped least squares (_resample_fits).
+    fit to their optimum by the batched least squares of _resample_fits.
     Resamples are drawn and fit in batches of _MC_CHUNK (20 000), which
     fixes the RNG stream for a seed.  nonconverged_fraction counts the
-    resamples whose damped fallback also failed to converge; FitError is
-    raised if it exceeds 1%.
+    resamples whose fit did not converge; FitError is raised if it
+    exceeds 1%.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown fringe model {model!r}")

@@ -213,24 +213,23 @@ def cmd_simulate(args):
     true_omega = opts.pop("true_omega", CONSTANTS.omega_earth)
     thetas = opts.pop("theta_list", [geom.frame_angle])
     kinds = sim.get("kinds", ["noon"])
-    os.makedirs(args.out, exist_ok=True)
 
     root = np.random.SeedSequence(_seed_of(args, config))
-    outputs = []
+    # every output is computed before the first file is written, so a
+    # failed run leaves --out as it found it
+    counts = []
     for kind in kinds:
         if kind not in _KINDS:
             raise ValueError(f"unknown probe kind {kind!r}")
         kind_opts = _per_kind(sim, kind)
         if "phi0_list" not in kind_opts:
             raise ValueError(f"simulate.phi0_rad missing for kind {kind!r}")
-        records = angle_sweep(_KINDS[kind], geom, thetas, true_omega=true_omega,
-                              seed=root.spawn(1)[0], schedule=schedule,
-                              rates=rates, noise=noise, **opts, **kind_opts)
-        name = f"counts_{kind}.csv"
-        write_counts_csv(records, os.path.join(args.out, name))
-        outputs.append(name)
-        print(f"wrote {name}: {len(records)} records over {len(thetas)} angle(s)")
+        counts.append((f"counts_{kind}.csv", angle_sweep(
+            _KINDS[kind], geom, thetas, true_omega=true_omega,
+            seed=root.spawn(1)[0], schedule=schedule, rates=rates, noise=noise,
+            **opts, **kind_opts)))
 
+    trace = None
     trace_cfg = sim.get("trace")
     if trace_cfg is not None:
         trace_opts = config_kwargs(trace_cfg, _TRACE_KEYS)
@@ -241,6 +240,14 @@ def cmd_simulate(args):
                                      trace_opts.get("total_time", 600.0),
                                      root.spawn(1)[0], schedule=t_sched,
                                      rates=rates, noise=noise)
+
+    os.makedirs(args.out, exist_ok=True)
+    outputs = []
+    for name, records in counts:
+        write_counts_csv(records, os.path.join(args.out, name))
+        outputs.append(name)
+        print(f"wrote {name}: {len(records)} records over {len(thetas)} angle(s)")
+    if trace is not None:
         write_trace_csv(trace, os.path.join(args.out, "trace.csv"))
         outputs.append("trace.csv")
         print(f"wrote trace.csv: {len(trace.t)} samples")

@@ -5,8 +5,9 @@ Run from the repository root:
     PYTHONPATH=src python tests/golden/regenerate.py
 
 It runs simulate + fit --fast of each golden recipe in a temporary
-directory, prints the largest move of each field class against the
-goldens it replaces, and writes the new outputs to tests/golden/<recipe>/.
+directory, prints the largest move of each field class and every changed
+exact field (integer, string, boolean or null) against the goldens it
+replaces, and writes the new outputs to tests/golden/<recipe>/.
 """
 
 import json
@@ -26,10 +27,14 @@ def main():
         target = GOLDEN_DIR / name
         old = target / "fit_report.json"
         if old.exists():
+            changed = []
             moves = largest_moves(json.loads(old.read_text()),
-                                  json.loads(files["fit_report.json"]))
+                                  json.loads(files["fit_report.json"]), changed)
             for cls, (move, path) in sorted(moves.items()):
                 print(f"{name}: {cls}: largest move {move:.3g} at {path}")
+            for path, was, now in sorted(changed, key=lambda c: list(map(str, c[0]))):
+                print(f"{name}: exact field {'/'.join(map(str, path))}: "
+                      f"{was!r} -> {now!r}")
             for file_name, text in files.items():
                 path = target / file_name
                 if file_name != "fit_report.json" and \

@@ -15,9 +15,9 @@ from qsagnac import analysis
 from qsagnac.analysis import (_MODELS, SINGLE_PARAMS, DegenerateDesignError,
                               FitError, FringeFit, UndefinedRatioError,
                               _canonicalize, _edge_distance, _fit_state,
-                              _gauss_newton, _harmonic_solve,
-                              _levenberg_marquardt, _noon_model,
-                              _observations, _resample_fits, _single_model)
+                              _harmonic_solve, _least_squares, _noon_model,
+                              _normal_equations, _observations,
+                              _resample_fits, _single_model)
 from qsagnac.expsim import PolarimeterTrace, SwitchSchedule
 
 OMEGA_E = 7.29e-5
@@ -87,8 +87,18 @@ def test_nlls_multistart_reaches_distant_phase():
     assert fit.phase == pytest.approx(2.8, abs=1e-9)
 
 
+def best_of_starts(model, starts, x, y, w):
+    """Reference fit: _least_squares from every start, lowest converged cost wins."""
+    fn = _MODELS[model][0]
+    p, conv, _ = _least_squares(fn, starts, x, y, w)
+    assert conv.any()
+    cost = np.where(conv, np.sum(w * (y - fn(p, x)[0]) ** 2, axis=1), np.inf)
+    best = int(np.argmin(cost))
+    return _canonicalize(model, p[best:best + 1])[0], cost[best]
+
+
 def test_noon_closed_form_matches_multistart_lm():
-    """The exact noon solve finds the optimum the 8-start LM converges to."""
+    """The exact noon solve finds the optimum the 8-start search converges to."""
     rng = np.random.default_rng(11)
     for trial in range(24):
         x = np.linspace(0.0, math.pi, 22, endpoint=False) if trial % 2 \
@@ -100,10 +110,7 @@ def test_noon_closed_form_matches_multistart_lm():
         starts = np.column_stack([
             np.full(8, hi + lo), np.full(8, np.clip((hi - lo) / (hi + lo), 0.05, 1.0)),
             np.linspace(-math.pi, math.pi, 8, endpoint=False)])
-        p, cost, conv, _ = _levenberg_marquardt(_noon_model, starts, x, y, w)
-        assert conv.any()
-        best = int(np.argmin(np.where(conv, cost, np.inf)))
-        ref = _canonicalize("noon", p[best:best + 1])[0]
+        ref = best_of_starts("noon", starts, x, y, w)[0]
 
         fit = nlls("noon", x, y)
         assert fit.converged and fit.n_iter == 0
@@ -113,20 +120,17 @@ def test_noon_closed_form_matches_multistart_lm():
 
 
 def single_eight_start_fit(x, y, w):
-    """Reference fit: LM from 8 blind phase starts, best converged cost wins."""
+    """Reference fit from 8 blind phase starts."""
     lo, hi = y.min(), y.max()
     starts = np.column_stack([
         np.full(8, np.clip(np.mean(y), 1e-3, 1.0)), np.zeros(8),
         np.full(8, np.clip((hi - lo) / max(hi + lo, 1e-12), 0.05, 1.0)),
         np.linspace(-math.pi, math.pi, 8, endpoint=False)])
-    p, cost, conv, _ = _levenberg_marquardt(_single_model, starts, x, y, w)
-    assert conv.any()
-    best = int(np.argmin(np.where(conv, cost, np.inf)))
-    return _canonicalize("single", p[best:best + 1])[0], cost[best]
+    return best_of_starts("single", starts, x, y, w)
 
 
 def test_single_harmonic_start_matches_eight_start_lm():
-    """LM from the k = 1 harmonic solve reaches the optimum of the 8-start search."""
+    """The fit from the k = 1 harmonic solve reaches the 8-start optimum."""
     rng = np.random.default_rng(12)
     for trial in range(64):
         n = int(rng.integers(8, 25))
@@ -154,11 +158,11 @@ def test_single_harmonic_start_matches_eight_start_lm():
 def test_single_base_fit_runs_one_lm_start(monkeypatch, quiet_noise):
     rows = []
 
-    def recording_lm(model, p0, x, y, w):
+    def recording(model, p0, x, y, w):
         rows.append(np.shape(p0)[0])
-        return _levenberg_marquardt(model, p0, x, y, w)
+        return _least_squares(model, p0, x, y, w)
 
-    monkeypatch.setattr(analysis, "_levenberg_marquardt", recording_lm)
+    monkeypatch.setattr(analysis, "_least_squares", recording)
     fit_switch_pair(noiseless_records(SINGLE, quiet_noise), "single")
     assert rows == [1, 1]
 
@@ -187,28 +191,26 @@ def test_model_jacobian_matches_central_differences(model):
 
 
 def test_polished_single_fit_does_not_depend_on_the_lm_path(bench_geometry):
-    """Polishing the LM result and starts 1e-3 sigma away reach one optimum."""
+    """The harmonic start and starts 1e-3 sigma away reach one optimum."""
     phi0 = list(np.linspace(0.0, 2.0 * math.pi, 11))
     recs = [r for r in simulate_counts(SINGLE, bench_geometry, phi0, OMEGA_E, seed=3,
                                        duration_s=200.0)
             if r.switch is SwitchState.ON]
     fit, x, counts = _fit_state(recs, "single")
     y, w = _observations("single", **counts)
-    p, _, conv, _ = _levenberg_marquardt(
+    p, conv, _ = _least_squares(
         _single_model, _harmonic_solve(x, y[None, :], w[None, :], 1), x, y, w)
     assert conv[0]
-    polished, settled = _gauss_newton(_single_model, p, x, y, w)
-    assert settled[0]
-    assert _canonicalize("single", polished.copy())[0] == pytest.approx(
+    assert _canonicalize("single", p.copy())[0] == pytest.approx(
         [fit.params[n] for n in SINGLE_PARAMS], rel=1e-15)
 
     sigma = np.array([fit.sigmas[n] for n in SINGLE_PARAMS])
     rng = np.random.default_rng(5)
     starts = p + 1e-3 * sigma * rng.choice([-1.0, 1.0], (4, len(sigma)))
-    ends, settled = _gauss_newton(_single_model, starts, x, y, w)
-    assert settled.all()
+    ends, conv, _ = _least_squares(_single_model, starts, x, y, w)
+    assert conv.all()
     for end in ends:
-        assert end == pytest.approx(polished[0], rel=1e-12)
+        assert end == pytest.approx(p[0], rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", [NOON2, SINGLE], ids=["noon", "single"])
@@ -233,25 +235,21 @@ def test_resample_fit_on_shared_set_points_is_shifted_fit(bench_geometry, kind):
     ip = names.index("phase")
     p0 = np.array([[fit.params[k] for k in names]])
     for i in range(n):
-        ref, _, conv, _ = _levenberg_marquardt(fn, p0, x + delta[i], y[i], w[i])
+        ref, conv, _ = _least_squares(fn, p0, x + delta[i], y[i], w[i])
         assert conv[0]
-        if model == "single":
-            # resamples are fit to the optimum, so the reference is polished
-            ref = _gauss_newton(fn, ref, x + delta[i], y[i], w[i])[0]
         ref = _canonicalize(model, ref)[0]
         assert wrap_phase(p[i, ip] - ref[ip]) == pytest.approx(0.0, abs=1e-8)
         assert p[i, ip] - fit.phase == pytest.approx(wrap_phase(p[i, ip] - fit.phase))
 
 
-def misspecified_resamples(n=256):
+def misspecified_resamples(n=256, total=1e3):
     """Base fit and n resamples of a 5-point fringe with a second harmonic.
 
-    Undamped Gauss-Newton from the base fit leaves a few of these rows
-    unsettled after its step budget.
+    total is the expected count of each set point, summed over channels.
     """
     x = np.linspace(0.0, 1.5 * math.pi, 5)
     p = 0.5 * (1.0 - 0.9 * np.cos(x) + 0.1 * np.cos(2.0 * x))
-    mu = {"n_h": 1e3 * (1.0 - p), "n_v": 1e3 * p}
+    mu = {"n_h": total * (1.0 - p), "n_v": total * p}
     y0, w0 = _observations("single", **mu)
     fit = nlls("single", x, y0, weights=w0)
     rng = np.random.default_rng(0)
@@ -260,32 +258,37 @@ def misspecified_resamples(n=256):
     return fit, x, y, w
 
 
-def test_unsettled_resamples_fall_back_to_polished_lm(monkeypatch):
-    fit, x, y, w = misspecified_resamples()
-    p0 = np.array([[fit.params[n] for n in SINGLE_PARAMS]])
-    _, settled = _gauss_newton(_single_model, p0.repeat(len(y), axis=0), x, y, w)
-    unsettled = np.flatnonzero(~settled)
-    assert 0 < unsettled.size < 20
+def test_resamples_whose_undamped_step_is_refused_reach_their_optimum():
+    """Rows that need damping still end at their optimum, not at a cost stop."""
+    fit, x, y, w = misspecified_resamples(total=300.0)
+    p0 = np.array([[fit.params[n] for n in SINGLE_PARAMS]]).repeat(len(y), axis=0)
+    f, jac = _single_model(p0, x)
+    a, g = _normal_equations(jac, w, y - f)
+    f1 = _single_model(p0 + np.linalg.solve(a, g[..., None])[..., 0], x)[0]
+    refused = np.flatnonzero(np.sum(w * (y - f1) ** 2, axis=1)
+                             > np.sum(w * (y - f) ** 2, axis=1))
+    assert 0 < refused.size < 20
 
-    rows = []
+    # slow rows outlast the steps taken on the whole batch and are gathered;
+    # every row still ends as a solve of its own would
+    q, _, n_iter = _least_squares(_single_model, p0, x, y, w)
+    assert n_iter.max() > analysis._FULL_STEPS
+    for i in range(len(y)):
+        alone, _, alone_n_iter = _least_squares(_single_model, p0[:1], x, y[i], w[i])
+        assert np.array_equal(alone[0], q[i]) and alone_n_iter[0] == n_iter[i]
 
-    def recording_lm(model, p0, x, y, w):
-        rows.append(len(p0))
-        return _levenberg_marquardt(model, p0, x, y, w)
-
-    monkeypatch.setattr(analysis, "_levenberg_marquardt", recording_lm)
     p, bad = _resample_fits(fit, x, y, w, np.zeros(len(y)))
-    assert rows == [unsettled.size] and bad == 0
-
+    assert bad == 0
     sigma = np.array([fit.sigmas[n] for n in SINGLE_PARAMS])
-    for i in unsettled:
-        ref, _, conv, _ = _levenberg_marquardt(_single_model, p0, x, y[i], w[i])
-        assert conv[0]
-        ref, ok = _gauss_newton(_single_model, ref, x, y[i], w[i])
-        assert ok[0]
-        shift = p[i] - _canonicalize("single", ref)[0]
-        shift[3] = wrap_phase(shift[3])
-        assert np.all(np.abs(shift) <= 1e-9 * sigma), i
+    rng = np.random.default_rng(5)
+    for i in refused:
+        starts = p[i] + 1e-3 * sigma * rng.choice([-1.0, 1.0], (4, len(sigma)))
+        ends, conv, _ = _least_squares(_single_model, starts, x, y[i], w[i])
+        assert conv.all()
+        for end in _canonicalize("single", ends):
+            shift = p[i] - end
+            shift[3] = wrap_phase(shift[3])
+            assert np.all(np.abs(shift) <= 1e-9 * sigma), i
 
 
 def test_singular_row_leaves_the_rest_of_its_block_fit():
@@ -293,17 +296,49 @@ def test_singular_row_leaves_the_rest_of_its_block_fit():
     w[3] = 0.0   # a zero normal matrix: np.linalg.solve fails on the block
     others = np.arange(8) != 3
     p0 = np.array([[fit.params[n] for n in SINGLE_PARAMS]])
-    q, settled = _gauss_newton(_single_model, p0.repeat(8, axis=0), x, y, w)
-    alone, alone_settled = _gauss_newton(_single_model, p0.repeat(7, axis=0), x,
-                                         y[others], w[others])
-    assert not settled[3]
-    assert np.array_equal(settled[others], alone_settled)
+    q, conv, n_iter = _least_squares(_single_model, p0.repeat(8, axis=0), x, y, w)
+    alone, alone_conv, alone_n_iter = _least_squares(
+        _single_model, p0.repeat(7, axis=0), x, y[others], w[others])
+    assert not conv[3]
+    assert np.array_equal(conv[others], alone_conv)
+    assert np.array_equal(n_iter[others], alone_n_iter)
     assert np.array_equal(q[others], alone)
 
     p, bad = _resample_fits(fit, x, y, w, np.zeros(8))
-    assert bad == 0
+    assert bad == 1
     assert np.array_equal(p[others], _resample_fits(fit, x, y[others], w[others],
                                                     np.zeros(7))[0])
+
+
+def test_noiseless_fits_converge_at_the_rounding_floor():
+    """Noiseless fits of 1e18 counts still converge.
+
+    Their cost is all rounding, and their steps stall above _STEP_TOL.
+    """
+    rng = np.random.default_rng(0)
+    for _ in range(30):
+        n = int(rng.integers(5, 25))
+        x = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+        eta, vis = rng.uniform(-0.5, 0.5), rng.uniform(0.1, 1.0)
+        phase = rng.uniform(-math.pi, math.pi)
+        p = _single_model(np.array([[0.5 * (1.0 - eta), eta, vis, phase]]), x)[0][0]
+        y, w = _observations("single", n_h=1e18 * (1.0 - p), n_v=1e18 * p)
+        fit = nlls("single", x, y, weights=w)
+        assert fit.converged
+        assert abs(wrap_phase(fit.phase - phase)) <= 1e-6 * fit.sigmas["phase"]
+
+
+def test_linearly_converging_fit_stops_on_its_cost():
+    """A large-residual fit converges within the step budget.
+
+    Its data carry an unmodelled second harmonic, so its steps shrink only
+    linearly; it stops on the relative cost change.
+    """
+    x = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    p = np.clip(0.5 * (1.0 - 0.8 * np.cos(x + 0.3)) + 0.2 * np.cos(2.0 * x + 2.0),
+                1e-3, 1.0 - 1e-3)
+    y, w = _observations("single", n_h=1e4 * (1.0 - p), n_v=1e4 * p)
+    assert nlls("single", x, y, weights=w).converged
 
 
 def test_nlls_validation():

@@ -187,6 +187,17 @@ def test_failed_fit_leaves_no_new_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_failed_simulate_leaves_no_file(tmp_path, capsys):
+    """A bad second kind fails the run before the first kind's counts are written."""
+    config = json.loads(open(recipe("fig2")).read())
+    config["simulate"]["kinds"] = ["noon", "nooon"]
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", write_config(tmp_path, config),
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "unknown probe kind 'nooon'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("where", ["fit", "top level"])
 def test_unknown_config_key_exits_2(tmp_path, capsys, where):
     """A typo such as fit.mc_sample would otherwise run the 100k default."""

@@ -68,10 +68,12 @@ def _move(golden_report, path, value, golden):
     return cls, abs(value - golden) / abs(golden) if golden else abs(value)
 
 
-def field_moves(golden_report, current_report):
+def field_moves(golden_report, current_report, changed=None):
     """Yield (path, class, move) for every float field of two reports.
 
-    Raises AssertionError where keys, lengths, types or exact fields differ.
+    Raises AssertionError where keys, lengths or types differ, and where an
+    exact field differs unless changed is a list, which then collects
+    (path, golden value, current value) of each such field.
     """
     stack = [((), golden_report, current_report)]
     while stack:
@@ -86,14 +88,16 @@ def field_moves(golden_report, current_report):
         elif isinstance(golden, float):
             assert isinstance(current, float) and math.isfinite(current), path
             yield (path, *_move(golden_report, path, current, golden))
-        else:
-            assert type(current) is type(golden) and current == golden, path
+        elif type(current) is not type(golden) or current != golden:
+            assert changed is not None and type(current) is type(golden), \
+                (path, golden, current)
+            changed.append((path, golden, current))
 
 
-def largest_moves(golden, current):
+def largest_moves(golden, current, changed=None):
     """Largest move of each field class, with the path where it occurs."""
     worst = {}
-    for path, cls, move in field_moves(golden, current):
+    for path, cls, move in field_moves(golden, current, changed):
         if move >= worst.get(cls, (-1.0,))[0]:
             worst[cls] = (move, "/".join(map(str, path)))
     return worst

@@ -1,21 +1,64 @@
-"""Property tests of the fit invariants the bootstrap relies on."""
+"""Property tests of phase wrapping, the counts CSV and the fit invariants."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qsagnac import nlls, wrap_phase  # noqa: E402
+from qsagnac import SwitchState, nlls, wrap_phase  # noqa: E402
 from qsagnac.analysis import _HARMONIC, _MODELS  # noqa: E402
+from qsagnac.expsim import CountRecord, read_counts_csv, write_counts_csv  # noqa: E402
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(phi=st.floats(-1e6, 1e6))
+def test_wrap_phase_lands_in_range_a_whole_turn_away(phi):
+    """wrap_phase maps any phase into (-pi, pi] by whole turns, scalar or array."""
+    w = wrap_phase(phi)
+    assert -math.pi < w <= math.pi
+    assert abs(math.remainder(phi - w, 2.0 * math.pi)) <= 1e-9 * (1.0 + abs(phi))
+    assert wrap_phase(np.array([phi, phi]))[1] == w
+
+
+_COUNT = st.integers(0, 10 ** 9)
+_RECORD = st.builds(
+    CountRecord, theta=st.floats(-math.pi, math.pi), phi0=st.floats(-10.0, 10.0),
+    switch=st.sampled_from(SwitchState), duration=st.floats(1e-3, 1e6),
+    n_h=_COUNT, n_v=_COUNT, n_hv=_COUNT)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(records=st.lists(_RECORD, min_size=1, max_size=8))
+def test_counts_csv_round_trip_keeps_printed_precision(records):
+    """Reading a counts CSV back keeps every record to its printed precision.
+
+    Counts and switch states come back exactly and floats to the digits the
+    file carries, so a second write reproduces the file byte for byte.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        write_counts_csv(records, first)
+        back = read_counts_csv(first)
+        write_counts_csv(back, second)
+        assert second.read_text() == first.read_text()
+    assert len(back) == len(records)
+    for r, b in zip(records, back):
+        assert (b.switch, b.n_h, b.n_v, b.n_hv) == (r.switch, r.n_h, r.n_v, r.n_hv)
+        assert b.theta == pytest.approx(r.theta, rel=1e-9, abs=1e-300)
+        assert b.phi0 == pytest.approx(r.phi0, rel=1e-11, abs=1e-300)
+        assert b.duration == pytest.approx(r.duration, rel=1e-9)
 
 
 @pytest.mark.parametrize("model", ["noon", "single"])
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(visibility=st.floats(0.1, 0.99), phase=st.floats(-math.pi, math.pi),
+@example(visibility=1.0, phase=0.5, delta=0.3, asymmetry=0.2)
+@given(visibility=st.floats(0.1, 1.0), phase=st.floats(-math.pi, math.pi),
        delta=st.floats(-0.5, 0.5), asymmetry=st.floats(-0.3, 0.3))
 def test_set_point_shift_moves_the_fitted_phase_by_k_delta(
         model, visibility, phase, delta, asymmetry):
