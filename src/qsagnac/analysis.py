@@ -252,18 +252,6 @@ class FringeFit:
     def phase(self):
         return self.params["phase"]
 
-    def to_dict(self):
-        return {
-            "model": self.model,
-            "params": dict(self.params),
-            "sigmas": dict(self.sigmas),
-            "covariance": self.covariance.tolist(),
-            "rss": self.rss,
-            "converged": self.converged,
-            "n_iter": self.n_iter,
-            "n_points": self.n_points,
-        }
-
 
 def _harmonic_solve(x, y, w, k):
     """Weighted fit of c0 + c1 cos kx + c2 sin kx, batched over rows of y, w.
@@ -441,14 +429,6 @@ class EarthPhaseResult:
     phi_e: float
     phi_e_sigma: float
 
-    def to_dict(self):
-        return {
-            "model": self.model,
-            "phi_on": self.phi_on, "phi_on_sigma": self.phi_on_sigma,
-            "phi_off": self.phi_off, "phi_off_sigma": self.phi_off_sigma,
-            "phi_e": self.phi_e, "phi_e_sigma": self.phi_e_sigma,
-        }
-
 
 def extract_earth_phase(fit_on, fit_off, mc=None):
     """phi_e = phi_off - phi_on, wrapped; sigmas from the bootstrap when given.
@@ -486,18 +466,6 @@ class McUncertainty:
     phi_e_mean: float
     phi_e_sigma: float
     nonconverged_fraction: float
-
-    def to_dict(self):
-        return {
-            "model": self.model,
-            "n_samples": self.n_samples,
-            "motor_sigma": self.motor_sigma,
-            "param_means": {k: dict(v) for k, v in self.param_means.items()},
-            "param_sigmas": {k: dict(v) for k, v in self.param_sigmas.items()},
-            "phi_e_mean": self.phi_e_mean,
-            "phi_e_sigma": self.phi_e_sigma,
-            "nonconverged_fraction": self.nonconverged_fraction,
-        }
 
 
 def _group_by(records, attr):
@@ -618,10 +586,6 @@ class DemodResult:
     n_on: int
     n_off: int
 
-    def to_dict(self):
-        return {"delta_chi": self.delta_chi, "delta_psi": self.delta_psi,
-                "phi_s": self.phi_s, "n_on": self.n_on, "n_off": self.n_off}
-
 
 def _edge_distance(t, edges):
     """Distance from each time in t to its nearest edge; edges sorted.
@@ -685,14 +649,6 @@ class CalibrationResult:
     theta_offset_sigma: float
     n_samples: int
     omega_earth: float
-
-    def to_dict(self):
-        return {"scale_factor": self.scale_factor,
-                "scale_factor_sigma": self.scale_factor_sigma,
-                "theta_offset": self.theta_offset,
-                "theta_offset_sigma": self.theta_offset_sigma,
-                "n_samples": self.n_samples,
-                "omega_earth": self.omega_earth}
 
 
 def _cosine_lsq(angles, phases, weights):
@@ -781,13 +737,6 @@ class AngleSweepFit:
     omega: float
     omega_sigma: float
     enhancement: int
-
-    def to_dict(self):
-        return {"amplitude": self.amplitude, "amplitude_sigma": self.amplitude_sigma,
-                "theta_offset": self.theta_offset,
-                "theta_offset_sigma": self.theta_offset_sigma,
-                "omega": self.omega, "omega_sigma": self.omega_sigma,
-                "enhancement": self.enhancement}
 
 
 def fit_angle_sweep(angles, phi_e, sigmas, scale_factor_s, enhancement=1):

@@ -1,10 +1,12 @@
 """Command line interface: simulate raw data, fit it, evaluate designs.
 
-All commands consume one JSON config (see the bundled recipes) and write
-their products plus a manifest into --out.  Relative input paths in a
-config are resolved against --out, so a fit can chain onto a simulate
-run in the same directory.  Exit codes: 0 success, 2 bad config or
-input, 3 fit or feasibility failure.
+All commands consume one JSON config (see the bundled recipes).  Each
+command computes its products and returns them as {file name: writer};
+main then writes them into --out, and the manifest last, so a failed run
+writes nothing.  Relative input paths in a config are resolved against
+--out, so a fit can chain onto a simulate run in the same directory.
+Exit codes: 0 success, 2 bad config or input, 3 fit or feasibility
+failure.
 """
 
 import argparse
@@ -14,7 +16,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, is_dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -177,33 +180,60 @@ def _resolve(path, out_dir):
     return path if os.path.isabs(path) else os.path.join(out_dir, path)
 
 
-def _write_manifest(out_dir, command, args, config, outputs):
-    manifest = {
+def _csv_writer(header, rows):
+    """A function that writes header and rows as one CSV file at its path."""
+    def write(path):
+        with open(path, "w", newline="") as f:
+            writer = csv.writer(f)
+            writer.writerow(header)
+            writer.writerows(rows)
+    return write
+
+
+def _announced(write, message):
+    """write, then print message."""
+    def run(path):
+        write(path)
+        print(message)
+    return run
+
+
+def _report_form(obj):
+    """JSON form of what json cannot encode: a result's dataclass fields, arrays as lists."""
+    return asdict(obj) if is_dataclass(obj) else obj.tolist()
+
+
+def _json_writer(report):
+    """A function that writes report as indented JSON at its path."""
+    def write(path):
+        with open(path, "w") as f:
+            json.dump(report, f, indent=2, default=_report_form)
+    return write
+
+
+def _write_outputs(args, config, outputs):
+    """Create --out, write each output in order, then the manifest listing them."""
+    os.makedirs(args.out, exist_ok=True)
+    for name, write in outputs.items():
+        write(os.path.join(args.out, name))
+    _json_writer({
         "schema_version": SCHEMA_VERSION,
         "package_version": __version__,
-        "command": command,
+        "command": args.command,
         "seed": _seed_of(args, config),
-        "fast": bool(getattr(args, "fast", False)),
+        "fast": args.fast,
         "config_sha256": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "config": config,
-        "outputs": outputs,
-    }
-    path = os.path.join(out_dir, f"manifest_{command}.json")
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2)
-    return path
+        "outputs": list(outputs),
+    })(os.path.join(args.out, f"manifest_{args.command}.json"))
 
 
 def _seed_of(args, config):
     return args.seed if args.seed is not None else int(config.get("seed", 0))
 
 
-def cmd_simulate(args):
-    config = _load_config(args.config)
-    sim = config.get("simulate")
-    if sim is None:
-        raise ValueError("config has no 'simulate' section")
+def cmd_simulate(args, config, sim):
     geom = geometry_from_dict(_section(config, sim, "geometry"))
     schedule = SwitchSchedule(**config_kwargs(_section(config, sim, "schedule"),
                                               _SCHEDULE_KEYS))
@@ -212,24 +242,23 @@ def cmd_simulate(args):
     opts = config_kwargs(sim, _SIMULATE_KEYS)
     true_omega = opts.pop("true_omega", CONSTANTS.omega_earth)
     thetas = opts.pop("theta_list", [geom.frame_angle])
-    kinds = sim.get("kinds", ["noon"])
 
     root = np.random.SeedSequence(_seed_of(args, config))
-    # every output is computed before the first file is written, so a
-    # failed run leaves --out as it found it
-    counts = []
-    for kind in kinds:
+    outputs = {}
+    for kind in sim.get("kinds", ["noon"]):
         if kind not in _KINDS:
             raise ValueError(f"unknown probe kind {kind!r}")
         kind_opts = _per_kind(sim, kind)
         if "phi0_list" not in kind_opts:
             raise ValueError(f"simulate.phi0_rad missing for kind {kind!r}")
-        counts.append((f"counts_{kind}.csv", angle_sweep(
+        records = angle_sweep(
             _KINDS[kind], geom, thetas, true_omega=true_omega,
             seed=root.spawn(1)[0], schedule=schedule, rates=rates, noise=noise,
-            **opts, **kind_opts)))
+            **opts, **kind_opts)
+        outputs[f"counts_{kind}.csv"] = _announced(
+            partial(write_counts_csv, records), f"wrote counts_{kind}.csv: "
+            f"{len(records)} records over {len(thetas)} angle(s)")
 
-    trace = None
     trace_cfg = sim.get("trace")
     if trace_cfg is not None:
         trace_opts = config_kwargs(trace_cfg, _TRACE_KEYS)
@@ -240,31 +269,9 @@ def cmd_simulate(args):
                                      trace_opts.get("total_time", 600.0),
                                      root.spawn(1)[0], schedule=t_sched,
                                      rates=rates, noise=noise)
-
-    os.makedirs(args.out, exist_ok=True)
-    outputs = []
-    for name, records in counts:
-        write_counts_csv(records, os.path.join(args.out, name))
-        outputs.append(name)
-        print(f"wrote {name}: {len(records)} records over {len(thetas)} angle(s)")
-    if trace is not None:
-        write_trace_csv(trace, os.path.join(args.out, "trace.csv"))
-        outputs.append("trace.csv")
-        print(f"wrote trace.csv: {len(trace.t)} samples")
-
-    _write_manifest(args.out, "simulate", args, config, outputs)
-    return 0
-
-
-def _fit_one_kind(kind, records, mc_opts, root):
-    rows = []
-    for theta, recs in group_records_by_angle(records).items():
-        fit_on, fit_off, _ = fit_switch_pair(recs, model=kind)
-        mc = mc_uncertainty(recs, kind, seed=root.spawn(1)[0], **mc_opts)
-        earth = extract_earth_phase(fit_on, fit_off, mc)
-        rows.append({"theta": theta, "fit_on": fit_on, "fit_off": fit_off,
-                     "mc": mc, "earth": earth})
-    return rows
+        outputs["trace.csv"] = _announced(partial(write_trace_csv, trace),
+                                          f"wrote trace.csv: {len(trace.t)} samples")
+    return outputs
 
 
 _TABLE_COLUMNS = ("theta_deg", "v_on_pct", "v_on_sigma_pct", "v_off_pct",
@@ -273,28 +280,19 @@ _TABLE_COLUMNS = ("theta_deg", "v_on_pct", "v_on_sigma_pct", "v_off_pct",
                   "phi_e_sigma_mrad")
 
 
-def _write_table_csv(path, rows):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(_TABLE_COLUMNS)
-        for row in rows:
-            mc = row["mc"]
-            on_m, off_m = mc.param_means["on"], mc.param_means["off"]
-            on_s, off_s = mc.param_sigmas["on"], mc.param_sigmas["off"]
-            writer.writerow([f"{math.degrees(row['theta']):.10g}"] + [
-                f"{v:.6g}" for v in (
-                    100.0 * on_m["visibility"], 100.0 * on_s["visibility"],
-                    100.0 * off_m["visibility"], 100.0 * off_s["visibility"],
-                    1e3 * on_m["phase"], 1e3 * on_s["phase"],
-                    1e3 * off_m["phase"], 1e3 * off_s["phase"],
-                    1e3 * mc.phi_e_mean, 1e3 * mc.phi_e_sigma)])
+def _table_row(angle):
+    mc = angle["mc"]
+    on_m, off_m = mc.param_means["on"], mc.param_means["off"]
+    on_s, off_s = mc.param_sigmas["on"], mc.param_sigmas["off"]
+    return [f"{angle['theta_deg']:.10g}"] + [f"{v:.6g}" for v in (
+        100.0 * on_m["visibility"], 100.0 * on_s["visibility"],
+        100.0 * off_m["visibility"], 100.0 * off_s["visibility"],
+        1e3 * on_m["phase"], 1e3 * on_s["phase"],
+        1e3 * off_m["phase"], 1e3 * off_s["phase"],
+        1e3 * mc.phi_e_mean, 1e3 * mc.phi_e_sigma)]
 
 
-def cmd_fit(args):
-    config = _load_config(args.config)
-    fit_cfg = config.get("fit")
-    if fit_cfg is None:
-        raise ValueError("config has no 'fit' section")
+def cmd_fit(args, config, fit_cfg):
     mc_opts = config_kwargs(fit_cfg, _MC_KEYS)
     opts = config_kwargs(fit_cfg, _FIT_KEYS)
     if args.fast:
@@ -307,9 +305,7 @@ def cmd_fit(args):
     root = np.random.SeedSequence(_seed_of(args, config))
     report = {"schema_version": SCHEMA_VERSION, "package_version": __version__,
               "seed": _seed_of(args, config), "kinds": {}}
-    # every result is computed before the first file is written, so a
-    # failed fit leaves --out as it found it
-    tables = {}
+    outputs = {}
     sweeps = {}
 
     counts = fit_cfg.get("counts", {})
@@ -321,45 +317,44 @@ def cmd_fit(args):
         records = read_counts_csv(_resolve(path, args.out))
         if not records:
             raise ValueError(f"{path}: no count records")
-        rows = _fit_one_kind(kind, records, mc_opts, root)
-        kind_report = {"angles": []}
-        for row in rows:
-            kind_report["angles"].append({
-                "theta_deg": math.degrees(row["theta"]),
-                "fit_on": row["fit_on"].to_dict(),
-                "fit_off": row["fit_off"].to_dict(),
-                "mc": row["mc"].to_dict(),
-                "earth_phase": row["earth"].to_dict(),
-            })
-            print(f"{kind} theta={math.degrees(row['theta']):+7.2f} deg: "
-                  f"phi_e = {1e3 * row['earth'].phi_e:+.3f} "
-                  f"+- {1e3 * row['earth'].phi_e_sigma:.3f} mrad")
-        tables[f"table_{kind}.csv"] = rows
+        groups = group_records_by_angle(records)
+        angles = []
+        for theta, recs in groups.items():
+            fit_on, fit_off, _ = fit_switch_pair(recs, model=kind)
+            mc = mc_uncertainty(recs, kind, seed=root.spawn(1)[0], **mc_opts)
+            angles.append({"theta_deg": math.degrees(theta), "fit_on": fit_on,
+                           "fit_off": fit_off, "mc": mc,
+                           "earth_phase": extract_earth_phase(fit_on, fit_off, mc)})
+        kind_report = report["kinds"][kind] = {"angles": angles}
+        for angle in angles:
+            earth = angle["earth_phase"]
+            print(f"{kind} theta={angle['theta_deg']:+7.2f} deg: "
+                  f"phi_e = {1e3 * earth.phi_e:+.3f} "
+                  f"+- {1e3 * earth.phi_e_sigma:.3f} mrad")
+        outputs[f"table_{kind}.csv"] = _csv_writer(
+            _TABLE_COLUMNS, [_table_row(angle) for angle in angles])
 
-        if len(rows) >= 3:
+        if len(angles) >= 3:
             if scale is None:
                 raise ValueError("angle sweep needs fit.scale_factor_s or geometry")
             sweep = fit_angle_sweep(
-                [row["theta"] for row in rows],
-                [row["earth"].phi_e for row in rows],
-                [row["earth"].phi_e_sigma for row in rows],
+                list(groups), [a["earth_phase"].phi_e for a in angles],
+                [a["earth_phase"].phi_e_sigma for a in angles],
                 scale, enhancement=_KINDS[kind].enhancement)
-            sweeps[kind] = sweep
-            kind_report["angle_sweep"] = sweep.to_dict()
+            sweeps[kind] = kind_report["angle_sweep"] = sweep
             print(f"{kind} sweep: amplitude = {1e3 * sweep.amplitude:.2f} "
                   f"+- {1e3 * sweep.amplitude_sigma:.2f} mrad, "
                   f"omega = {sweep.omega:.3e} +- {sweep.omega_sigma:.1e} rad/s")
-        report["kinds"][kind] = kind_report
 
     if "noon" in report["kinds"] and "single" in report["kinds"]:
         if "noon" in sweeps and "single" in sweeps:
             pair2 = (sweeps["noon"].amplitude, sweeps["noon"].amplitude_sigma)
             pair1 = (sweeps["single"].amplitude, sweeps["single"].amplitude_sigma)
         else:
-            e2 = report["kinds"]["noon"]["angles"][0]["earth_phase"]
-            e1 = report["kinds"]["single"]["angles"][0]["earth_phase"]
-            pair2 = (e2["phi_e"], e2["phi_e_sigma"])
-            pair1 = (e1["phi_e"], e1["phi_e_sigma"])
+            e2, e1 = (report["kinds"][kind]["angles"][0]["earth_phase"]
+                      for kind in ("noon", "single"))
+            pair2 = (e2.phi_e, e2.phi_e_sigma)
+            pair1 = (e1.phi_e, e1.phi_e_sigma)
         value, sigma = enhancement_factor(pair2, pair1)
         report["enhancement"] = {"value": value, "sigma": sigma}
         print(f"enhancement: {value:.2f} +- {sigma:.2f}")
@@ -370,9 +365,8 @@ def cmd_fit(args):
                                                   _SCHEDULE_KEYS))
         if "transition_halfwidth" in opts:
             schedule = replace(schedule, transition_halfwidth=opts["transition_halfwidth"])
-        demod = demodulate_trace(read_trace_csv(_resolve(trace_path, args.out)),
-                                 schedule)
-        report["demodulation"] = demod.to_dict()
+        demod = report["demodulation"] = demodulate_trace(
+            read_trace_csv(_resolve(trace_path, args.out)), schedule)
         print(f"demodulated trace: phi_s = {1e3 * demod.phi_s:.3f} mrad")
 
     cal_cfg = fit_cfg.get("calibration")
@@ -380,20 +374,15 @@ def cmd_fit(args):
         cal_opts = config_kwargs(cal_cfg, _CALIBRATION_KEYS)
         if args.fast:
             cal_opts["n_samples"] = _FAST_SAMPLES
-        cal = calibrate_scale_factor(seed=root.spawn(1)[0], **cal_opts)
-        report["calibration"] = cal.to_dict()
+        cal = report["calibration"] = calibrate_scale_factor(
+            seed=root.spawn(1)[0], **cal_opts)
         print(f"calibration: S = {cal.scale_factor:.2f} "
               f"+- {cal.scale_factor_sigma:.2f} s, "
               f"theta_offset = {math.degrees(cal.theta_offset):+.3f} "
               f"+- {math.degrees(cal.theta_offset_sigma):.3f} deg")
 
-    os.makedirs(args.out, exist_ok=True)
-    for name, rows in tables.items():
-        _write_table_csv(os.path.join(args.out, name), rows)
-    with open(os.path.join(args.out, "fit_report.json"), "w") as f:
-        json.dump(report, f, indent=2)
-    _write_manifest(args.out, "fit", args, config, [*tables, "fit_report.json"])
-    return 0
+    outputs["fit_report.json"] = _json_writer(report)
+    return outputs
 
 
 _DESIGN_COLUMNS = ("name", "shape", "fiber_length_m", "perimeter_m", "turns",
@@ -401,28 +390,20 @@ _DESIGN_COLUMNS = ("name", "shape", "fiber_length_m", "perimeter_m", "turns",
                    "delta_omega_rad_s")
 
 
-def cmd_design(args):
-    config = _load_config(args.config)
-    design_cfg = config.get("design")
-    if design_cfg is None:
-        raise ValueError("config has no 'design' section")
-    os.makedirs(args.out, exist_ok=True)
+def cmd_design(args, config, design_cfg):
     specs = [design_from_dict(d) for d in design_cfg.get("specs", [])]
     reports = [rotation_resolution(s) for s in specs]
-    outputs = []
+    outputs = {}
     out_json = {"schema_version": SCHEMA_VERSION, "package_version": __version__,
                 "designs": [r.to_dict() for r in reports]}
 
     if reports:
-        with open(os.path.join(args.out, "designs.csv"), "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(_DESIGN_COLUMNS)
-            for r in reports:
-                # quoted delta_phi follows the projected-axis convention
-                writer.writerow([r.name, r.shape] + [f"{v:.6g}" for v in (
-                    r.fiber_length, r.perimeter, r.turns, r.effective_area,
-                    r.scale_factor, r.delta_phi_projected, r.delta_omega)])
-        outputs.append("designs.csv")
+        # quoted delta_phi follows the projected-axis convention
+        outputs["designs.csv"] = _csv_writer(_DESIGN_COLUMNS, [
+            [r.name, r.shape] + [f"{v:.6g}" for v in (
+                r.fiber_length, r.perimeter, r.turns, r.effective_area,
+                r.scale_factor, r.delta_phi_projected, r.delta_omega)]
+            for r in reports])
         for r in reports:
             print(f"{r.name}: S = {r.scale_factor:.4g} s, "
                   f"delta_phi = {r.delta_phi_projected:.3g} rad, "
@@ -430,13 +411,10 @@ def cmd_design(args):
 
     if design_cfg.get("landscape"):
         rows = landscape(specs)
-        with open(os.path.join(args.out, "landscape.csv"), "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(("name", "log10_area", "log10_delta_omega", "label"))
-            for row in rows:
-                writer.writerow([row.name, f"{row.log10_area:.6g}",
-                                 f"{row.log10_delta_omega:.6g}", row.label])
-        outputs.append("landscape.csv")
+        outputs["landscape.csv"] = _csv_writer(
+            ("name", "log10_area", "log10_delta_omega", "label"),
+            [[row.name, f"{row.log10_area:.6g}", f"{row.log10_delta_omega:.6g}",
+              row.label] for row in rows])
         out_json["landscape"] = [row.to_dict() for row in rows]
 
     if args.optimize_gfring:
@@ -449,11 +427,8 @@ def cmd_design(args):
               f"n_t = {optimum.turns}, "
               f"delta_omega = {optimum.report.delta_omega:.3g} rad/s")
 
-    with open(os.path.join(args.out, "design_report.json"), "w") as f:
-        json.dump(out_json, f, indent=2)
-    outputs.append("design_report.json")
-    _write_manifest(args.out, "design", args, config, outputs)
-    return 0
+    outputs["design_report.json"] = _json_writer(out_json)
+    return outputs
 
 
 def build_parser():
@@ -480,7 +455,12 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        config = _load_config(args.config)
+        section = config.get(args.command)
+        if section is None:
+            raise ValueError(f"config has no {args.command!r} section")
+        _write_outputs(args, config, args.fn(args, config, section))
+        return 0
     except (FitError, DegenerateDesignError, InfeasibleDesignError,
             UndefinedRatioError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,7 +37,9 @@ def test_simulate_fig2(tmp_path, capsys):
     manifest = json.loads((out / "manifest_simulate.json").read_text())
     assert manifest["seed"] == 7
     assert len(manifest["config_sha256"]) == 64
-    assert "counts_noon.csv" in manifest["outputs"]
+    assert manifest["outputs"] == ["counts_noon.csv", "counts_single.csv"]
+    assert sorted(os.listdir(out)) == sorted(
+        manifest["outputs"] + ["manifest_simulate.json"])
     assert "wrote counts_noon.csv" in capsys.readouterr().out
 
 
@@ -121,8 +123,13 @@ def test_invalid_simulation_parameters_exit_2(tmp_path):
 def test_fit_fig2_fast(tmp_path, capsys):
     out = str(tmp_path)
     main(["simulate", "--config", recipe("fig2"), "--out", out])
+    before = set(os.listdir(out))
     assert main(["fit", "--config", recipe("fig2"), "--out", out, "--fast"]) == 0
     report = json.loads((tmp_path / "fit_report.json").read_text())
+    manifest = json.loads((tmp_path / "manifest_fit.json").read_text())
+    assert manifest["outputs"] == ["table_noon.csv", "table_single.csv",
+                                   "fit_report.json"]
+    assert set(os.listdir(out)) - before == {*manifest["outputs"], "manifest_fit.json"}
 
     noon = report["kinds"]["noon"]["angles"][0]
     single = report["kinds"]["single"]["angles"][0]
@@ -254,6 +261,10 @@ def test_design_table(tmp_path, capsys):
         2.42798316607657e-14, rel=1e-9)
     assert by_name["this work"]["measured"] is True
     assert "GFRING" in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "manifest_design.json").read_text())
+    assert manifest["outputs"] == ["designs.csv", "design_report.json"]
+    assert sorted(os.listdir(out)) == sorted(
+        manifest["outputs"] + ["manifest_design.json"])
 
 
 def test_design_optimizer_flag(tmp_path):
@@ -284,16 +295,21 @@ def test_design_empty_spec_list(tmp_path):
 
 
 def test_design_infeasible_target_exits_3(tmp_path):
+    """The designs table computes, the optimizer fails: nothing is written."""
     base = json.loads(open(recipe("table3")).read())
     base["design"]["gfring"]["target_snr"] = 1e9
     cfg = write_config(tmp_path, base)
+    before = sorted(os.listdir(tmp_path))
     assert main(["design", "--config", cfg, "--out", str(tmp_path),
                  "--optimize-gfring"]) == 3
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_optimizer_flag_needs_gfring_section(tmp_path):
     base = json.loads(open(recipe("table3")).read())
     del base["design"]["gfring"]
     cfg = write_config(tmp_path, base)
+    before = sorted(os.listdir(tmp_path))
     assert main(["design", "--config", cfg, "--out", str(tmp_path),
                  "--optimize-gfring"]) == 2
+    assert sorted(os.listdir(tmp_path)) == before
