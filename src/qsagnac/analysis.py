@@ -95,6 +95,10 @@ _HARMONIC = {"noon": 2, "single": 1}
 
 # condition-number limit of every design check
 _COND_LIMIT = 1e12
+# fewest distinct bias set points a fringe fit takes, and the narrowest
+# frame-angle span a calibration or angle-sweep fit takes
+_MIN_POINTS = 5
+_MIN_SPAN_DEG = 5.0
 # least squares: step budget, damping after a row's first refused step,
 # relative cost change that ends a linearly converging row, and the length
 # (in sigmas, the metric of the normal matrix) of the undamped step that
@@ -335,7 +339,7 @@ def nlls(model, x, y, weights=None):
                      converged=ok, n_iter=n_iter, n_points=len(resid))
 
 
-def _check_records(records, min_span, min_points=5):
+def _check_records(records, min_span):
     if len(records) == 0:
         raise ValueError("no records to fit")
     for r in records:
@@ -351,9 +355,9 @@ def _check_records(records, min_span, min_points=5):
     if len(durations) != 1:
         raise ValueError("records mix durations")
     phis = sorted({r.phi0 for r in records})
-    if len(phis) < min_points:
+    if len(phis) < _MIN_POINTS:
         raise DegenerateDesignError(
-            f"need at least {min_points} distinct bias set points, got {len(phis)}")
+            f"need at least {_MIN_POINTS} distinct bias set points, got {len(phis)}")
     if phis[-1] - phis[0] < min_span * (1.0 - 1e-9):
         raise DegenerateDesignError(
             f"bias span {phis[-1] - phis[0]:.3f} rad below the minimum "
@@ -674,14 +678,14 @@ def _cosine_lsq(angles, phases, weights):
     return a, b, sxx, sxy, syy
 
 
-def _check_angle_set(angles, min_span_deg=5.0):
+def _check_angle_set(angles):
     distinct = sorted(set(float(a) for a in angles))
     if len(distinct) < 3:
         raise DegenerateDesignError("need at least three distinct angles")
-    if distinct[-1] - distinct[0] < math.radians(min_span_deg):
+    if distinct[-1] - distinct[0] < math.radians(_MIN_SPAN_DEG):
         raise DegenerateDesignError(
             f"angles span {math.degrees(distinct[-1] - distinct[0]):.2f} deg; "
-            f"need at least {min_span_deg} deg")
+            f"need at least {_MIN_SPAN_DEG} deg")
 
 
 def calibrate_scale_factor(angles, phases, sigmas, omega_earth=None,

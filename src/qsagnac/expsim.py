@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .probe import ProbeKind, fringe_probs
-from .sagnac import (CONSTANTS, SwitchState, sagnac_phase, switch_transmission)
+from .sagnac import SwitchState, sagnac_phase, switch_transmission
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def _draw_counts(rng, lam, sample_poisson):
 def simulate_counts(kind, geom, phi0_list, true_omega, seed, duration_s=1800.0,
                     schedule=None, rates=None, noise=None, visibility=None,
                     distinguishability=0.0, base_phase=0.0, channel_asymmetry=0.0,
-                    sample_poisson=True, constants=CONSTANTS):
+                    sample_poisson=True):
     """Count records for one angle: every bias set point in both switch states.
 
     Port probabilities are fringe_probs(k (phi0 - phi_s) + base_phase) with
@@ -171,7 +171,7 @@ def simulate_counts(kind, geom, phi0_list, true_omega, seed, duration_s=1800.0,
 
         for switch in (SwitchState.ON, SwitchState.OFF):
             t_use = duration_s * schedule.usable_fraction(switch)
-            phs = sagnac_phase(geom, true_omega, switch, constants)
+            phs = sagnac_phase(geom, true_omega, switch)
             trans = switch_transmission(switch)
             p_h, p_v = fringe_probs(kind.enhancement * (phi - phs) + base_phase,
                                     visibility)
@@ -201,7 +201,7 @@ def simulate_counts(kind, geom, phi0_list, true_omega, seed, duration_s=1800.0,
 
 
 def simulate_polarimeter(geom, true_omega, total_time, seed, schedule=None,
-                         rates=None, noise=None, constants=CONSTANTS):
+                         rates=None, noise=None):
     """Polarimeter trace of a classical probe under the switch drive.
 
     The loop phase phi_s appears as ellipticity chi = phi_s/2, with a
@@ -231,7 +231,7 @@ def simulate_polarimeter(geom, true_omega, total_time, seed, schedule=None,
         envelope[in_rise] = (s_rise[in_rise] + hw) / (2.0 * hw)
         envelope[in_fall] = (hw - s_fall[in_fall]) / (2.0 * hw)
 
-    phs = sagnac_phase(geom, true_omega, SwitchState.ON, constants)
+    phs = sagnac_phase(geom, true_omega, SwitchState.ON)
     rng = np.random.default_rng(seed_sequence(seed))
     chi = 0.5 * phs * math.sqrt(1.0 - noise.leakage_fraction) * envelope \
         + 0.5 * noise.drift_rate * t \

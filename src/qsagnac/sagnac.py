@@ -18,7 +18,7 @@ from enum import Enum
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """Constants used throughout; override fields to change conventions."""
+    """Constants used throughout, as the module's CONSTANTS."""
 
     c: float = 2.9979e8              # speed of light, m/s
     omega_earth: float = 7.292115e-5  # Earth rotation rate, rad/s
@@ -104,19 +104,18 @@ class InterferometerGeometry:
                    frame_angle, latitude, wavelength)
 
 
-def scale_factor(geom, constants=CONSTANTS):
+def scale_factor(geom):
     """Phase per unit rotation rate, S = 8 pi A / (lambda c), in seconds."""
-    return 8.0 * math.pi * geom.effective_area / (geom.wavelength * constants.c)
+    return 8.0 * math.pi * geom.effective_area / (geom.wavelength * CONSTANTS.c)
 
 
-def sagnac_phase(geom, omega, switch=SwitchState.ON, constants=CONSTANTS,
-                 off_residual_fraction=0.0):
+def sagnac_phase(geom, omega, switch=SwitchState.ON, off_residual_fraction=0.0):
     """Rotation phase picked up in one pass; zero in the off state (loop bypassed).
 
     off_residual_fraction models an imperfect off-state area cancellation
     as that fraction of the on-state area.
     """
-    phi = scale_factor(geom, constants) * omega * math.cos(geom.frame_angle)
+    phi = scale_factor(geom) * omega * math.cos(geom.frame_angle)
     if switch is SwitchState.OFF:
         if not 0.0 <= off_residual_fraction < 1.0:
             raise ValueError("off-state residual fraction must be in [0, 1)")

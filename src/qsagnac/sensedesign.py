@@ -10,9 +10,8 @@ rate resolution.
 import math
 from dataclasses import dataclass
 
-from .sagnac import (CONSTANTS, InterferometerGeometry, PhysicalConstants,
-                     config_kwargs, geometry_from_dict, scale_factor,
-                     transmission)
+from .sagnac import (CONSTANTS, InterferometerGeometry, config_kwargs,
+                     geometry_from_dict, scale_factor, transmission)
 
 
 class InfeasibleDesignError(ValueError):
@@ -38,7 +37,6 @@ class DesignSpec:
     photons_per_probe: int = 2
     projection: str = "cos_frame_angle"
     measured_delta_phi: float = None
-    constants: PhysicalConstants = CONSTANTS
 
     def __post_init__(self):
         if self.alpha_db_per_km < 0.0:
@@ -119,7 +117,7 @@ def rotation_resolution(spec):
     if p <= 0.0:
         raise ValueError("projection factor is zero; rotation not observable")
     g = spec.geometry
-    s = scale_factor(g, spec.constants)
+    s = scale_factor(g)
     eta_all = transmission(spec.alpha_db_per_km, g.fiber_length, spec.photons_per_probe)
     r_out = pair_rate_out(spec)
     d_phi = phase_resolution(spec)
@@ -130,7 +128,7 @@ def rotation_resolution(spec):
         scale_factor=s, survival=eta_all, pair_rate_out=r_out, delta_phi=d_phi,
         projection=spec.projection, projection_factor=p,
         delta_phi_projected=d_phi / p, delta_omega=d_omega,
-        snr_gr=spec.constants.omega_gr / d_omega,
+        snr_gr=CONSTANTS.omega_gr / d_omega,
         measured=spec.measured_delta_phi is not None)
 
 
@@ -153,7 +151,7 @@ class GfringOptimum:
 
 def optimize_gfring(latitude, alpha_db_per_km=0.16, pair_rate_in=1e10,
                     integration_time=5.56e6, target_snr=3.0, wavelength=1550e-9,
-                    nt_max=64, l_min=100.0, constants=CONSTANTS):
+                    nt_max=64, l_min=100.0):
     """Minimal fiber length (and its turn count) reaching target_snr on omega_gr.
 
     delta_omega grows with both turn count and loss, and scales as
@@ -178,7 +176,7 @@ def optimize_gfring(latitude, alpha_db_per_km=0.16, pair_rate_in=1e10,
         return rotation_resolution(DesignSpec(
             name="GFRING", geometry=geom, alpha_db_per_km=alpha_db_per_km,
             pair_rate_in=pair_rate_in, integration_time=integration_time,
-            photons_per_probe=2, projection="sin_latitude", constants=constants))
+            photons_per_probe=2, projection="sin_latitude"))
 
     l_star = 20000.0 / (alpha_db_per_km * math.log(10.0))
 
@@ -191,7 +189,7 @@ def optimize_gfring(latitude, alpha_db_per_km=0.16, pair_rate_in=1e10,
         # any design passes; report the configured search bounds
         return build(nt_max, l_min)
 
-    limit = constants.omega_gr / target_snr
+    limit = CONSTANTS.omega_gr / target_snr
     base = report(1, l_star).delta_omega
     if base > limit:
         raise InfeasibleDesignError(
@@ -237,11 +235,11 @@ class LandscapeRow:
                 "log10_delta_omega": self.log10_delta_omega}
 
 
-def regime_label(delta_omega, constants=CONSTANTS):
+def regime_label(delta_omega):
     """Which rotation signals the resolution can see."""
-    if delta_omega >= constants.omega_earth:
+    if delta_omega >= CONSTANTS.omega_earth:
         return "above_omega_e"
-    if delta_omega >= constants.omega_gr:
+    if delta_omega >= CONSTANTS.omega_gr:
         return "below_omega_e"
     return "below_omega_gr"
 
@@ -254,7 +252,7 @@ def landscape(specs):
         rows.append(LandscapeRow(
             name=spec.name, effective_area=report.effective_area,
             delta_omega=report.delta_omega,
-            label=regime_label(report.delta_omega, spec.constants),
+            label=regime_label(report.delta_omega),
             log10_area=math.log10(report.effective_area),
             log10_delta_omega=math.log10(report.delta_omega)))
     return rows
