@@ -323,15 +323,18 @@ def nlls(model, x, y, weights=None):
 
     f, jac = fn(params, x)
     resid = y - f[0]
-    a = np.einsum("mp,m,mq->pq", jac[0], w, jac[0])
-    # conditioning is judged on the unit-diagonal form, so parameter
-    # scale (counts vs radians) does not masquerade as degeneracy
+    a = _normal_equations(jac, w[None, :], resid[None, :])[0][0]
+    # conditioning is judged, and the matrix inverted, in unit-diagonal
+    # form, so parameter scale (counts vs radians) neither masquerades as
+    # degeneracy nor sets the rounding of the covariance
     d = np.sqrt(np.abs(np.diag(a)))
+    dd = np.outer(d, d)
     if not np.all(np.isfinite(a)) or np.any(d <= 0.0) \
-            or np.linalg.cond(a / np.outer(d, d)) > _COND_LIMIT:
+            or np.linalg.cond(a / dd) > _COND_LIMIT:
         raise DegenerateDesignError(
             f"{model} fit is degenerate; the data do not constrain all parameters")
-    cov = np.linalg.inv(a)
+    cov = np.linalg.inv(a / dd) / dd
+    cov = 0.5 * (cov + cov.T)
     values = {n: float(v) for n, v in zip(names, params[0])}
     sigmas = {n: float(s) for n, s in zip(names, np.sqrt(np.diag(cov)))}
     return FringeFit(model=model, params=values, sigmas=sigmas, covariance=cov,

@@ -1,6 +1,8 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -18,7 +20,8 @@ from qsagnac.analysis import (_MODELS, SINGLE_PARAMS, DegenerateDesignError,
                               _harmonic_solve, _least_squares, _noon_model,
                               _normal_equations, _observations,
                               _resample_fits, _single_model)
-from qsagnac.expsim import PolarimeterTrace, SwitchSchedule
+from qsagnac.cli import main
+from qsagnac.expsim import PolarimeterTrace, SwitchSchedule, read_counts_csv
 
 OMEGA_E = 7.29e-5
 PHI_S = 2.8264857358648266e-3   # loop phase of the 715 m^2 geometry at theta = 0
@@ -339,6 +342,47 @@ def test_linearly_converging_fit_stops_on_its_cost():
                 1e-3, 1.0 - 1e-3)
     y, w = _observations("single", n_h=1e4 * (1.0 - p), n_v=1e4 * p)
     assert nlls("single", x, y, weights=w).converged
+
+
+def _exact_inverse(a):
+    """Inverse of a float matrix in exact rational arithmetic, rounded once."""
+    n = len(a)
+    rows = [[Fraction(float(v)) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(a)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(n):
+            if r != c:
+                rows[r] = [vr - rows[r][c] * vc for vr, vc in zip(rows[r], rows[c])]
+    return np.array([[float(v) for v in row[n:]] for row in rows])
+
+
+def test_covariance_is_the_symmetric_inverse_of_its_normal_matrix(tmp_path, monkeypatch):
+    """fig3_tables12 noon, fourth angle, loop switched out: raw condition 2.2e13.
+
+    Inverting the raw normal matrix left covariance[0][2] and [2][0] 2.2e-6
+    relative apart; in unit-diagonal form the inverse is symmetric and within
+    rounding of the exact inverse.
+    """
+    config = str(resources.files("qsagnac") / "recipes" / "fig3_tables12.json")
+    assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+    records = list(group_records_by_angle(
+        read_counts_csv(str(tmp_path / "counts_noon.csv"))).values())[3]
+    matrices = []
+
+    def recording(jac, w, r):
+        a, g = _normal_equations(jac, w, r)
+        matrices.append(a[0])
+        return a, g
+
+    monkeypatch.setattr(analysis, "_normal_equations", recording)
+    fit = fit_noon_fringe([r for r in records if r.switch is SwitchState.OFF])
+    (a,) = matrices
+    assert np.linalg.cond(a) > 1e13
+    assert np.array_equal(fit.covariance, fit.covariance.T)
+    np.testing.assert_allclose(fit.covariance, _exact_inverse(a), rtol=1e-10, atol=0)
 
 
 def test_nlls_validation():
