@@ -199,7 +199,7 @@ def _announced(write, message):
 
 
 def _report_form(obj):
-    """JSON form of what json cannot encode: a result's dataclass fields, arrays as lists."""
+    """JSON form of a result json cannot encode: dataclass fields, arrays as lists."""
     return asdict(obj) if is_dataclass(obj) else obj.tolist()
 
 
@@ -306,7 +306,6 @@ def cmd_fit(args, config, fit_cfg):
     report = {"schema_version": SCHEMA_VERSION, "package_version": __version__,
               "seed": _seed_of(args, config), "kinds": {}}
     outputs = {}
-    sweeps = {}
 
     counts = fit_cfg.get("counts", {})
     if isinstance(counts, str):
@@ -341,17 +340,19 @@ def cmd_fit(args, config, fit_cfg):
                 list(groups), [a["earth_phase"].phi_e for a in angles],
                 [a["earth_phase"].phi_e_sigma for a in angles],
                 scale, enhancement=_KINDS[kind].enhancement)
-            sweeps[kind] = kind_report["angle_sweep"] = sweep
+            kind_report["angle_sweep"] = sweep
             print(f"{kind} sweep: amplitude = {1e3 * sweep.amplitude:.2f} "
                   f"+- {1e3 * sweep.amplitude_sigma:.2f} mrad, "
                   f"omega = {sweep.omega:.3e} +- {sweep.omega_sigma:.1e} rad/s")
 
-    if "noon" in report["kinds"] and "single" in report["kinds"]:
-        if "noon" in sweeps and "single" in sweeps:
-            pair2 = (sweeps["noon"].amplitude, sweeps["noon"].amplitude_sigma)
-            pair1 = (sweeps["single"].amplitude, sweeps["single"].amplitude_sigma)
+    kinds = report["kinds"]
+    if "noon" in kinds and "single" in kinds:
+        sweep2, sweep1 = (kinds[kind].get("angle_sweep") for kind in ("noon", "single"))
+        if sweep2 and sweep1:
+            pair2 = (sweep2.amplitude, sweep2.amplitude_sigma)
+            pair1 = (sweep1.amplitude, sweep1.amplitude_sigma)
         else:
-            e2, e1 = (report["kinds"][kind]["angles"][0]["earth_phase"]
+            e2, e1 = (kinds[kind]["angles"][0]["earth_phase"]
                       for kind in ("noon", "single"))
             pair2 = (e2.phi_e, e2.phi_e_sigma)
             pair1 = (e1.phi_e, e1.phi_e_sigma)
