@@ -9,7 +9,11 @@ is the one start of its least-squares fit.  That fit takes Gauss-Newton
 steps, damped only after a refused step, and ends, unless its steps
 shrink only linearly, on an undamped step shorter than 1e-9 sigma: its
 result does not depend on the path or on the arithmetic of the normal
-equations, which come from one weighted-Jacobian matmul per step.
+equations, which come from one weighted-Jacobian matmul per step and are
+solved by a Cholesky factor unrolled over the parameters, with LU for rows
+that are not positive definite.  The one-photon model takes cos and sin of
+x + phase by angle addition, so its trig runs on the set points and the
+phases alone.
 Uncertainties come from a parametric bootstrap: counts are resampled
 around the observed values and a common bias-phase offset delta, shared
 by every set point and both switch states of a resample, models the motor
@@ -73,8 +77,10 @@ def _single_model(params, x):
     eta = params[:, 1:2]
     v = params[:, 2:3]
     ph = params[:, 3:4]
-    arg = x + ph
-    c = np.cos(arg)
+    # cos and sin of x + phase by angle addition: trig of the (M,) set
+    # points and the (B, 1) phases, then four products on (B, M)
+    cx, sx, cp, sp = np.cos(x), np.sin(x), np.cos(ph), np.sin(ph)
+    c = cx * cp - sx * sp
     vc = v * c
     num = 1.0 - vc
     inv = 1.0 / (1.0 + eta * vc)
@@ -84,7 +90,7 @@ def _single_model(params, x):
     jac[..., 0] = num * inv
     jac[..., 1] = -q * num * vc
     jac[..., 2] = -q * c * (1.0 + eta)
-    jac[..., 3] = q * v * (1.0 + eta) * np.sin(arg)
+    jac[..., 3] = q * v * (1.0 + eta) * (sx * cp + cx * sp)
     return av * jac[..., 0], jac
 
 
@@ -126,14 +132,62 @@ def _normal_equations(jac, w, r):
     return jw @ jac, (jw @ r[..., None])[..., 0]
 
 
+def _cholesky(a, n, sqrt):
+    """Cholesky solve of one system, or of a batch column by column.
+
+    a[i][j] for i < n is the lower triangle of the matrix and a[n][j] the
+    right-hand side, as floats or (B,) arrays: the factor's last row is
+    then the forward substitution.  Returns the solution as a list.
+    """
+    low = [[None] * n for _ in range(n + 1)]
+    for j in range(n):
+        for i in range(j, n + 1):
+            s = a[i][j]
+            for k in range(j):
+                s = s - low[i][k] * low[j][k]
+            low[i][j] = sqrt(s) if i == j else s / low[j][j]
+    d = [None] * n
+    for j in reversed(range(n)):
+        s = low[n][j]
+        for k in range(j + 1, n):
+            s = s - low[k][j] * d[k]
+        d[j] = s / low[j][j]
+    return d
+
+
+def _cholesky_solve(a, g):
+    """Solve a d = g for a batch (B, P, P) of symmetric positive definite a.
+
+    Every row gets the bits of a solve of its own: the arithmetic is
+    elementwise, on (B,) columns of the batch, or on floats row by row in a
+    batch of up to four rows, where numpy's cost per call outweighs the
+    loop.  A row whose pivot is not positive comes back non-finite.
+    """
+    n = g.shape[1]
+    ag = np.concatenate([a, g[:, None, :]], axis=1)
+    if len(g) > 4:
+        with np.errstate(all="ignore"):
+            return np.stack(_cholesky(np.moveaxis(ag, 0, -1), n, np.sqrt), axis=-1)
+    d = np.full_like(g, np.nan)
+    for i, m in enumerate(ag.tolist()):
+        try:
+            d[i] = _cholesky(m, n, math.sqrt)
+        except (ValueError, ZeroDivisionError):
+            pass    # a pivot that is not positive: the row stays NaN
+    return d
+
+
 def _least_squares(model, p, x, y, w):
     """Batched least squares of rows p, y, w against shared set points x.
 
-    Each step d of a row solves the normal equations of _normal_equations
-    with lam times their diagonal added.  A row starts undamped (lam 0); a
-    refused step sets lam to _LAM0, or multiplies it by 10, and a kept one
-    divides it by 10, back to 0 below 1e-9.  A step is kept unless the
-    cost rises beyond its rounding.  A row converges
+    p may be one start row (1, P) shared by every row of y; the model is
+    then evaluated once at the start.  Each step d of a row solves the
+    normal equations of _normal_equations with lam times their diagonal
+    added, by _cholesky_solve, or by LU where a pivot is not positive.  A
+    row starts undamped (lam 0); a refused step sets lam to _LAM0, or
+    multiplies it by 10, and a kept one divides it by 10, back to 0 below
+    1e-9.  A step is kept unless the cost rises beyond its rounding.  A row
+    converges
 
     - on a kept undamped step shorter than _STEP_TOL sigmas (its length in
       the metric of the normal matrix, sqrt(d . g)), which carries it to
@@ -152,11 +206,15 @@ def _least_squares(model, p, x, y, w):
     every row sees the arithmetic of a solve of its own.  Returns (params,
     converged, n_iter); n_iter counts every step, kept or refused.
     """
-    p = np.array(p, dtype=float)
+    p = np.asarray(p, dtype=float)
     with np.errstate(all="ignore"):
         f, jac = model(p, x)
-        y = np.broadcast_to(y, f.shape)
-        w = np.broadcast_to(w, f.shape)
+        shape = np.broadcast_shapes(f.shape, np.shape(y), np.shape(w))
+        p = np.broadcast_to(p, shape[:1] + p.shape[1:]).copy()
+        jac = np.broadcast_to(jac, shape + jac.shape[2:]).copy()
+        y = np.broadcast_to(y, shape)
+        w = np.broadcast_to(w, shape)
+        abs_y = np.abs(y)
         r = y - f
         cost = np.einsum("bm,bm->b", w, r * r)
     lam = np.zeros(len(p))
@@ -172,16 +230,13 @@ def _least_squares(model, p, x, y, w):
         dd = a[:, diag, diag]
         a[:, diag, diag] = dd + lam[:, None] * np.where(dd > 0.0, dd, 1.0)
         ok = active.copy()
-        try:
-            d = np.linalg.solve(a, g[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # one singular row fails the batch; solve the rest one by one
-            d = np.zeros_like(g)
-            for i in np.flatnonzero(active):
-                try:
-                    d[i] = np.linalg.solve(a[i], g[i])
-                except np.linalg.LinAlgError:
-                    ok[i] = False
+        d = _cholesky_solve(a, g)
+        # rows that are not positive definite: LU solves them or stops them
+        for i in np.flatnonzero(active & ~np.isfinite(d).all(axis=1)):
+            try:
+                d[i] = np.linalg.solve(a[i], g[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
         p_t = p + d
         # a wild step may overflow the model; its non-finite cost is refused
         with np.errstate(all="ignore"):
@@ -190,7 +245,7 @@ def _least_squares(model, p, x, y, w):
             cost_t = np.einsum("bm,bm->b", w, r_t * r_t)
             # rounding of the cost: residuals carry a few ulps of y and f
             noise = 4.0 * np.finfo(float).eps * np.einsum(
-                "bm,bm->b", w, np.abs(r_t) * (np.abs(y) + np.abs(f_t)))
+                "bm,bm->b", w, np.abs(r_t) * (abs_y + np.abs(f_t)))
             dg = np.einsum("bp,bp->b", d, g)
         keep = ok & (cost_t <= cost + noise)
         undamped = lam == 0.0
@@ -211,8 +266,8 @@ def _least_squares(model, p, x, y, w):
             break
         if step >= _FULL_STEPS and not active.all():
             out[rows] = p
-            rows, p, jac, r, cost, lam, last, y, w, active = (
-                v[active] for v in (rows, p, jac, r, cost, lam, last, y, w, active))
+            rows, p, jac, r, cost, lam, last, y, abs_y, w, active = (
+                v[active] for v in (rows, p, jac, r, cost, lam, last, y, abs_y, w, active))
     out[rows] = p
     return out, converged, n_iter
 
@@ -488,10 +543,10 @@ def _resample_fits(fit, x, y, w, delta):
 
     Each row is fit on the shared x and its phase moved by -k delta, which
     is exact: f(x + delta; phase) = f(x; phase + k delta).  Noon rows are
-    solved in closed form.  Single rows are fit by _least_squares from fit,
-    in blocks of _GN_BLOCK rows, each to its own optimum.  Phases come back
-    canonical and unwrapped next to fit.phase.  Returns (params, number of
-    rows that did not converge).
+    solved in closed form.  Single rows are fit by _least_squares from the
+    one start row of fit, in blocks of _GN_BLOCK rows, each to its own
+    optimum.  Phases come back canonical and unwrapped next to fit.phase.
+    Returns (params, number of rows that did not converge).
     """
     fn, names = _MODELS[fit.model]
     ip = names.index("phase")
@@ -504,7 +559,7 @@ def _resample_fits(fit, x, y, w, delta):
         for i in range(0, len(y), _GN_BLOCK):
             rows = slice(i, i + _GN_BLOCK)
             p[rows], conv[rows], _ = _least_squares(
-                fn, p0.repeat(len(y[rows]), axis=0), x, y[rows], w[rows])
+                fn, p0, x, y[rows], w[rows])
         bad = int(np.count_nonzero(~conv))
     p[:, ip] -= _HARMONIC[fit.model] * delta
     _canonicalize(fit.model, p)

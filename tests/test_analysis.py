@@ -16,9 +16,9 @@ from qsagnac import (NOON2, SINGLE, RateConfig, SwitchState,
 from qsagnac import analysis
 from qsagnac.analysis import (_MODELS, SINGLE_PARAMS, DegenerateDesignError,
                               FitError, FringeFit, UndefinedRatioError,
-                              _canonicalize, _edge_distance, _fit_state,
-                              _harmonic_solve, _least_squares, _noon_model,
-                              _normal_equations, _observations,
+                              _canonicalize, _cholesky_solve, _edge_distance,
+                              _fit_state, _harmonic_solve, _least_squares,
+                              _noon_model, _normal_equations, _observations,
                               _resample_fits, _single_model)
 from qsagnac.cli import main
 from qsagnac.expsim import PolarimeterTrace, SwitchSchedule, read_counts_csv
@@ -311,6 +311,52 @@ def test_singular_row_leaves_the_rest_of_its_block_fit():
     assert bad == 1
     assert np.array_equal(p[others], _resample_fits(fit, x, y[others], w[others],
                                                     np.zeros(7))[0])
+
+
+def test_cholesky_solve_matches_lu_and_flags_non_positive_pivots():
+    """The unrolled Cholesky solve agrees with np.linalg.solve.
+
+    Column scales spread over 1e5, as counts against radians do.  A zero or
+    an indefinite matrix comes back non-finite, which sends its row to LU.
+    """
+    rng = np.random.default_rng(21)
+    for n in (3, 4):
+        m = rng.normal(size=(512, 12, n)) * np.logspace(0, 5, n)
+        a = np.swapaxes(m, 1, 2) @ m
+        g = rng.normal(size=(512, n))
+        d = _cholesky_solve(a, g)
+        np.testing.assert_allclose(d, np.linalg.solve(a, g[..., None])[..., 0],
+                                   rtol=1e-11, atol=0)
+        # a small batch is solved row by row in floats, with the same bits
+        for i in range(0, 512, 64):
+            assert np.array_equal(_cholesky_solve(a[i:i + 3], g[i:i + 3]), d[i:i + 3])
+    bad = np.stack([np.zeros((4, 4)), np.diag([1.0, -1.0, 1.0, 1.0])])
+    for rows in (2, 8):
+        d = _cholesky_solve(np.resize(bad, (rows, 4, 4)), np.ones((rows, 4)))
+        assert not np.isfinite(d).all(axis=1).any()
+
+
+def test_one_shared_start_row_fits_as_that_row_repeated():
+    fit, x, y, w = misspecified_resamples(total=300.0)
+    p0 = np.array([[fit.params[n] for n in SINGLE_PARAMS]])
+    shared = _least_squares(_single_model, p0, x, y, w)
+    repeated = _least_squares(_single_model, p0.repeat(len(y), axis=0), x, y, w)
+    for s, r in zip(shared, repeated):
+        assert np.array_equal(s, r)
+
+
+def test_single_model_by_angle_addition_matches_the_direct_form():
+    rng = np.random.default_rng(22)
+    x = np.sort(rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 15))
+    av, eta, v, ph = (rng.uniform(lo, hi, (256, 1)) for lo, hi in
+                      ((0.1, 1.0), (-0.5, 0.5), (0.1, 1.0), (-math.pi, math.pi)))
+    f, jac = _single_model(np.column_stack([av, eta, v, ph]), x)
+    c, s = np.cos(x + ph), np.sin(x + ph)
+    inv = 1.0 / (1.0 + eta * v * c)
+    direct = av * (1.0 - v * c) * inv
+    dphase = av * v * (1.0 + eta) * s * inv * inv
+    assert np.max(np.abs(f - direct)) <= 1e-12 * np.max(np.abs(direct))
+    assert np.max(np.abs(jac[..., 3] - dphase)) <= 1e-12 * np.max(np.abs(dphase))
 
 
 def test_noiseless_fits_converge_at_the_rounding_floor():

@@ -2,14 +2,16 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 import qsagnac
-from qsagnac.cli import main
+from qsagnac.cli import _CONFIG_KEYS, main
 
 
 def recipe(name):
@@ -219,6 +221,29 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, where):
                  "--fast"]) == 2
     assert "unknown key(s) " + ("mc_sample" if where == "fit" else "fit_options") \
         in capsys.readouterr().err
+
+
+def _config_key_names(keys):
+    """Every key name of a config-key tree: dict keys, list items, nested blocks."""
+    if isinstance(keys, list):
+        return _config_key_names(keys[0])
+    names = set()
+    for key, sub in keys.items():
+        names.add(key)
+        if sub is not None:
+            names |= _config_key_names(sub)
+    return names
+
+
+def test_readme_config_schema_names_every_config_key():
+    """Each key a config may hold appears in backticks in README's schema.
+
+    `key` and `key: value` (as in `schema_version: 1`) both count.
+    """
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Config schema", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)(?::[^`]*)?`", section))
+    assert _config_key_names(_CONFIG_KEYS) - documented == set()
 
 
 def test_angle_sweep_flow(tmp_path, capsys):

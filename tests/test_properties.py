@@ -1,7 +1,8 @@
-"""Property tests of phase wrapping, the counts CSV and the fit invariants."""
+"""Property tests of phase wrapping, the counts CSV, the fits and demodulation."""
 
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qsagnac import SwitchState, nlls, wrap_phase  # noqa: E402
+from qsagnac import (CONSTANTS, InterferometerGeometry, SwitchState,  # noqa: E402
+                     demodulate_trace, nlls, simulate_polarimeter, wrap_phase)
 from qsagnac.analysis import _HARMONIC, _MODELS  # noqa: E402
 from qsagnac.expsim import CountRecord, read_counts_csv, write_counts_csv  # noqa: E402
 
@@ -65,7 +67,8 @@ def test_set_point_shift_moves_the_fitted_phase_by_k_delta(
     """Fringe data taken at x + delta and fit at x have phase + k delta.
 
     The bootstrap fits every resample on the observed set points and
-    subtracts k delta from its phase, which rests on this identity.
+    subtracts k delta from its phase, which rests on this identity.  The
+    other parameters come back as they went in: a noiseless round trip.
     """
     fn, names = _MODELS[model]
     k = _HARMONIC[model]
@@ -77,3 +80,27 @@ def test_set_point_shift_moves_the_fitted_phase_by_k_delta(
     assert fit.converged
     assert wrap_phase(fit.phase - (phase + k * delta)) == pytest.approx(0.0, abs=1e-9)
     assert fit.visibility == pytest.approx(visibility, rel=1e-9)
+    assert fit.amplitude == pytest.approx(truth["amplitude"], rel=1e-9)
+    if model == "single":
+        assert fit.params["asymmetry"] == pytest.approx(asymmetry, abs=1e-9)
+
+
+_BENCH_LOOP = InterferometerGeometry.square(
+    fiber_length=2000.0, turns=360, effective_area=715.0, wavelength=1546e-9)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 16), offset=st.floats(-1.0, 1.0),
+       column=st.sampled_from(["chi", "psi"]))
+def test_constant_polarimeter_offset_moves_phi_s_by_rounding_only(seed, offset, column):
+    """A constant added to chi or psi cancels in the demodulated phase.
+
+    demodulate_trace differences the on and off means of each column, so
+    the offset moves phi_s only by the rounding of those means.
+    """
+    trace = simulate_polarimeter(_BENCH_LOOP, CONSTANTS.omega_earth, 120.0, seed=seed)
+    values = getattr(trace, column)
+    shifted = replace(trace, **{column: values + offset})
+    moved = demodulate_trace(shifted).phi_s - demodulate_trace(trace).phi_s
+    eps = np.finfo(float).eps
+    assert abs(moved) <= 64.0 * eps * (abs(offset) + np.max(np.abs(values)))
