@@ -268,6 +268,11 @@ def angle_sweep(kind, geom, theta_list, phi0_list, true_omega, seed,
 COUNTS_CSV_COLUMNS = ("theta_deg", "phi0_rad", "switch", "duration_s",
                       "n_h", "n_v", "n_hv")
 TRACE_CSV_COLUMNS = ("t_s", "psi_rad", "chi_rad", "drive")
+# np.savetxt's row format for fmt="%.10g", delimiter=","
+_TRACE_ROW = ",".join(["%.10g"] * len(TRACE_CSV_COLUMNS)) + "\n"
+# trace rows per formatted string: the string and its list of floats stay
+# near 1 MB for any trace length
+_TRACE_BLOCK = 4096
 
 
 def write_counts_csv(records, path):
@@ -307,17 +312,68 @@ def read_counts_csv(path):
 
 
 def write_trace_csv(trace, path):
-    data = np.column_stack([trace.t, trace.psi, trace.chi, trace.drive])
-    np.savetxt(path, data, delimiter=",", header=",".join(TRACE_CSV_COLUMNS),
-               comments="", fmt="%.10g")
+    """Write the trace as %.10g text, the bytes np.savetxt writes for it.
+
+    Rows are formatted _TRACE_BLOCK at a time, one % operation and one
+    write per block, so memory stays bounded for any trace length.
+    """
+    columns = (trace.t, trace.psi, trace.chi, trace.drive)
+    with open(path, "w") as f:
+        f.write(",".join(TRACE_CSV_COLUMNS) + "\n")
+        for i in range(0, len(trace.t), _TRACE_BLOCK):
+            block = np.column_stack([c[i:i + _TRACE_BLOCK] for c in columns])
+            f.write(_TRACE_ROW * len(block) % tuple(block.ravel().tolist()))
+
+
+def _data_text(line):
+    """A trace line without its '#' comment and newline; empty where np.loadtxt skips the line."""
+    return line.split("#", 1)[0].rstrip("\n")
+
+
+def _trace_row_error(path):
+    """Message naming the file row of the first trace row that is not four finite numbers.
+
+    Rows count from the header as row 1; empty and '#' comment lines,
+    which np.loadtxt skips, keep their row numbers.  Only called once a
+    read has failed, so its speed does not matter.
+    """
+    with open(path) as f:
+        f.readline()
+        for i, line in enumerate(f, start=2):
+            text = _data_text(line)
+            if not text:
+                continue
+            fields = text.split(",")
+            if len(fields) != len(TRACE_CSV_COLUMNS):
+                return f"{path}: row {i} has {len(fields)} fields"
+            for name, field in zip(TRACE_CSV_COLUMNS, fields):
+                try:
+                    value = float(field)
+                except ValueError:
+                    return f"{path}: row {i}: {name} {field.strip()!r} is not a number"
+                if not math.isfinite(value):
+                    return f"{path}: row {i}: non-finite {name} {field.strip()!r}"
+    return None
 
 
 def read_trace_csv(path):
+    """Read a trace CSV; a malformed or non-finite row fails with its file row.
+
+    np.loadtxt gets the path, not the open file: it reads a path in large
+    chunks but iterates a file object line by line, which takes a third
+    longer on a 48k-sample trace.
+    """
     with open(path) as f:
-        header = f.readline().strip()
-    if tuple(h.strip() for h in header.split(",")) != TRACE_CSV_COLUMNS:
-        raise ValueError(f"{path}: expected header {','.join(TRACE_CSV_COLUMNS)}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 4:
-        raise ValueError(f"{path}: expected 4 columns")
+        header = f.readline()
+        if tuple(h.strip() for h in header.split(",")) != TRACE_CSV_COLUMNS:
+            raise ValueError(f"{path}: expected header {','.join(TRACE_CSV_COLUMNS)}")
+        if not any(_data_text(line) for line in f):
+            raise ValueError(f"{path}: no samples")
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(_trace_row_error(path) or f"{path}: {exc}") from exc
+    if data.shape[1] != len(TRACE_CSV_COLUMNS) or not np.isfinite(data).all():
+        raise ValueError(_trace_row_error(path)
+                         or f"{path}: expected {len(TRACE_CSV_COLUMNS)} finite columns")
     return PolarimeterTrace(data[:, 0], data[:, 1], data[:, 2], data[:, 3])

@@ -184,6 +184,22 @@ def test_fit_non_finite_counts_field_exits_2(tmp_path, capsys):
     assert "both switch states" not in err
 
 
+def test_fit_non_finite_trace_value_exits_2(tmp_path, capsys):
+    out = str(tmp_path)
+    main(["simulate", "--config", recipe("fig4_cw"), "--out", out])
+    path = tmp_path / "trace.csv"
+    lines = path.read_text().splitlines()
+    row = len(lines) // 2
+    fields = lines[row].split(",")
+    fields[2] = "nan"
+    lines[row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    before = sorted(os.listdir(out))
+    assert main(["fit", "--config", recipe("fig4_cw"), "--out", out, "--fast"]) == 2
+    assert sorted(os.listdir(out)) == before
+    assert f"trace.csv: row {row + 1}: non-finite chi_rad" in capsys.readouterr().err
+
+
 def test_failed_fit_leaves_no_new_file(tmp_path, capsys):
     """The noon kind fits, the single kind fails: nothing is written."""
     out = str(tmp_path)

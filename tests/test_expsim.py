@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,8 @@ from qsagnac import (NOON2, SINGLE, CLASSICAL, NoiseConfig, RateConfig,
                      SwitchSchedule, SwitchState, angle_sweep,
                      read_counts_csv, read_trace_csv, simulate_counts,
                      simulate_polarimeter, write_counts_csv, write_trace_csv)
-from qsagnac.expsim import CountRecord, PolarimeterTrace
+from qsagnac.expsim import (TRACE_CSV_COLUMNS, _TRACE_BLOCK, CountRecord,
+                            PolarimeterTrace)
 
 OMEGA_E = 7.29e-5
 PHI_S = 2.8264857358648266e-3  # loop phase of the 715 m^2 geometry at this rate
@@ -271,6 +274,72 @@ def test_trace_csv_rejects_bad_header(tmp_path):
     path.write_text("t_s,psi_rad,chi_rad\n0.1,0,0\n")
     with pytest.raises(ValueError, match="header"):
         read_trace_csv(path)
+
+
+@pytest.mark.parametrize("n", [0, 1, _TRACE_BLOCK - 1, _TRACE_BLOCK,
+                               _TRACE_BLOCK + 1, 3 * _TRACE_BLOCK + 7])
+def test_trace_csv_bytes_match_savetxt(tmp_path, n):
+    """The block writer writes np.savetxt's bytes; reading them back loses no bit."""
+    rng = np.random.default_rng(n)
+    t = -2.5 + 0.05 * np.arange(n)
+    values = rng.choice([-1.0, 1.0], (2, n)) * 10.0 ** rng.uniform(-300.0, 300.0, (2, n))
+    extremes = [1e-300, -1e-300, 1e300, -1e300, -0.0, 0.0, 1.0, -1.0]
+    values.flat[:len(extremes)] = extremes[:values.size]
+    drive = rng.integers(0, 2, n).astype(float)
+    drive[::5] = rng.choice([0.5, 1.0 / 3.0, -0.25, -0.0], drive[::5].size)
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_trace_csv(PolarimeterTrace(t, values[0], values[1], drive), ours)
+    np.savetxt(ref, np.column_stack([t, values[0], values[1], drive]), fmt="%.10g",
+               delimiter=",", header=",".join(TRACE_CSV_COLUMNS), comments="")
+    assert ours.read_bytes() == ref.read_bytes()
+    if n == 0:
+        return
+    back = read_trace_csv(ours)
+    got = np.column_stack([back.t, back.psi, back.chi, back.drive])
+    assert got.tobytes() == np.loadtxt(ref, delimiter=",", skiprows=1, ndmin=2).tobytes()
+
+
+def write_trace_text(tmp_path, rows):
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join([",".join(TRACE_CSV_COLUMNS)] + rows) + "\n")
+    return path
+
+
+GOOD_TRACE_ROWS = ["0.025,1e-05,0.0014,1", "0.075,-2e-05,0.0013,1", "0.125,3e-06,1e-05,0"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("column", range(len(TRACE_CSV_COLUMNS)))
+def test_trace_csv_rejects_non_finite_value(tmp_path, column, value):
+    fields = GOOD_TRACE_ROWS[1].split(",")
+    fields[column] = value
+    path = write_trace_text(tmp_path, [GOOD_TRACE_ROWS[0], ",".join(fields),
+                                       GOOD_TRACE_ROWS[2]])
+    name = TRACE_CSV_COLUMNS[column]
+    with pytest.raises(ValueError, match=re.escape(f"{path}: row 3: non-finite {name}")):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.175,1e-05,0.0014", "row 6 has 3 fields"),
+    ("0.175,1e-05,0.0014,1,0", "row 6 has 5 fields"),
+    ("0.175,1e-05,x,1", "row 6: chi_rad 'x' is not a number"),
+])
+def test_trace_csv_rejects_malformed_row_at_its_file_row(tmp_path, row, message):
+    """Empty and comment lines, which the loader skips, still count as file rows."""
+    path = write_trace_text(tmp_path, GOOD_TRACE_ROWS[:2] + ["", "# note", row,
+                                                             GOOD_TRACE_ROWS[2]])
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+        read_trace_csv(path)
+
+
+@pytest.mark.parametrize("rows", [[], [""], ["# no data", ""]])
+def test_trace_csv_without_samples_fails_without_warning(tmp_path, rows):
+    path = write_trace_text(tmp_path, rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: no samples")):
+            read_trace_csv(path)
 
 
 def test_trace_columns_must_align():
