@@ -4,10 +4,11 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-It runs simulate + fit --fast of each golden recipe in a temporary
-directory, prints the largest move of each field class and every changed
-exact field (integer, string, boolean or null) against the goldens it
-replaces, and writes the new outputs to tests/golden/<recipe>/.
+It runs simulate + fit --fast of each fit recipe, and design of each
+design recipe, in a temporary directory, prints the largest move of each
+field class and every changed exact field (integer, string, boolean or
+null) against the goldens it replaces, and writes the new outputs to
+tests/golden/<recipe>/.
 """
 
 import json
@@ -17,35 +18,54 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from test_golden import GOLDEN_DIR, RECIPES, largest_moves, run_fast_recipe  # noqa: E402
+from test_golden import (DESIGN_RECIPES, GOLDEN_DIR, RECIPES,  # noqa: E402
+                         design_moves, largest_moves, run_design_recipe,
+                         run_fast_recipe)
+
+
+def fit_changes(name, old, new):
+    changed = []
+    moves = largest_moves(old, new, changed)
+    for cls, (move, path) in sorted(moves.items()):
+        print(f"{name}: {cls}: largest move {move:.3g} at {path}")
+    for path, was, now in sorted(changed, key=lambda c: list(map(str, c[0]))):
+        print(f"{name}: exact field {'/'.join(map(str, path))}: {was!r} -> {now!r}")
+
+
+def design_changes(name, old, new):
+    try:
+        move, path = max(((move, path) for path, move in design_moves(old, new)),
+                         default=(0.0, ()))
+    except AssertionError as exc:
+        print(f"{name}: keys or exact fields changed: {exc}")
+    else:
+        print(f"{name}: largest move {move:.3g} at {'/'.join(map(str, path))}")
+
+
+def regenerate(name, run, report, changes):
+    with tempfile.TemporaryDirectory() as tmp:
+        files = run(name, tmp)
+    target = GOLDEN_DIR / name
+    old = target / report
+    if old.exists():
+        changes(name, json.loads(old.read_text()), json.loads(files[report]))
+        for file_name, text in files.items():
+            path = target / file_name
+            if file_name != report and (not path.exists() or path.read_text() != text):
+                print(f"{name}: {file_name} changed")
+    target.mkdir(parents=True, exist_ok=True)
+    for stale in target.iterdir():
+        stale.unlink()
+    for file_name, text in files.items():
+        (target / file_name).write_text(text)
+    print(f"{name}: wrote {', '.join(sorted(files))}")
 
 
 def main():
     for name in RECIPES:
-        with tempfile.TemporaryDirectory() as tmp:
-            files = run_fast_recipe(name, tmp)
-        target = GOLDEN_DIR / name
-        old = target / "fit_report.json"
-        if old.exists():
-            changed = []
-            moves = largest_moves(json.loads(old.read_text()),
-                                  json.loads(files["fit_report.json"]), changed)
-            for cls, (move, path) in sorted(moves.items()):
-                print(f"{name}: {cls}: largest move {move:.3g} at {path}")
-            for path, was, now in sorted(changed, key=lambda c: list(map(str, c[0]))):
-                print(f"{name}: exact field {'/'.join(map(str, path))}: "
-                      f"{was!r} -> {now!r}")
-            for file_name, text in files.items():
-                path = target / file_name
-                if file_name != "fit_report.json" and \
-                        (not path.exists() or path.read_text() != text):
-                    print(f"{name}: {file_name} changed")
-        target.mkdir(parents=True, exist_ok=True)
-        for stale in target.iterdir():
-            stale.unlink()
-        for file_name, text in files.items():
-            (target / file_name).write_text(text)
-        print(f"{name}: wrote {', '.join(sorted(files))}")
+        regenerate(name, run_fast_recipe, "fit_report.json", fit_changes)
+    for name in DESIGN_RECIPES:
+        regenerate(name, run_design_recipe, "design_report.json", design_changes)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,20 @@
-"""Same answers: simulate + fit --fast of three recipes against committed goldens.
+"""Same answers: the bundled recipes against committed goldens.
 
-tests/golden/<recipe>/ holds the fit_report.json, table_*.csv files and fit
-stdout of one run; `python tests/golden/regenerate.py` rewrites them and
+tests/golden/<recipe>/ holds the outputs of one run: for the fit recipes
+the fit_report.json, table_*.csv files and fit stdout of simulate + fit
+--fast, for the design recipes the design_report.json, CSV files and
+stdout of design.  `python tests/golden/regenerate.py` rewrites them and
 prints the largest move of each field class.  Text outputs must match
-exactly.  Report fields compare by class:
+exactly.  Fit report fields compare by class:
 
 - integers, strings, booleans and null exactly;
 - every float of a noon (two-photon) fringe to 1e-12 relative;
 - single (one-photon) base-fit parameters, and the Earth phases built from
   them, to 1e-6 of their sigmas;
 - every other float (bootstrap and derived fields) to 1e-7 relative.
+
+Design report keys must match in name and order, every other value exactly
+but floats, which match to 1e-12 relative.
 """
 
 import contextlib
@@ -25,6 +30,9 @@ from qsagnac.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 RECIPES = ("fig2", "fig3_tables12", "fig4_cw")
+# design recipe -> extra design arguments
+DESIGN_RECIPES = {"table3": ["--optimize-gfring"], "fig5": []}
+DESIGN_LIMIT = 1e-12
 LIMITS = {"noon": 1e-12, "single base fit": 1e-6, "bootstrap and derived": 1e-7}
 # Earth-phase fields of a single fit and the sigma each is measured in
 _EARTH_SIGMAS = {"phi_on": "phi_on_sigma", "phi_off": "phi_off_sigma",
@@ -44,6 +52,42 @@ def run_fast_recipe(name, out_dir):
     files["fit_report.json"] = (out / "fit_report.json").read_text()
     files["fit_stdout.txt"] = stdout.getvalue()
     return files
+
+
+def run_design_recipe(name, out_dir):
+    """design of a bundled recipe; returns {file name: text}."""
+    config = str(resources.files("qsagnac") / "recipes" / f"{name}.json")
+    out = Path(out_dir)
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["design", "--config", config, "--out", str(out),
+                     *DESIGN_RECIPES[name]]) == 0
+    files = {p.name: p.read_text() for p in sorted(out.glob("*.csv"))}
+    files["design_report.json"] = (out / "design_report.json").read_text()
+    files["design_stdout.txt"] = stdout.getvalue()
+    return files
+
+
+def design_moves(golden, current, path=()):
+    """Yield (path, relative move) for every float field of two design reports.
+
+    Raises AssertionError where keys or their order, lengths, types or any
+    value that is not a float differ.
+    """
+    if isinstance(golden, dict):
+        assert isinstance(current, dict) and list(golden) == list(current), path
+        for key in golden:
+            yield from design_moves(golden[key], current[key], path + (key,))
+    elif isinstance(golden, list):
+        assert isinstance(current, list) and len(golden) == len(current), path
+        for i, (g, c) in enumerate(zip(golden, current)):
+            yield from design_moves(g, c, path + (i,))
+    elif isinstance(golden, float):
+        assert isinstance(current, float) and math.isfinite(current), path
+        yield path, abs(current - golden) / abs(golden) if golden else abs(current)
+    else:
+        assert type(current) is type(golden) and current == golden, \
+            (path, golden, current)
 
 
 def _at(report, path):
@@ -114,3 +158,16 @@ def test_fast_recipe_matches_golden(tmp_path, name):
     golden = json.loads((golden_dir / "fit_report.json").read_text())
     for path, cls, move in field_moves(golden, json.loads(files["fit_report.json"])):
         assert move <= LIMITS[cls], (cls, "/".join(map(str, path)), move)
+
+
+@pytest.mark.parametrize("name", DESIGN_RECIPES)
+def test_design_recipe_matches_golden(tmp_path, name):
+    files = run_design_recipe(name, tmp_path)
+    golden_dir = GOLDEN_DIR / name
+    assert sorted(files) == sorted(p.name for p in golden_dir.iterdir())
+    for file_name, text in files.items():
+        if file_name != "design_report.json":
+            assert text == (golden_dir / file_name).read_text(), file_name
+    golden = json.loads((golden_dir / "design_report.json").read_text())
+    for path, move in design_moves(golden, json.loads(files["design_report.json"])):
+        assert move <= DESIGN_LIMIT, ("/".join(map(str, path)), move)
