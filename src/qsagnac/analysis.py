@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expsim import CountRecord, NoiseConfig, SwitchSchedule, seed_sequence
+from .probe import NOON2, SINGLE
 from .sagnac import CONSTANTS, SwitchState
 
 
@@ -95,8 +96,9 @@ def _single_model(params, x):
 
 
 _MODELS = {"noon": (_noon_model, NOON_PARAMS), "single": (_single_model, SINGLE_PARAMS)}
-# fringe harmonic k of each model: the phase enters as k x + phase
-_HARMONIC = {"noon": 2, "single": 1}
+# fringe harmonic k of each model, its probe's phase gain: the phase enters
+# as k x + phase
+_HARMONIC = {"noon": NOON2.enhancement, "single": SINGLE.enhancement}
 
 
 # condition-number limit of every design check
@@ -664,16 +666,20 @@ def _edge_distance(t, edges):
 def demodulate_trace(trace, schedule=None):
     """Loop phase from the on/off contrast of the polarization ellipse.
 
-    Samples within transition_halfwidth of a drive edge are discarded,
-    and always the nearest sample on each side of every edge.  The phase
-    is phi_s = sign(delta_chi) * 2 sqrt(delta_chi^2 + delta_psi^2), which
+    A sample is on where drive > 0.5; an edge lies between two samples
+    whose on state differs.  Samples within transition_halfwidth of an
+    edge are discarded, and always the nearest sample on each side of
+    every edge.  The phase is
+    phi_s = sign(delta_chi) * 2 sqrt(delta_chi^2 + delta_psi^2), which
     collects signal leaked from ellipticity into orientation.
     """
     schedule = schedule or SwitchSchedule()
     t, chi, psi, drive = trace.t, trace.chi, trace.psi, trace.drive
     if len(t) < 4:
         raise ValueError("trace too short")
-    flips = np.flatnonzero(drive[1:] != drive[:-1])
+    is_on = drive > 0.5
+    switched = is_on[1:] != is_on[:-1]
+    flips = np.flatnonzero(switched)
     if flips.size == 0:
         raise ValueError("drive never switches; nothing to demodulate")
     edges = 0.5 * (t[flips] + t[flips + 1])
@@ -682,18 +688,17 @@ def demodulate_trace(trace, schedule=None):
     cut[flips] = True
     cut[flips + 1] = True
     if schedule.transition_halfwidth > 0.0:
-        # sorted, since a trace read from a file need not be in time order
-        cut |= _edge_distance(t, np.sort(edges)) <= schedule.transition_halfwidth
+        cut |= _edge_distance(t, edges) <= schedule.transition_halfwidth
     valid = ~cut
 
     segment = np.zeros(len(t), dtype=int)
-    segment[1:] = np.cumsum(drive[1:] != drive[:-1])
+    segment[1:] = np.cumsum(switched)
     kept = np.bincount(segment[valid], minlength=segment[-1] + 1)
     if np.any(kept < 2):
         raise ValueError("a switch half-period retains fewer than two samples")
 
-    on = valid & (drive > 0.5)
-    off = valid & (drive <= 0.5)
+    on = valid & is_on
+    off = valid & ~is_on
     d_chi = float(chi[on].mean() - chi[off].mean())
     d_psi = float(psi[on].mean() - psi[off].mean())
     mag = 2.0 * math.hypot(d_chi, d_psi)

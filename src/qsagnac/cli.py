@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, is_dataclass, replace
+from dataclasses import fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -95,11 +95,9 @@ _PER_KIND_KEYS = {
 _TRACE_KEYS = {
     "theta_deg": ("frame_angle", from_degrees),
     "total_time_s": ("total_time", float),
-    "transition_halfwidth_s": ("transition_halfwidth", float),
 }
 _FIT_KEYS = {
     "scale_factor_s": ("scale_factor_s", float),
-    "trace_transition_halfwidth_s": ("transition_halfwidth", float),
 }
 _MC_KEYS = {
     "mc_samples": ("n_samples", int),
@@ -129,22 +127,16 @@ def _block(*tables, **blocks):
     return {**dict.fromkeys(key for table in tables for key in table), **blocks}
 
 
-_SHARED_BLOCKS = {
-    "geometry": _block(_GEOMETRY_KEYS, ["shape"]),
-    "schedule": _block(_SCHEDULE_KEYS),
-    "rates": _block(_RATES_KEYS),
-    "noise": _block(_NOISE_KEYS),
-}
 # every key a config may hold; a key maps to the keys of the block it holds,
 # [keys] for a list of blocks, or None for a value
 _CONFIG_KEYS = _block(
-    ["schema_version", "seed"], **_SHARED_BLOCKS,
+    ["schema_version", "seed"],
+    geometry=_block(_GEOMETRY_KEYS, ["shape"]), schedule=_block(_SCHEDULE_KEYS),
+    rates=_block(_RATES_KEYS), noise=_block(_NOISE_KEYS),
     simulate=_block(_SIMULATE_KEYS, _PER_KIND_KEYS, ["kinds"],
-                    trace=_block(_TRACE_KEYS), **_SHARED_BLOCKS),
+                    trace=_block(_TRACE_KEYS)),
     fit=_block(_FIT_KEYS, _MC_KEYS, ["counts", "trace"],
-               calibration=_block(_CALIBRATION_KEYS),
-               geometry=_SHARED_BLOCKS["geometry"],
-               schedule=_SHARED_BLOCKS["schedule"]),
+               calibration=_block(_CALIBRATION_KEYS)),
     design=_block(["landscape"], gfring=_block(_GFRING_KEYS),
                   specs=[_block(_GEOMETRY_KEYS, _DESIGN_KEYS, ["name", "shape"])]),
 )
@@ -162,11 +154,6 @@ def _check_keys(block, keys, where):
         for key, sub in keys.items():
             if sub is not None and key in block:
                 _check_keys(block[key], sub, f"{where}.{key}")
-
-
-def _section(config, sub, name):
-    """A config block from the command section, else from the top level."""
-    return sub.get(name) or config.get(name) or {}
 
 
 def _per_kind(cfg, kind):
@@ -199,8 +186,15 @@ def _announced(write, message):
 
 
 def _report_form(obj):
-    """JSON form of a result json cannot encode: dataclass fields, arrays as lists."""
-    return asdict(obj) if is_dataclass(obj) else obj.tolist()
+    """JSON form of a value json cannot encode: a dataclass, or an array as a list.
+
+    A dataclass gives its fields in order, each under the key in its
+    metadata "json" (a design field's unit-suffixed name), else its name.
+    """
+    if is_dataclass(obj):
+        return {f.metadata.get("json", f.name): getattr(obj, f.name)
+                for f in fields(obj)}
+    return obj.tolist()
 
 
 def _json_writer(report):
@@ -234,11 +228,11 @@ def _seed_of(args, config):
 
 
 def cmd_simulate(args, config, sim):
-    geom = geometry_from_dict(_section(config, sim, "geometry"))
-    schedule = SwitchSchedule(**config_kwargs(_section(config, sim, "schedule"),
+    geom = geometry_from_dict(config.get("geometry") or {})
+    schedule = SwitchSchedule(**config_kwargs(config.get("schedule") or {},
                                               _SCHEDULE_KEYS))
-    rates = RateConfig(**config_kwargs(_section(config, sim, "rates"), _RATES_KEYS))
-    noise = NoiseConfig(**config_kwargs(_section(config, sim, "noise"), _NOISE_KEYS))
+    rates = RateConfig(**config_kwargs(config.get("rates") or {}, _RATES_KEYS))
+    noise = NoiseConfig(**config_kwargs(config.get("noise") or {}, _NOISE_KEYS))
     opts = config_kwargs(sim, _SIMULATE_KEYS)
     true_omega = opts.pop("true_omega", CONSTANTS.omega_earth)
     thetas = opts.pop("theta_list", [geom.frame_angle])
@@ -263,11 +257,9 @@ def cmd_simulate(args, config, sim):
     if trace_cfg is not None:
         trace_opts = config_kwargs(trace_cfg, _TRACE_KEYS)
         t_geom = replace(geom, frame_angle=trace_opts.get("frame_angle", geom.frame_angle))
-        t_sched = replace(schedule, transition_halfwidth=trace_opts.get(
-            "transition_halfwidth", schedule.transition_halfwidth))
         trace = simulate_polarimeter(t_geom, true_omega,
                                      trace_opts.get("total_time", 600.0),
-                                     root.spawn(1)[0], schedule=t_sched,
+                                     root.spawn(1)[0], schedule=schedule,
                                      rates=rates, noise=noise)
         outputs["trace.csv"] = _announced(partial(write_trace_csv, trace),
                                           f"wrote trace.csv: {len(trace.t)} samples")
@@ -299,7 +291,7 @@ def cmd_fit(args, config, fit_cfg):
         mc_opts["n_samples"] = _FAST_SAMPLES
 
     scale = opts.get("scale_factor_s")
-    geom_cfg = _section(config, fit_cfg, "geometry")
+    geom_cfg = config.get("geometry")
     if scale is None and geom_cfg:
         scale = scale_factor(geometry_from_dict(geom_cfg))
     root = np.random.SeedSequence(_seed_of(args, config))
@@ -362,10 +354,8 @@ def cmd_fit(args, config, fit_cfg):
 
     trace_path = fit_cfg.get("trace")
     if trace_path is not None:
-        schedule = SwitchSchedule(**config_kwargs(_section(config, fit_cfg, "schedule"),
+        schedule = SwitchSchedule(**config_kwargs(config.get("schedule") or {},
                                                   _SCHEDULE_KEYS))
-        if "transition_halfwidth" in opts:
-            schedule = replace(schedule, transition_halfwidth=opts["transition_halfwidth"])
         demod = report["demodulation"] = demodulate_trace(
             read_trace_csv(_resolve(trace_path, args.out)), schedule)
         print(f"demodulated trace: phi_s = {1e3 * demod.phi_s:.3f} mrad")
@@ -396,7 +386,7 @@ def cmd_design(args, config, design_cfg):
     reports = [rotation_resolution(s) for s in specs]
     outputs = {}
     out_json = {"schema_version": SCHEMA_VERSION, "package_version": __version__,
-                "designs": [r.to_dict() for r in reports]}
+                "designs": reports}
 
     if reports:
         # quoted delta_phi follows the projected-axis convention
@@ -416,14 +406,14 @@ def cmd_design(args, config, design_cfg):
             ("name", "log10_area", "log10_delta_omega", "label"),
             [[row.name, f"{row.log10_area:.6g}", f"{row.log10_delta_omega:.6g}",
               row.label] for row in rows])
-        out_json["landscape"] = [row.to_dict() for row in rows]
+        out_json["landscape"] = rows
 
     if args.optimize_gfring:
         g = design_cfg.get("gfring")
         if g is None:
             raise ValueError("--optimize-gfring needs a design.gfring section")
         optimum = optimize_gfring(**config_kwargs(g, _GFRING_KEYS))
-        out_json["gfring_optimum"] = optimum.to_dict()
+        out_json["gfring_optimum"] = optimum
         print(f"gfring optimum: L = {optimum.fiber_length / 1e3:.2f} km, "
               f"n_t = {optimum.turns}, "
               f"delta_omega = {optimum.report.delta_omega:.3g} rad/s")

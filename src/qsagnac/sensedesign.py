@@ -8,7 +8,7 @@ rate resolution.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .sagnac import (CONSTANTS, InterferometerGeometry, config_kwargs,
                      geometry_from_dict, scale_factor, transmission)
@@ -19,6 +19,11 @@ class InfeasibleDesignError(ValueError):
 
 
 PROJECTIONS = ("cos_frame_angle", "sin_latitude")
+
+
+def _reported_as(key):
+    """A report field that JSON reports carry under key, its unit-suffixed name."""
+    return field(metadata={"json": key})
 
 
 @dataclass(frozen=True)
@@ -76,34 +81,20 @@ class SensitivityReport:
 
     name: str
     shape: str
-    fiber_length: float
-    perimeter: float
+    fiber_length: float = _reported_as("fiber_length_m")
+    perimeter: float = _reported_as("perimeter_m")
     turns: int
-    effective_area: float
-    scale_factor: float
+    effective_area: float = _reported_as("effective_area_m2")
+    scale_factor: float = _reported_as("scale_factor_s")
     survival: float
-    pair_rate_out: float
-    delta_phi: float
+    pair_rate_out: float = _reported_as("pair_rate_out_hz")
+    delta_phi: float = _reported_as("delta_phi_rad")
     projection: str
     projection_factor: float
-    delta_phi_projected: float
-    delta_omega: float
+    delta_phi_projected: float = _reported_as("delta_phi_projected_rad")
+    delta_omega: float = _reported_as("delta_omega_rad_s")
     snr_gr: float
     measured: bool
-
-    def to_dict(self):
-        return {
-            "name": self.name, "shape": self.shape,
-            "fiber_length_m": self.fiber_length, "perimeter_m": self.perimeter,
-            "turns": self.turns, "effective_area_m2": self.effective_area,
-            "scale_factor_s": self.scale_factor, "survival": self.survival,
-            "pair_rate_out_hz": self.pair_rate_out, "delta_phi_rad": self.delta_phi,
-            "projection": self.projection,
-            "projection_factor": self.projection_factor,
-            "delta_phi_projected_rad": self.delta_phi_projected,
-            "delta_omega_rad_s": self.delta_omega, "snr_gr": self.snr_gr,
-            "measured": self.measured,
-        }
 
 
 def rotation_resolution(spec):
@@ -136,17 +127,11 @@ def rotation_resolution(spec):
 class GfringOptimum:
     """Smallest square ring reaching the target relativistic SNR."""
 
-    fiber_length: float
+    fiber_length: float = _reported_as("fiber_length_m")
     turns: int
     target_snr: float
-    loss_optimal_length: float
+    loss_optimal_length: float = _reported_as("loss_optimal_length_m")
     report: SensitivityReport
-
-    def to_dict(self):
-        return {"fiber_length_m": self.fiber_length, "turns": self.turns,
-                "target_snr": self.target_snr,
-                "loss_optimal_length_m": self.loss_optimal_length,
-                "report": self.report.to_dict()}
 
 
 def optimize_gfring(latitude, alpha_db_per_km=0.16, pair_rate_in=1e10,
@@ -222,17 +207,11 @@ class LandscapeRow:
     """One design placed on the area-resolution landscape."""
 
     name: str
-    effective_area: float
-    delta_omega: float
+    effective_area: float = _reported_as("effective_area_m2")
+    delta_omega: float = _reported_as("delta_omega_rad_s")
     label: str
     log10_area: float
     log10_delta_omega: float
-
-    def to_dict(self):
-        return {"name": self.name, "effective_area_m2": self.effective_area,
-                "delta_omega_rad_s": self.delta_omega, "label": self.label,
-                "log10_area": self.log10_area,
-                "log10_delta_omega": self.log10_delta_omega}
 
 
 def regime_label(delta_omega):

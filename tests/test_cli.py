@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from importlib import resources
 from pathlib import Path
 
@@ -200,6 +201,23 @@ def test_fit_non_finite_trace_value_exits_2(tmp_path, capsys):
     assert f"trace.csv: row {row + 1}: non-finite chi_rad" in capsys.readouterr().err
 
 
+def test_fit_drive_that_never_crosses_half_exits_2(tmp_path, capsys):
+    """On and off are drive > 0.5: a drive switching below it gives no silent NaN."""
+    out = str(tmp_path)
+    main(["simulate", "--config", recipe("fig4_cw"), "--out", out])
+    path = tmp_path / "trace.csv"
+    header, *rows = path.read_text().splitlines()
+    rows = [row[:-1] + "0.3" if row.endswith(",1") else row for row in rows]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fit", "--config", recipe("fig4_cw"), "--out", out,
+                     "--fast"]) == 2
+    assert not (tmp_path / "fit_report.json").exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "drive never switches" in capsys.readouterr().err
+
+
 def test_failed_fit_leaves_no_new_file(tmp_path, capsys):
     """The noon kind fits, the single kind fails: nothing is written."""
     out = str(tmp_path)
@@ -223,20 +241,37 @@ def test_failed_simulate_leaves_no_file(tmp_path, capsys):
     assert "unknown probe kind 'nooon'" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["fit", "top level"])
-def test_unknown_config_key_exits_2(tmp_path, capsys, where):
-    """A typo such as fit.mc_sample would otherwise run the 100k default."""
-    config = json.loads(open(recipe("fig2")).read())
-    if where == "fit":
-        config["fit"]["mc_sample"] = 5
-    else:
-        config["fit_options"] = {}
+# case -> (recipe, command, key path, value)
+_UNKNOWN_KEYS = {
+    # a typo such as fit.mc_sample would otherwise run the 100k default
+    "fit": ("fig2", "fit", "fit.mc_sample", 5),
+    "top level": ("fig2", "fit", "fit_options", {}),
+    # blocks are read from the top level only, and the trace halfwidth from
+    # schedule.transition_halfwidth_s alone
+    "simulate.noise": ("fig2", "simulate", "simulate.noise", {"dark_rate_hz": 10.0}),
+    "fit.geometry": ("fig2", "fit", "fit.geometry", {"turns": 360}),
+    "simulate.trace.transition_halfwidth_s": (
+        "fig4_cw", "simulate", "simulate.trace.transition_halfwidth_s", 0.05),
+    "fit.trace_transition_halfwidth_s": (
+        "fig4_cw", "fit", "fit.trace_transition_halfwidth_s", 0.05),
+}
+
+
+@pytest.mark.parametrize("case", _UNKNOWN_KEYS)
+def test_unknown_config_key_exits_2(tmp_path, capsys, case):
+    name, command, key_path, value = _UNKNOWN_KEYS[case]
+    config = json.loads(open(recipe(name)).read())
+    *parents, key = key_path.split(".")
+    block = config
+    for parent in parents:
+        block = block[parent]
+    block[key] = value
     out = str(tmp_path)
-    main(["simulate", "--config", recipe("fig2"), "--out", out])
-    assert main(["fit", "--config", write_config(tmp_path, config), "--out", out,
+    main(["simulate", "--config", recipe(name), "--out", out])
+    assert main([command, "--config", write_config(tmp_path, config), "--out", out,
                  "--fast"]) == 2
-    assert "unknown key(s) " + ("mc_sample" if where == "fit" else "fit_options") \
-        in capsys.readouterr().err
+    where = ".".join(["config", *parents])
+    assert f"{where}: unknown key(s) {key}" in capsys.readouterr().err
 
 
 def _config_key_names(keys):

@@ -5,16 +5,15 @@ the fit_report.json, table_*.csv files and fit stdout of simulate + fit
 --fast, for the design recipes the design_report.json, CSV files and
 stdout of design.  `python tests/golden/regenerate.py` rewrites them and
 prints the largest move of each field class.  Text outputs must match
-exactly.  Fit report fields compare by class:
+exactly, and report keys in name and order.  Report fields compare by
+class:
 
 - integers, strings, booleans and null exactly;
 - every float of a noon (two-photon) fringe to 1e-12 relative;
+- every float of a design report to 1e-12 relative;
 - single (one-photon) base-fit parameters, and the Earth phases built from
   them, to 1e-6 of their sigmas;
 - every other float (bootstrap and derived fields) to 1e-7 relative.
-
-Design report keys must match in name and order, every other value exactly
-but floats, which match to 1e-12 relative.
 """
 
 import contextlib
@@ -32,8 +31,10 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 RECIPES = ("fig2", "fig3_tables12", "fig4_cw")
 # design recipe -> extra design arguments
 DESIGN_RECIPES = {"table3": ["--optimize-gfring"], "fig5": []}
-DESIGN_LIMIT = 1e-12
-LIMITS = {"noon": 1e-12, "single base fit": 1e-6, "bootstrap and derived": 1e-7}
+LIMITS = {"noon": 1e-12, "design": 1e-12, "single base fit": 1e-6,
+          "bootstrap and derived": 1e-7}
+# the reports of design_report.json
+_DESIGN_REPORTS = ("designs", "landscape", "gfring_optimum")
 # Earth-phase fields of a single fit and the sigma each is measured in
 _EARTH_SIGMAS = {"phi_on": "phi_on_sigma", "phi_off": "phi_off_sigma",
                  "phi_e": "phi_e_sigma"}
@@ -68,28 +69,6 @@ def run_design_recipe(name, out_dir):
     return files
 
 
-def design_moves(golden, current, path=()):
-    """Yield (path, relative move) for every float field of two design reports.
-
-    Raises AssertionError where keys or their order, lengths, types or any
-    value that is not a float differ.
-    """
-    if isinstance(golden, dict):
-        assert isinstance(current, dict) and list(golden) == list(current), path
-        for key in golden:
-            yield from design_moves(golden[key], current[key], path + (key,))
-    elif isinstance(golden, list):
-        assert isinstance(current, list) and len(golden) == len(current), path
-        for i, (g, c) in enumerate(zip(golden, current)):
-            yield from design_moves(g, c, path + (i,))
-    elif isinstance(golden, float):
-        assert isinstance(current, float) and math.isfinite(current), path
-        yield path, abs(current - golden) / abs(golden) if golden else abs(current)
-    else:
-        assert type(current) is type(golden) and current == golden, \
-            (path, golden, current)
-
-
 def _at(report, path):
     for key in path:
         report = report[key]
@@ -101,6 +80,8 @@ def _move(golden_report, path, value, golden):
     parent = path[-2] if len(path) > 1 else None
     if path[:2] == ("kinds", "noon"):
         cls = "noon"
+    elif path[0] in _DESIGN_REPORTS:
+        cls = "design"
     elif parent == "params":
         sigma = _at(golden_report, path[:-2])["sigmas"][path[-1]]
         return "single base fit", abs(value - golden) / sigma
@@ -115,15 +96,15 @@ def _move(golden_report, path, value, golden):
 def field_moves(golden_report, current_report, changed=None):
     """Yield (path, class, move) for every float field of two reports.
 
-    Raises AssertionError where keys, lengths or types differ, and where an
-    exact field differs unless changed is a list, which then collects
-    (path, golden value, current value) of each such field.
+    Raises AssertionError where keys or their order, lengths or types differ,
+    and where an exact field differs unless changed is a list, which then
+    collects (path, golden value, current value) of each such field.
     """
     stack = [((), golden_report, current_report)]
     while stack:
         path, golden, current = stack.pop()
         if isinstance(golden, dict):
-            assert isinstance(current, dict) and golden.keys() == current.keys(), path
+            assert isinstance(current, dict) and list(golden) == list(current), path
             stack.extend((path + (k,), golden[k], current[k]) for k in golden)
         elif isinstance(golden, list):
             assert isinstance(current, list) and len(golden) == len(current), path
@@ -147,27 +128,23 @@ def largest_moves(golden, current, changed=None):
     return worst
 
 
-@pytest.mark.parametrize("name", RECIPES)
-def test_fast_recipe_matches_golden(tmp_path, name):
-    files = run_fast_recipe(name, tmp_path)
+def assert_matches_golden(name, files, report):
+    """files of one run of recipe name match its goldens; report is the JSON one."""
     golden_dir = GOLDEN_DIR / name
     assert sorted(files) == sorted(p.name for p in golden_dir.iterdir())
     for file_name, text in files.items():
-        if file_name != "fit_report.json":
+        if file_name != report:
             assert text == (golden_dir / file_name).read_text(), file_name
-    golden = json.loads((golden_dir / "fit_report.json").read_text())
-    for path, cls, move in field_moves(golden, json.loads(files["fit_report.json"])):
+    golden = json.loads((golden_dir / report).read_text())
+    for path, cls, move in field_moves(golden, json.loads(files[report])):
         assert move <= LIMITS[cls], (cls, "/".join(map(str, path)), move)
+
+
+@pytest.mark.parametrize("name", RECIPES)
+def test_fast_recipe_matches_golden(tmp_path, name):
+    assert_matches_golden(name, run_fast_recipe(name, tmp_path), "fit_report.json")
 
 
 @pytest.mark.parametrize("name", DESIGN_RECIPES)
 def test_design_recipe_matches_golden(tmp_path, name):
-    files = run_design_recipe(name, tmp_path)
-    golden_dir = GOLDEN_DIR / name
-    assert sorted(files) == sorted(p.name for p in golden_dir.iterdir())
-    for file_name, text in files.items():
-        if file_name != "design_report.json":
-            assert text == (golden_dir / file_name).read_text(), file_name
-    golden = json.loads((golden_dir / "design_report.json").read_text())
-    for path, move in design_moves(golden, json.loads(files["design_report.json"])):
-        assert move <= DESIGN_LIMIT, ("/".join(map(str, path)), move)
+    assert_matches_golden(name, run_design_recipe(name, tmp_path), "design_report.json")
