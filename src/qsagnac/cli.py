@@ -28,8 +28,8 @@ from .analysis import (DegenerateDesignError, FitError, UndefinedRatioError,
                        fit_angle_sweep, fit_switch_pair,
                        group_records_by_angle, mc_uncertainty)
 from .expsim import (NoiseConfig, RateConfig, SwitchSchedule, angle_sweep,
-                     read_counts_csv, read_trace_csv, simulate_polarimeter,
-                     write_counts_csv, write_trace_csv)
+                     new_file, read_counts_csv, read_trace_csv,
+                     simulate_polarimeter, write_counts_csv, write_trace_csv)
 from .probe import NOON2, SINGLE
 from .sagnac import (_GEOMETRY_KEYS, CONSTANTS, config_kwargs, from_degrees,
                      geometry_from_dict, scale_factor)
@@ -170,7 +170,7 @@ def _resolve(path, out_dir):
 def _csv_writer(header, rows):
     """A function that writes header and rows as one CSV file at its path."""
     def write(path):
-        with open(path, "w", newline="") as f:
+        with new_file(path, newline="") as f:
             writer = csv.writer(f)
             writer.writerow(header)
             writer.writerows(rows)
@@ -200,7 +200,7 @@ def _report_form(obj):
 def _json_writer(report):
     """A function that writes report as indented JSON at its path."""
     def write(path):
-        with open(path, "w") as f:
+        with new_file(path) as f:
             json.dump(report, f, indent=2, default=_report_form)
     return write
 

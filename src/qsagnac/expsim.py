@@ -9,6 +9,8 @@ a set point, which is what the on/off difference is designed to reject.
 
 import csv
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -275,8 +277,30 @@ _TRACE_ROW = ",".join(["%.10g"] * len(TRACE_CSV_COLUMNS)) + "\n"
 _TRACE_BLOCK = 4096
 
 
+@contextmanager
+def new_file(path, newline=None):
+    """Open path for writing text as a new file; remove it if the body raises.
+
+    A file already at path is unlinked first and never truncated: ext4
+    starts writeback of a truncated (or renamed-over) file when it is
+    closed, and the next rewrite of the path waits for that I/O.  A hard
+    link or symlink at path is replaced, not written through.
+    """
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    f = open(path, "x", newline=newline)
+    try:
+        with f:
+            yield f
+    except BaseException:
+        os.remove(path)
+        raise
+
+
 def write_counts_csv(records, path):
-    with open(path, "w", newline="") as f:
+    with new_file(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(COUNTS_CSV_COLUMNS)
         for r in records:
@@ -315,10 +339,12 @@ def write_trace_csv(trace, path):
     """Write the trace as %.10g text, the bytes np.savetxt writes for it.
 
     Rows are formatted _TRACE_BLOCK at a time, one % operation and one
-    write per block, so memory stays bounded for any trace length.
+    write per block, so memory stays bounded for any trace length.  The
+    file is new (see new_file): one at path is replaced, a link at path
+    keeps its old bytes, and a failed write leaves no file.
     """
     columns = (trace.t, trace.psi, trace.chi, trace.drive)
-    with open(path, "w") as f:
+    with new_file(path) as f:
         f.write(",".join(TRACE_CSV_COLUMNS) + "\n")
         for i in range(0, len(trace.t), _TRACE_BLOCK):
             block = np.column_stack([c[i:i + _TRACE_BLOCK] for c in columns])

@@ -241,6 +241,47 @@ def test_failed_simulate_leaves_no_file(tmp_path, capsys):
     assert "unknown probe kind 'nooon'" in capsys.readouterr().err
 
 
+def test_rerun_replaces_outputs_and_leaves_hard_links(tmp_path):
+    """A second run into one --out writes new files with the same bytes.
+
+    Hard links made to the first run's outputs keep the first run's bytes
+    while the second run writes, so nothing is written through them.
+    """
+    out, links = tmp_path / "run", tmp_path / "links"
+    links.mkdir()
+    commands = (["simulate", "--config", recipe("fig4_cw"), "--out", str(out)],
+                ["fit", "--config", recipe("fig4_cw"), "--out", str(out), "--fast"])
+    for command in commands:
+        assert main(command) == 0
+    names = [f"manifest_{c}.json" for c in ("simulate", "fit")]
+    for manifest in list(names):
+        names += json.loads((out / manifest).read_text())["outputs"]
+    first = {name: (out / name).read_bytes() for name in names}
+    for name in names:
+        os.link(out / name, links / name)
+    for command in commands:
+        assert main(command) == 0
+    for name in names:
+        assert (links / name).read_bytes() == first[name]
+        assert (out / name).read_bytes() == first[name]
+        assert not os.path.samefile(out / name, links / name)
+
+
+def test_failed_write_exits_2_and_leaves_no_partial_file(tmp_path, capsys,
+                                                         monkeypatch):
+    """A writer that fails halfway leaves no file at its path."""
+    def dump_fragment(obj, f, **kwargs):
+        f.write('{"schema_version": ')
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(json, "dump", dump_fragment)
+    out = tmp_path / "run"
+    assert main(["design", "--config", recipe("table3"), "--out", str(out)]) == 2
+    assert not (out / "design_report.json").exists()
+    assert not (out / "manifest_design.json").exists()
+    assert "No space left on device" in capsys.readouterr().err
+
+
 # case -> (recipe, command, key path, value)
 _UNKNOWN_KEYS = {
     # a typo such as fit.mc_sample would otherwise run the 100k default

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 import warnings
 
@@ -10,7 +11,7 @@ from qsagnac import (NOON2, SINGLE, CLASSICAL, NoiseConfig, RateConfig,
                      read_counts_csv, read_trace_csv, simulate_counts,
                      simulate_polarimeter, write_counts_csv, write_trace_csv)
 from qsagnac.expsim import (TRACE_CSV_COLUMNS, _TRACE_BLOCK, CountRecord,
-                            PolarimeterTrace)
+                            PolarimeterTrace, new_file)
 
 OMEGA_E = 7.29e-5
 PHI_S = 2.8264857358648266e-3  # loop phase of the 715 m^2 geometry at this rate
@@ -297,6 +298,40 @@ def test_trace_csv_bytes_match_savetxt(tmp_path, n):
     back = read_trace_csv(ours)
     got = np.column_stack([back.t, back.psi, back.chi, back.drive])
     assert got.tobytes() == np.loadtxt(ref, delimiter=",", skiprows=1, ndmin=2).tobytes()
+
+
+def _counts_data(bench_geometry, seed):
+    return simulate_counts(NOON2, bench_geometry, [0.0, 0.5], OMEGA_E, seed=seed,
+                           duration_s=30.0)
+
+
+def _trace_data(bench_geometry, seed):
+    return simulate_polarimeter(bench_geometry, OMEGA_E, 200.0, seed=seed)
+
+
+@pytest.mark.parametrize("write, data", [(write_counts_csv, _counts_data),
+                                         (write_trace_csv, _trace_data)])
+def test_rewrite_replaces_file_and_leaves_hard_link(tmp_path, bench_geometry,
+                                                    write, data):
+    """A rewrite makes a new file: a hard link to the old one keeps its bytes."""
+    path, link = tmp_path / "out.csv", tmp_path / "link.csv"
+    write(data(bench_geometry, 1), path)
+    first = path.read_bytes()
+    os.link(path, link)
+    write(data(bench_geometry, 2), path)
+    assert link.read_bytes() == first
+    assert path.read_bytes() != first
+    assert not os.path.samefile(path, link)
+
+
+def test_new_file_removes_its_file_when_the_body_raises(tmp_path):
+    path = tmp_path / "out.txt"
+    path.write_text("old")
+    with pytest.raises(OSError, match="disk"):
+        with new_file(path) as f:
+            f.write("half")
+            raise OSError("disk full")
+    assert not path.exists()
 
 
 def write_trace_text(tmp_path, rows):
