@@ -9,11 +9,12 @@ is the one start of its least-squares fit.  That fit takes Gauss-Newton
 steps, damped only after a refused step, and ends, unless its steps
 shrink only linearly, on an undamped step shorter than 1e-9 sigma: its
 result does not depend on the path or on the arithmetic of the normal
-equations, which come from one weighted-Jacobian matmul per step and are
-solved by a Cholesky factor unrolled over the parameters, with LU for rows
-that are not positive definite.  The one-photon model takes cos and sin of
-x + phase by angle addition, so its trig runs on the set points and the
-phases alone.
+equations, which come from one multiply-reduce over the set points per
+step and are solved by a Cholesky factor unrolled over the parameters,
+with LU for rows that are not positive definite.  The solver keeps the
+batch as the last axis of every array, so its products run along the
+batch.  The one-photon model takes cos and sin of x + phase by angle
+addition, so its trig runs on the set points and the phases alone.
 Uncertainties come from a parametric bootstrap: counts are resampled
 around the observed values and a common bias-phase offset delta, shared
 by every set point and both switch states of a resample, models the motor
@@ -52,34 +53,33 @@ def wrap_phase(phi):
     return float(w) if np.isscalar(phi) or np.ndim(phi) == 0 else w
 
 
-# model functions return (f, J) for a parameter batch (B, P) against
-# shared set points x of shape (M,); f is (B, M), J is (B, M, P)
+# model functions return (f, J) for a parameter batch (P, B), one column per
+# row of the batch, against shared set points x of shape (M,): f is (M, B)
+# and J is (M, P, B).  Every elementwise product runs along the batch, and
+# with the set points leading, every sum over them is an outer loop over
+# contiguous slabs: set-point order at every batch width, one row included
 
 NOON_PARAMS = ("amplitude", "visibility", "phase")
 SINGLE_PARAMS = ("amplitude", "asymmetry", "visibility", "phase")
 
 
 def _noon_model(params, x):
-    a = params[:, 0:1]
-    v = params[:, 1:2]
-    ph = params[:, 2:3]
-    arg = 2.0 * x + ph
+    a, v, ph = params
+    arg = 2.0 * x[:, None] + ph
     c = np.cos(arg)
     f = 0.5 * a * (1.0 + v * c)
-    jac = np.empty(f.shape + (3,))
-    jac[..., 0] = 0.5 * (1.0 + v * c)
-    jac[..., 1] = 0.5 * a * c
-    jac[..., 2] = -0.5 * a * v * np.sin(arg)
+    jac = np.empty((len(x), 3) + f.shape[1:])
+    jac[:, 0] = 0.5 * (1.0 + v * c)
+    jac[:, 1] = 0.5 * a * c
+    jac[:, 2] = -0.5 * a * v * np.sin(arg)
     return f, jac
 
 
 def _single_model(params, x):
-    av = params[:, 0:1]
-    eta = params[:, 1:2]
-    v = params[:, 2:3]
-    ph = params[:, 3:4]
-    # cos and sin of x + phase by angle addition: trig of the (M,) set
-    # points and the (B, 1) phases, then four products on (B, M)
+    av, eta, v, ph = params
+    # cos and sin of x + phase by angle addition: trig of the (M, 1) set
+    # points and the (B,) phases, then four products on (M, B)
+    x = x[:, None]
     cx, sx, cp, sp = np.cos(x), np.sin(x), np.cos(ph), np.sin(ph)
     c = cx * cp - sx * sp
     vc = v * c
@@ -87,12 +87,12 @@ def _single_model(params, x):
     inv = 1.0 / (1.0 + eta * vc)
     # av / den^2, shared by the three Jacobian columns that carry it
     q = av * inv * inv
-    jac = np.empty(c.shape + (4,))
-    jac[..., 0] = num * inv
-    jac[..., 1] = -q * num * vc
-    jac[..., 2] = -q * c * (1.0 + eta)
-    jac[..., 3] = q * v * (1.0 + eta) * (sx * cp + cx * sp)
-    return av * jac[..., 0], jac
+    jac = np.empty((len(c), 4) + c.shape[1:])
+    jac[:, 0] = num * inv
+    jac[:, 1] = -q * num * vc
+    jac[:, 2] = -q * c * (1.0 + eta)
+    jac[:, 3] = q * v * (1.0 + eta) * (sx * cp + cx * sp)
+    return av * jac[:, 0], jac
 
 
 _MODELS = {"noon": (_noon_model, NOON_PARAMS), "single": (_single_model, SINGLE_PARAMS)}
@@ -125,13 +125,34 @@ _FULL_STEPS = 10
 
 
 def _normal_equations(jac, w, r):
-    """Normal matrix J^T W J and gradient J^T W r of a batch, one matmul each.
+    """Normal matrix J^T W J (P, P, B) and gradient J^T W r (P, B) of a batch.
 
-    jac is (B, M, P), w and r are (B, M); the weighted Jacobian is formed
-    once and both products run on BLAS.
+    jac is (M, P, B), w and r are (M, B).  The weighted Jacobian is formed
+    once, and each product is one multiply-reduce over the set points: the
+    set points are the outer axis, so every column is summed in set-point
+    order and gets the same bits at every batch width, one row included.
     """
-    jw = np.swapaxes(jac * w[..., None], 1, 2)
-    return jw @ jac, (jw @ r[..., None])[..., 0]
+    jw = jac * w[:, None]
+    return np.einsum("mib,mjb->ijb", jw, jac), np.einsum("mib,mb->ib", jw, r)
+
+
+_EPS = np.finfo(float).eps
+
+
+def _cost(y, abs_y, w, f):
+    """Residuals r = y - f (M, B), the cost sum w r^2 of each column, its rounding.
+
+    Residuals carry a few ulps of y and f, so the rounding of the cost is
+    4 eps sum w |r| (|y| + |f|); abs_y is |y|.  Both sums are one reduce
+    over the set points, with the same bits at every batch width (see
+    _normal_equations).
+    """
+    r = y - f
+    terms = np.empty((len(r), 2) + r.shape[1:])
+    terms[:, 0] = r * r
+    terms[:, 1] = np.abs(r) * (abs_y + np.abs(f))
+    cost, noise = np.einsum("mb,mkb->kb", w, terms)
+    return r, cost, 4.0 * _EPS * noise
 
 
 def _cholesky(a, n, sqrt):
@@ -158,38 +179,40 @@ def _cholesky(a, n, sqrt):
 
 
 def _cholesky_solve(a, g):
-    """Solve a d = g for a batch (B, P, P) of symmetric positive definite a.
+    """Solve a d = g for a batch (P, P, B) of symmetric positive definite a.
 
-    Every row gets the bits of a solve of its own: the arithmetic is
-    elementwise, on (B,) columns of the batch, or on floats row by row in a
-    batch of up to four rows, where numpy's cost per call outweighs the
-    loop.  A row whose pivot is not positive comes back non-finite.
+    g and d are (P, B).  Every row gets the bits of a solve of its own: the
+    arithmetic is elementwise, on the contiguous (B,) entries of the batch,
+    or on floats row by row in a batch of up to four rows, where numpy's
+    cost per call outweighs the loop.  A row whose pivot is not positive
+    comes back non-finite.
     """
-    n = g.shape[1]
-    ag = np.concatenate([a, g[:, None, :]], axis=1)
-    if len(g) > 4:
+    n = len(g)
+    if g.shape[1] > 4:
         with np.errstate(all="ignore"):
-            return np.stack(_cholesky(np.moveaxis(ag, 0, -1), n, np.sqrt), axis=-1)
+            return np.array(_cholesky([*a, g], n, np.sqrt))
     d = np.full_like(g, np.nan)
-    for i, m in enumerate(ag.tolist()):
+    for i, m in enumerate(np.concatenate([a, g[None]]).transpose(2, 0, 1).tolist()):
         try:
-            d[i] = _cholesky(m, n, math.sqrt)
+            d[:, i] = _cholesky(m, n, math.sqrt)
         except (ValueError, ZeroDivisionError):
             pass    # a pivot that is not positive: the row stays NaN
     return d
 
 
 def _least_squares(model, p, x, y, w):
-    """Batched least squares of rows p, y, w against shared set points x.
+    """Batched least squares of columns p (P, B), y and w (M, B) at set points x.
 
-    p may be one start row (1, P) shared by every row of y; the model is
-    then evaluated once at the start.  Each step d of a row solves the
-    normal equations of _normal_equations with lam times their diagonal
-    added, by _cholesky_solve, or by LU where a pivot is not positive.  A
-    row starts undamped (lam 0); a refused step sets lam to _LAM0, or
-    multiplies it by 10, and a kept one divides it by 10, back to 0 below
-    1e-9.  A step is kept unless the cost rises beyond its rounding.  A row
-    converges
+    Every row of the batch is a column.  p may be one start column (P, 1)
+    shared by every column of y; the model is then evaluated once at the
+    start.  y and w are copied once to contiguous (M, B) arrays, so a row's
+    arithmetic does not depend on the layout its caller passed.  Each step
+    d of a row solves the normal equations of _normal_equations with lam
+    times their diagonal added, by _cholesky_solve, or by LU where a pivot
+    is not positive.  A row starts undamped (lam 0); a refused step sets
+    lam to _LAM0, or multiplies it by 10, and a kept one divides it by 10,
+    back to 0 below 1e-9.  A step is kept unless the cost rises beyond its
+    rounding.  A row converges
 
     - on a kept undamped step shorter than _STEP_TOL sigmas (its length in
       the metric of the normal matrix, sqrt(d . g)), which carries it to
@@ -204,59 +227,58 @@ def _least_squares(model, p, x, y, w):
 
     A row stops unconverged on a singular normal matrix, on damping above
     1e12, or when the step budget runs out.  Rows are updated in place by
-    mask; after _FULL_STEPS steps the rows still active are gathered, so
-    every row sees the arithmetic of a solve of its own.  Returns (params,
-    converged, n_iter); n_iter counts every step, kept or refused.
+    mask on the batch axis; after _FULL_STEPS steps the rows still active
+    are gathered, so every row sees the arithmetic of a solve of its own.
+    Returns (params (P, B), converged, n_iter); n_iter counts every step,
+    kept or refused.
     """
     p = np.asarray(p, dtype=float)
     with np.errstate(all="ignore"):
         f, jac = model(p, x)
         shape = np.broadcast_shapes(f.shape, np.shape(y), np.shape(w))
-        p = np.broadcast_to(p, shape[:1] + p.shape[1:]).copy()
-        jac = np.broadcast_to(jac, shape + jac.shape[2:]).copy()
-        y = np.broadcast_to(y, shape)
-        w = np.broadcast_to(w, shape)
+        p = np.broadcast_to(p, p.shape[:1] + shape[1:]).copy()
+        jac = np.broadcast_to(jac, jac.shape[:2] + shape[1:]).copy()
+        y = np.ascontiguousarray(np.broadcast_to(y, shape))
+        w = np.ascontiguousarray(np.broadcast_to(w, shape))
         abs_y = np.abs(y)
-        r = y - f
-        cost = np.einsum("bm,bm->b", w, r * r)
-    lam = np.zeros(len(p))
-    last = np.full(len(p), np.inf)
-    active = np.ones(len(p), dtype=bool)
+        r, cost, _ = _cost(y, abs_y, w, f)
+    batch = shape[1]
+    lam = np.zeros(batch)
+    last = np.full(batch, np.inf)
+    active = np.ones(batch, dtype=bool)
     out = np.empty_like(p)
-    rows = np.arange(len(p))
-    converged = np.zeros(len(p), dtype=bool)
-    n_iter = np.zeros(len(p), dtype=int)
-    diag = np.arange(p.shape[1])
+    rows = np.arange(batch)
+    converged = np.zeros(batch, dtype=bool)
+    n_iter = np.zeros(batch, dtype=int)
+    diag = np.arange(len(p))
     for step in range(1, _MAX_STEPS + 1):
         a, g = _normal_equations(jac, w, r)
-        dd = a[:, diag, diag]
-        a[:, diag, diag] = dd + lam[:, None] * np.where(dd > 0.0, dd, 1.0)
+        dd = a[diag, diag]
+        a[diag, diag] = dd + lam * np.where(dd > 0.0, dd, 1.0)
         ok = active.copy()
         d = _cholesky_solve(a, g)
         # rows that are not positive definite: LU solves them or stops them
-        for i in np.flatnonzero(active & ~np.isfinite(d).all(axis=1)):
+        for i in np.flatnonzero(active & ~np.isfinite(d).all(axis=0)):
             try:
-                d[i] = np.linalg.solve(a[i], g[i])
+                d[:, i] = np.linalg.solve(a[..., i], g[:, i])
             except np.linalg.LinAlgError:
                 ok[i] = False
         p_t = p + d
         # a wild step may overflow the model; its non-finite cost is refused
         with np.errstate(all="ignore"):
             f_t, j_t = model(p_t, x)
-            r_t = y - f_t
-            cost_t = np.einsum("bm,bm->b", w, r_t * r_t)
-            # rounding of the cost: residuals carry a few ulps of y and f
-            noise = 4.0 * np.finfo(float).eps * np.einsum(
-                "bm,bm->b", w, np.abs(r_t) * (abs_y + np.abs(f_t)))
-            dg = np.einsum("bp,bp->b", d, g)
+            r_t, cost_t, noise = _cost(y, abs_y, w, f_t)
+            # d . g summed over the parameters in order, as the set points are
+            dg = d * g
+            dg = sum(dg[1:], dg[0])
         keep = ok & (cost_t <= cost + noise)
         undamped = lam == 0.0
         conv = keep & undamped & (dg <= _STEP_TOL ** 2)
         conv |= ok & (dg <= noise) & (~keep | undamped & (dg >= last))
         conv |= keep & (dg >= 0.1 * last) & (cost - cost_t <= _REL_TOL * cost)
-        np.copyto(p, p_t, where=keep[:, None])
-        np.copyto(jac, j_t, where=keep[:, None, None])
-        np.copyto(r, r_t, where=keep[:, None])
+        np.copyto(p, p_t, where=keep)
+        np.copyto(jac, j_t, where=keep)
+        np.copyto(r, r_t, where=keep)
         np.copyto(cost, cost_t, where=keep)
         last = dg
         lam = np.where(keep, lam / 10.0, np.where(undamped, _LAM0, 10.0 * lam))
@@ -267,21 +289,22 @@ def _least_squares(model, p, x, y, w):
         if not active.any():
             break
         if step >= _FULL_STEPS and not active.all():
-            out[rows] = p
+            out[:, rows] = p
             rows, p, jac, r, cost, lam, last, y, abs_y, w, active = (
-                v[active] for v in (rows, p, jac, r, cost, lam, last, y, abs_y, w, active))
-    out[rows] = p
+                v[..., active]
+                for v in (rows, p, jac, r, cost, lam, last, y, abs_y, w, active))
+    out[:, rows] = p
     return out, converged, n_iter
 
 
 def _canonicalize(model, params):
-    """Map to visibility >= 0 and phase in (-pi, pi]; in place on a batch."""
+    """Map to visibility >= 0 and phase in (-pi, pi]; in place on a batch (P, B)."""
     names = _MODELS[model][1]
     iv, ip = names.index("visibility"), names.index("phase")
-    neg = params[:, iv] < 0.0
-    params[neg, iv] = -params[neg, iv]
-    params[neg, ip] += math.pi
-    params[:, ip] = wrap_phase(params[:, ip])
+    neg = params[iv] < 0.0
+    params[iv, neg] = -params[iv, neg]
+    params[ip, neg] += math.pi
+    params[ip] = wrap_phase(params[ip])
     return params
 
 
@@ -317,6 +340,8 @@ class FringeFit:
 def _harmonic_solve(x, y, w, k):
     """Weighted fit of c0 + c1 cos kx + c2 sin kx, batched over rows of y, w.
 
+    Returns the parameters (P, B), one column per row of y.
+
     For k = 2 this is the noon fringe 1/2 a (1 + V cos(2x + phase)), so the
     solve is the fit: amplitude 2 c0, visibility hypot(c1, c2)/c0, phase
     atan2(-c2, c1).  For k = 1 it is the single fringe at asymmetry 0,
@@ -335,11 +360,11 @@ def _harmonic_solve(x, y, w, k):
             f"set points do not separate cos {k}x and sin {k}x; "
             "phase and visibility are unidentifiable")
     c = np.linalg.solve(a, ((w * y) @ g)[..., None])[..., 0]
-    c0, c1, c2 = c[:, 0], c[:, 1], c[:, 2]
+    c0, c1, c2 = c.T
     v = np.hypot(c1, c2) / c0
     if k == 2:
-        return np.column_stack([2.0 * c0, v, np.arctan2(-c2, c1)])
-    return np.column_stack([c0, np.zeros_like(c0), v, np.arctan2(c2, -c1)])
+        return np.array([2.0 * c0, v, np.arctan2(-c2, c1)])
+    return np.array([c0, np.zeros_like(c0), v, np.arctan2(c2, -c1)])
 
 
 def nlls(model, x, y, weights=None):
@@ -374,13 +399,17 @@ def nlls(model, x, y, weights=None):
     params = _harmonic_solve(x, y[None, :], w[None, :], _HARMONIC[model])
     ok, n_iter = True, 0
     if model == "single":
-        params, conv, iters = _least_squares(fn, params, x, y, w)
+        params, conv, iters = _least_squares(fn, params, x, y[:, None], w[:, None])
         ok, n_iter = bool(conv[0]), int(iters[0])
     params = _canonicalize(model, params)
 
     f, jac = fn(params, x)
-    resid = y - f[0]
-    a = _normal_equations(jac, w[None, :], resid[None, :])[0][0]
+    resid = y - f[:, 0]
+    # one fit's normal matrix is one BLAS product of the weighted (M, P)
+    # Jacobian; a near-degenerate noon fit carries its rounding into the
+    # covariance, which the noon goldens pin to 1e-12
+    jac = jac[..., 0]
+    a = (jac * w[:, None]).T @ jac
     # conditioning is judged, and the matrix inverted, in unit-diagonal
     # form, so parameter scale (counts vs radians) neither masquerades as
     # degeneracy nor sets the rounding of the covariance
@@ -392,7 +421,7 @@ def nlls(model, x, y, weights=None):
             f"{model} fit is degenerate; the data do not constrain all parameters")
     cov = np.linalg.inv(a / dd) / dd
     cov = 0.5 * (cov + cov.T)
-    values = {n: float(v) for n, v in zip(names, params[0])}
+    values = {n: float(v) for n, v in zip(names, params[:, 0])}
     sigmas = {n: float(s) for n, s in zip(names, np.sqrt(np.diag(cov)))}
     return FringeFit(model=model, params=values, sigmas=sigmas, covariance=cov,
                      rss=float(np.einsum("m,m->", w, resid * resid)),
@@ -546,26 +575,28 @@ def _resample_fits(fit, x, y, w, delta):
     Each row is fit on the shared x and its phase moved by -k delta, which
     is exact: f(x + delta; phase) = f(x; phase + k delta).  Noon rows are
     solved in closed form.  Single rows are fit by _least_squares from the
-    one start row of fit, in blocks of _GN_BLOCK rows, each to its own
-    optimum.  Phases come back canonical and unwrapped next to fit.phase.
-    Returns (params, number of rows that did not converge).
+    one start column of fit, in blocks of _GN_BLOCK rows, each to its own
+    optimum; the solver copies each block of y and w once to its (M, B)
+    layout.  Phases come back canonical and unwrapped next to
+    fit.phase.  Returns (params (P, B), number of rows that did not
+    converge).
     """
     fn, names = _MODELS[fit.model]
     ip = names.index("phase")
     if fit.model == "noon":
         p, bad = _harmonic_solve(x, y, w, _HARMONIC["noon"]), 0
     else:
-        p0 = np.array([[fit.params[n] for n in names]])
-        p = np.empty((len(y), len(names)))
+        p0 = np.array([[fit.params[n]] for n in names])
+        p = np.empty((len(names), len(y)))
         conv = np.empty(len(y), dtype=bool)
         for i in range(0, len(y), _GN_BLOCK):
             rows = slice(i, i + _GN_BLOCK)
-            p[rows], conv[rows], _ = _least_squares(
-                fn, p0, x, y[rows], w[rows])
+            p[:, rows], conv[rows], _ = _least_squares(
+                fn, p0, x, y[rows].T, w[rows].T)
         bad = int(np.count_nonzero(~conv))
-    p[:, ip] -= _HARMONIC[fit.model] * delta
+    p[ip] -= _HARMONIC[fit.model] * delta
     _canonicalize(fit.model, p)
-    p[:, ip] = fit.phase + wrap_phase(p[:, ip] - fit.phase)
+    p[ip] = fit.phase + wrap_phase(p[ip] - fit.phase)
     return p, bad
 
 
@@ -621,16 +652,16 @@ def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None, seed=Non
         raise FitError(f"{frac:.1%} of bootstrap refits failed to converge")
 
     means, sigmas = {}, {}
-    stacked = {s: np.concatenate(samples[s], axis=0) for s in states}
+    stacked = {s: np.concatenate(samples[s], axis=1) for s in states}
     for s in states:
-        means[s.value] = {n: float(m) for n, m in zip(names, stacked[s].mean(axis=0))}
-        sigmas[s.value] = {n: float(v) for n, v in zip(names, stacked[s].std(axis=0, ddof=1))}
+        means[s.value] = {n: float(m) for n, m in zip(names, stacked[s].mean(axis=1))}
+        sigmas[s.value] = {n: float(v) for n, v in zip(names, stacked[s].std(axis=1, ddof=1))}
 
     phi_e_mean = phi_e_sigma = None
     if len(states) == 2:
         ip = names.index("phase")
         base_e = wrap_phase(base[SwitchState.OFF][0].phase - base[SwitchState.ON][0].phase)
-        diff = stacked[SwitchState.OFF][:, ip] - stacked[SwitchState.ON][:, ip]
+        diff = stacked[SwitchState.OFF][ip] - stacked[SwitchState.ON][ip]
         diff = base_e + wrap_phase(diff - base_e)
         phi_e_mean = float(diff.mean())
         phi_e_sigma = float(diff.std(ddof=1))

@@ -206,8 +206,18 @@ def _json_writer(report):
 
 
 def _write_outputs(args, config, outputs):
-    """Create --out, write each output in order, then the manifest listing them."""
+    """Create --out, write each output in order, then the manifest listing them.
+
+    The command's old manifest is removed before the first output is
+    written, so a run that fails partway leaves no manifest that describes
+    files it did not write.
+    """
     os.makedirs(args.out, exist_ok=True)
+    manifest = os.path.join(args.out, f"manifest_{args.command}.json")
+    try:
+        os.remove(manifest)
+    except FileNotFoundError:
+        pass
     for name, write in outputs.items():
         write(os.path.join(args.out, name))
     _json_writer({
@@ -220,7 +230,7 @@ def _write_outputs(args, config, outputs):
             json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "config": config,
         "outputs": list(outputs),
-    })(os.path.join(args.out, f"manifest_{args.command}.json"))
+    })(manifest)
 
 
 def _seed_of(args, config):

@@ -62,12 +62,12 @@ def reference_cost(x, y, w):
     eta = np.r_[np.zeros(8), -0.4, -0.2, 0.2, 0.4]
     phase = np.r_[np.linspace(-math.pi, math.pi, 8, endpoint=False),
                   np.linspace(-0.75 * math.pi, 0.75 * math.pi, 4)]
-    starts = np.column_stack([np.full(12, amp), eta, np.full(12, vis), phase])
-    p, conv, _ = _least_squares(_single_model, starts, x, y, w)
+    starts = np.array([np.full(12, amp), eta, np.full(12, vis), phase])
+    p, conv, _ = _least_squares(_single_model, starts, x, y[:, None], w[:, None])
     if not conv.any():
         return None
-    f = _single_model(_canonicalize("single", p[conv]), x)[0]
-    return float(np.min(np.sum(w * (y - f) ** 2, axis=1)))
+    f = _single_model(_canonicalize("single", p[:, conv]), x)[0]
+    return float(np.min(np.sum(w[:, None] * (y[:, None] - f) ** 2, axis=0)))
 
 
 def sweep(seed, n_designs):

@@ -93,11 +93,12 @@ def test_nlls_multistart_reaches_distant_phase():
 def best_of_starts(model, starts, x, y, w):
     """Reference fit: _least_squares from every start, lowest converged cost wins."""
     fn = _MODELS[model][0]
-    p, conv, _ = _least_squares(fn, starts, x, y, w)
+    p, conv, _ = _least_squares(fn, starts.T, x, y[:, None], w[:, None])
     assert conv.any()
-    cost = np.where(conv, np.sum(w * (y - fn(p, x)[0]) ** 2, axis=1), np.inf)
+    cost = np.where(conv, np.sum(w[:, None] * (y[:, None] - fn(p, x)[0]) ** 2, axis=0),
+                    np.inf)
     best = int(np.argmin(cost))
-    return _canonicalize(model, p[best:best + 1])[0], cost[best]
+    return _canonicalize(model, p[:, best:best + 1])[:, 0], cost[best]
 
 
 def test_noon_closed_form_matches_multistart_lm():
@@ -162,7 +163,7 @@ def test_single_base_fit_runs_one_lm_start(monkeypatch, quiet_noise):
     rows = []
 
     def recording(model, p0, x, y, w):
-        rows.append(np.shape(p0)[0])
+        rows.append(np.shape(p0)[1])
         return _least_squares(model, p0, x, y, w)
 
     monkeypatch.setattr(analysis, "_least_squares", recording)
@@ -180,17 +181,17 @@ def test_model_jacobian_matches_central_differences(model):
                "asymmetry": rng.choice([-1.0, 1.0], n) * rng.uniform(0.05, 0.5, n),
                "visibility": rng.uniform(0.1, 1.0, n),
                "phase": rng.uniform(-math.pi, math.pi, n)}
-    p = np.column_stack([columns[name] for name in names])
+    p = np.array([columns[name] for name in names])
     f, jac = fn(p, x)
-    assert f.shape == (n, len(x)) and jac.shape == (n, len(x), len(names))
+    assert f.shape == (len(x), n) and jac.shape == (len(x), len(names), n)
     for j in range(len(names)):
-        h = 1e-6 * np.maximum(np.abs(p[:, j:j + 1]), 1.0)
+        h = 1e-6 * np.maximum(np.abs(p[j:j + 1]), 1.0)
         up, down = p.copy(), p.copy()
-        up[:, j:j + 1] += h
-        down[:, j:j + 1] -= h
+        up[j:j + 1] += h
+        down[j:j + 1] -= h
         fd = (fn(up, x)[0] - fn(down, x)[0]) / (2.0 * h)
-        scale = np.max(np.abs(fd), axis=1, keepdims=True)
-        assert np.all(np.abs(jac[..., j] - fd) <= 1e-6 * scale), names[j]
+        scale = np.max(np.abs(fd), axis=0, keepdims=True)
+        assert np.all(np.abs(jac[:, j] - fd) <= 1e-6 * scale), names[j]
 
 
 def test_polished_single_fit_does_not_depend_on_the_lm_path(bench_geometry):
@@ -202,18 +203,19 @@ def test_polished_single_fit_does_not_depend_on_the_lm_path(bench_geometry):
     fit, x, counts = _fit_state(recs, "single")
     y, w = _observations("single", **counts)
     p, conv, _ = _least_squares(
-        _single_model, _harmonic_solve(x, y[None, :], w[None, :], 1), x, y, w)
+        _single_model, _harmonic_solve(x, y[None, :], w[None, :], 1), x,
+        y[:, None], w[:, None])
     assert conv[0]
-    assert _canonicalize("single", p.copy())[0] == pytest.approx(
+    assert _canonicalize("single", p.copy())[:, 0] == pytest.approx(
         [fit.params[n] for n in SINGLE_PARAMS], rel=1e-15)
 
     sigma = np.array([fit.sigmas[n] for n in SINGLE_PARAMS])
     rng = np.random.default_rng(5)
-    starts = p + 1e-3 * sigma * rng.choice([-1.0, 1.0], (4, len(sigma)))
-    ends, conv, _ = _least_squares(_single_model, starts, x, y, w)
+    starts = p + (1e-3 * sigma * rng.choice([-1.0, 1.0], (4, len(sigma)))).T
+    ends, conv, _ = _least_squares(_single_model, starts, x, y[:, None], w[:, None])
     assert conv.all()
-    for end in ends:
-        assert end == pytest.approx(p[0], rel=1e-12)
+    for end in ends.T:
+        assert end == pytest.approx(p[:, 0], rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", [NOON2, SINGLE], ids=["noon", "single"])
@@ -236,13 +238,13 @@ def test_resample_fit_on_shared_set_points_is_shifted_fit(bench_geometry, kind):
 
     fn, names = _MODELS[model]
     ip = names.index("phase")
-    p0 = np.array([[fit.params[k] for k in names]])
+    p0 = np.array([[fit.params[k]] for k in names])
     for i in range(n):
-        ref, conv, _ = _least_squares(fn, p0, x + delta[i], y[i], w[i])
+        ref, conv, _ = _least_squares(fn, p0, x + delta[i], y[i][:, None], w[i][:, None])
         assert conv[0]
-        ref = _canonicalize(model, ref)[0]
-        assert wrap_phase(p[i, ip] - ref[ip]) == pytest.approx(0.0, abs=1e-8)
-        assert p[i, ip] - fit.phase == pytest.approx(wrap_phase(p[i, ip] - fit.phase))
+        ref = _canonicalize(model, ref)[:, 0]
+        assert wrap_phase(p[ip, i] - ref[ip]) == pytest.approx(0.0, abs=1e-8)
+        assert p[ip, i] - fit.phase == pytest.approx(wrap_phase(p[ip, i] - fit.phase))
 
 
 def misspecified_resamples(n=256, total=1e3):
@@ -264,32 +266,34 @@ def misspecified_resamples(n=256, total=1e3):
 def test_resamples_whose_undamped_step_is_refused_reach_their_optimum():
     """Rows that need damping still end at their optimum, not at a cost stop."""
     fit, x, y, w = misspecified_resamples(total=300.0)
-    p0 = np.array([[fit.params[n] for n in SINGLE_PARAMS]]).repeat(len(y), axis=0)
+    p0 = np.array([[fit.params[n]] for n in SINGLE_PARAMS]).repeat(len(y), axis=1)
     f, jac = _single_model(p0, x)
-    a, g = _normal_equations(jac, w, y - f)
-    f1 = _single_model(p0 + np.linalg.solve(a, g[..., None])[..., 0], x)[0]
-    refused = np.flatnonzero(np.sum(w * (y - f1) ** 2, axis=1)
-                             > np.sum(w * (y - f) ** 2, axis=1))
+    a, g = _normal_equations(jac, w.T, y.T - f)
+    step = np.linalg.solve(a.transpose(2, 0, 1), g.T[..., None])[..., 0].T
+    f1 = _single_model(p0 + step, x)[0]
+    refused = np.flatnonzero(np.sum(w.T * (y.T - f1) ** 2, axis=0)
+                             > np.sum(w.T * (y.T - f) ** 2, axis=0))
     assert 0 < refused.size < 20
 
     # slow rows outlast the steps taken on the whole batch and are gathered;
     # every row still ends as a solve of its own would
-    q, _, n_iter = _least_squares(_single_model, p0, x, y, w)
+    q, _, n_iter = _least_squares(_single_model, p0, x, y.T, w.T)
     assert n_iter.max() > analysis._FULL_STEPS
     for i in range(len(y)):
-        alone, _, alone_n_iter = _least_squares(_single_model, p0[:1], x, y[i], w[i])
-        assert np.array_equal(alone[0], q[i]) and alone_n_iter[0] == n_iter[i]
+        alone, _, alone_n_iter = _least_squares(
+            _single_model, p0[:, :1], x, y[i][:, None], w[i][:, None])
+        assert np.array_equal(alone[:, 0], q[:, i]) and alone_n_iter[0] == n_iter[i]
 
     p, bad = _resample_fits(fit, x, y, w, np.zeros(len(y)))
     assert bad == 0
     sigma = np.array([fit.sigmas[n] for n in SINGLE_PARAMS])
     rng = np.random.default_rng(5)
     for i in refused:
-        starts = p[i] + 1e-3 * sigma * rng.choice([-1.0, 1.0], (4, len(sigma)))
-        ends, conv, _ = _least_squares(_single_model, starts, x, y[i], w[i])
+        starts = p[:, i:i + 1] + (1e-3 * sigma * rng.choice([-1.0, 1.0], (4, len(sigma)))).T
+        ends, conv, _ = _least_squares(_single_model, starts, x, y[i][:, None], w[i][:, None])
         assert conv.all()
-        for end in _canonicalize("single", ends):
-            shift = p[i] - end
+        for end in _canonicalize("single", ends).T:
+            shift = p[:, i] - end
             shift[3] = wrap_phase(shift[3])
             assert np.all(np.abs(shift) <= 1e-9 * sigma), i
 
@@ -298,20 +302,51 @@ def test_singular_row_leaves_the_rest_of_its_block_fit():
     fit, x, y, w = misspecified_resamples(n=8)
     w[3] = 0.0   # a zero normal matrix: np.linalg.solve fails on the block
     others = np.arange(8) != 3
-    p0 = np.array([[fit.params[n] for n in SINGLE_PARAMS]])
-    q, conv, n_iter = _least_squares(_single_model, p0.repeat(8, axis=0), x, y, w)
+    p0 = np.array([[fit.params[n]] for n in SINGLE_PARAMS])
+    q, conv, n_iter = _least_squares(_single_model, p0.repeat(8, axis=1), x, y.T, w.T)
     alone, alone_conv, alone_n_iter = _least_squares(
-        _single_model, p0.repeat(7, axis=0), x, y[others], w[others])
+        _single_model, p0.repeat(7, axis=1), x, y[others].T, w[others].T)
     assert not conv[3]
     assert np.array_equal(conv[others], alone_conv)
     assert np.array_equal(n_iter[others], alone_n_iter)
-    assert np.array_equal(q[others], alone)
+    assert np.array_equal(q[:, others], alone)
 
     p, bad = _resample_fits(fit, x, y, w, np.zeros(8))
     assert bad == 1
-    assert np.array_equal(p[others], _resample_fits(fit, x, y[others], w[others],
-                                                    np.zeros(7))[0])
+    assert np.array_equal(p[:, others], _resample_fits(fit, x, y[others], w[others],
+                                                       np.zeros(7))[0])
 
+
+
+def test_resample_blocks_fit_as_one_unblocked_solve(monkeypatch):
+    """Blocks of _GN_BLOCK rows give the bits of one solve of every row.
+
+    Two full blocks and one of three rows; slow rows are gathered in each
+    block, and a row of zero weight in the short block does not converge.
+    """
+    block = 64
+    fit, x, y, w = misspecified_resamples(n=2 * block + 3, total=300.0)
+    w[2 * block + 1] = 0.0
+    p0 = np.array([[fit.params[n]] for n in SINGLE_PARAMS])
+    q, conv, n_iter = _least_squares(_single_model, p0, x, y.T, w.T)
+    assert n_iter.max() > analysis._FULL_STEPS and not conv[2 * block + 1]
+    _canonicalize("single", q)
+    q[3] = fit.phase + wrap_phase(q[3] - fit.phase)
+
+    flags = []
+
+    def recording(model, p, x, y, w):
+        out = _least_squares(model, p, x, y, w)
+        flags.append(out[1])
+        return out
+
+    monkeypatch.setattr(analysis, "_GN_BLOCK", block)
+    monkeypatch.setattr(analysis, "_least_squares", recording)
+    p, bad = _resample_fits(fit, x, y, w, np.zeros(len(y)))
+    assert [len(f) for f in flags] == [block, block, 3]
+    assert np.array_equal(p, q)
+    assert np.array_equal(np.concatenate(flags), conv)
+    assert bad == np.count_nonzero(~conv) == 1
 
 def test_cholesky_solve_matches_lu_and_flags_non_positive_pivots():
     """The unrolled Cholesky solve agrees with np.linalg.solve.
@@ -324,23 +359,27 @@ def test_cholesky_solve_matches_lu_and_flags_non_positive_pivots():
         m = rng.normal(size=(512, 12, n)) * np.logspace(0, 5, n)
         a = np.swapaxes(m, 1, 2) @ m
         g = rng.normal(size=(512, n))
-        d = _cholesky_solve(a, g)
-        np.testing.assert_allclose(d, np.linalg.solve(a, g[..., None])[..., 0],
+        # the solver's layout: the batch is the last axis
+        a_t, g_t = np.ascontiguousarray(a.transpose(1, 2, 0)), np.ascontiguousarray(g.T)
+        d = _cholesky_solve(a_t, g_t)
+        np.testing.assert_allclose(d, np.linalg.solve(a, g[..., None])[..., 0].T,
                                    rtol=1e-11, atol=0)
         # a small batch is solved row by row in floats, with the same bits
         for i in range(0, 512, 64):
-            assert np.array_equal(_cholesky_solve(a[i:i + 3], g[i:i + 3]), d[i:i + 3])
+            assert np.array_equal(_cholesky_solve(a_t[..., i:i + 3], g_t[:, i:i + 3]),
+                                  d[:, i:i + 3])
     bad = np.stack([np.zeros((4, 4)), np.diag([1.0, -1.0, 1.0, 1.0])])
     for rows in (2, 8):
-        d = _cholesky_solve(np.resize(bad, (rows, 4, 4)), np.ones((rows, 4)))
-        assert not np.isfinite(d).all(axis=1).any()
+        d = _cholesky_solve(np.resize(bad, (rows, 4, 4)).transpose(1, 2, 0),
+                            np.ones((4, rows)))
+        assert not np.isfinite(d).all(axis=0).any()
 
 
 def test_one_shared_start_row_fits_as_that_row_repeated():
     fit, x, y, w = misspecified_resamples(total=300.0)
-    p0 = np.array([[fit.params[n] for n in SINGLE_PARAMS]])
-    shared = _least_squares(_single_model, p0, x, y, w)
-    repeated = _least_squares(_single_model, p0.repeat(len(y), axis=0), x, y, w)
+    p0 = np.array([[fit.params[n]] for n in SINGLE_PARAMS])
+    shared = _least_squares(_single_model, p0, x, y.T, w.T)
+    repeated = _least_squares(_single_model, p0.repeat(len(y), axis=1), x, y.T, w.T)
     for s, r in zip(shared, repeated):
         assert np.array_equal(s, r)
 
@@ -350,13 +389,13 @@ def test_single_model_by_angle_addition_matches_the_direct_form():
     x = np.sort(rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 15))
     av, eta, v, ph = (rng.uniform(lo, hi, (256, 1)) for lo, hi in
                       ((0.1, 1.0), (-0.5, 0.5), (0.1, 1.0), (-math.pi, math.pi)))
-    f, jac = _single_model(np.column_stack([av, eta, v, ph]), x)
+    f, jac = _single_model(np.column_stack([av, eta, v, ph]).T, x)
     c, s = np.cos(x + ph), np.sin(x + ph)
     inv = 1.0 / (1.0 + eta * v * c)
     direct = av * (1.0 - v * c) * inv
     dphase = av * v * (1.0 + eta) * s * inv * inv
-    assert np.max(np.abs(f - direct)) <= 1e-12 * np.max(np.abs(direct))
-    assert np.max(np.abs(jac[..., 3] - dphase)) <= 1e-12 * np.max(np.abs(dphase))
+    assert np.max(np.abs(f.T - direct)) <= 1e-12 * np.max(np.abs(direct))
+    assert np.max(np.abs(jac[:, 3].T - dphase)) <= 1e-12 * np.max(np.abs(dphase))
 
 
 def test_noiseless_fits_converge_at_the_rounding_floor():
@@ -370,7 +409,7 @@ def test_noiseless_fits_converge_at_the_rounding_floor():
         x = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
         eta, vis = rng.uniform(-0.5, 0.5), rng.uniform(0.1, 1.0)
         phase = rng.uniform(-math.pi, math.pi)
-        p = _single_model(np.array([[0.5 * (1.0 - eta), eta, vis, phase]]), x)[0][0]
+        p = _single_model(np.array([[0.5 * (1.0 - eta)], [eta], [vis], [phase]]), x)[0][:, 0]
         y, w = _observations("single", n_h=1e18 * (1.0 - p), n_v=1e18 * p)
         fit = nlls("single", x, y, weights=w)
         assert fit.converged
@@ -405,27 +444,23 @@ def _exact_inverse(a):
     return np.array([[float(v) for v in row[n:]] for row in rows])
 
 
-def test_covariance_is_the_symmetric_inverse_of_its_normal_matrix(tmp_path, monkeypatch):
+def test_covariance_is_the_symmetric_inverse_of_its_normal_matrix(tmp_path):
     """fig3_tables12 noon, fourth angle, loop switched out: raw condition 2.2e13.
 
     Inverting the raw normal matrix left covariance[0][2] and [2][0] 2.2e-6
     relative apart; in unit-diagonal form the inverse is symmetric and within
-    rounding of the exact inverse.
+    rounding of the exact inverse of J^T W J at the fitted parameters.
     """
     config = str(resources.files("qsagnac") / "recipes" / "fig3_tables12.json")
     assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
-    records = list(group_records_by_angle(
+    records = [r for r in list(group_records_by_angle(
         read_counts_csv(str(tmp_path / "counts_noon.csv"))).values())[3]
-    matrices = []
-
-    def recording(jac, w, r):
-        a, g = _normal_equations(jac, w, r)
-        matrices.append(a[0])
-        return a, g
-
-    monkeypatch.setattr(analysis, "_normal_equations", recording)
-    fit = fit_noon_fringe([r for r in records if r.switch is SwitchState.OFF])
-    (a,) = matrices
+        if r.switch is SwitchState.OFF]
+    fit = fit_noon_fringe(records)
+    x = np.array([r.phi0 for r in records])
+    y, w = _observations("noon", n_hv=np.array([r.n_hv for r in records], dtype=float))
+    jac = _noon_model(np.array([[fit.params[n]] for n in _MODELS["noon"][1]]), x)[1][..., 0]
+    a = (jac * w[:, None]).T @ jac
     assert np.linalg.cond(a) > 1e13
     assert np.array_equal(fit.covariance, fit.covariance.T)
     np.testing.assert_allclose(fit.covariance, _exact_inverse(a), rtol=1e-10, atol=0)

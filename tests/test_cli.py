@@ -80,7 +80,7 @@ def test_non_object_config_exits_2(tmp_path, capsys):
 
 
 def test_non_finite_design_value_exits_2(tmp_path, capsys):
-    base = json.loads(open(recipe("table3")).read())
+    base = json.loads(Path(recipe("table3")).read_text())
     base["design"]["specs"][1]["fiber_length_m"] = float("nan")
     cfg = write_config(tmp_path, base)
     assert main(["design", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -117,7 +117,7 @@ def test_cli_import_leaves_scipy_out(tmp_path):
 
 
 def test_invalid_simulation_parameters_exit_2(tmp_path):
-    base = json.loads(open(recipe("fig2")).read())
+    base = json.loads(Path(recipe("fig2")).read_text())
     base["simulate"]["duration_s"] = 0.0
     cfg = write_config(tmp_path, base)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
@@ -232,7 +232,7 @@ def test_failed_fit_leaves_no_new_file(tmp_path, capsys):
 
 def test_failed_simulate_leaves_no_file(tmp_path, capsys):
     """A bad second kind fails the run before the first kind's counts are written."""
-    config = json.loads(open(recipe("fig2")).read())
+    config = json.loads(Path(recipe("fig2")).read_text())
     config["simulate"]["kinds"] = ["noon", "nooon"]
     out = tmp_path / "run"
     assert main(["simulate", "--config", write_config(tmp_path, config),
@@ -282,6 +282,23 @@ def test_failed_write_exits_2_and_leaves_no_partial_file(tmp_path, capsys,
     assert "No space left on device" in capsys.readouterr().err
 
 
+
+def test_failed_rerun_leaves_no_old_manifest(tmp_path, capsys):
+    """A rerun that fails partway removes the manifest of the run before.
+
+    The old manifest names the old seed and config, so it must not sit
+    next to outputs the failed rerun has already replaced.
+    """
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", recipe("fig2"), "--out", str(out)]) == 0
+    assert (out / "manifest_simulate.json").exists()
+    (out / "counts_single.csv").unlink()
+    (out / "counts_single.csv").mkdir()
+    assert main(["simulate", "--config", recipe("fig2"), "--out", str(out),
+                 "--seed", "8"]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "manifest_simulate.json").exists()
+
 # case -> (recipe, command, key path, value)
 _UNKNOWN_KEYS = {
     # a typo such as fit.mc_sample would otherwise run the 100k default
@@ -301,7 +318,7 @@ _UNKNOWN_KEYS = {
 @pytest.mark.parametrize("case", _UNKNOWN_KEYS)
 def test_unknown_config_key_exits_2(tmp_path, capsys, case):
     name, command, key_path, value = _UNKNOWN_KEYS[case]
-    config = json.loads(open(recipe(name)).read())
+    config = json.loads(Path(recipe(name)).read_text())
     *parents, key = key_path.split(".")
     block = config
     for parent in parents:
@@ -413,7 +430,7 @@ def test_design_empty_spec_list(tmp_path):
 
 def test_design_infeasible_target_exits_3(tmp_path):
     """The designs table computes, the optimizer fails: nothing is written."""
-    base = json.loads(open(recipe("table3")).read())
+    base = json.loads(Path(recipe("table3")).read_text())
     base["design"]["gfring"]["target_snr"] = 1e9
     cfg = write_config(tmp_path, base)
     before = sorted(os.listdir(tmp_path))
@@ -423,7 +440,7 @@ def test_design_infeasible_target_exits_3(tmp_path):
 
 
 def test_optimizer_flag_needs_gfring_section(tmp_path):
-    base = json.loads(open(recipe("table3")).read())
+    base = json.loads(Path(recipe("table3")).read_text())
     del base["design"]["gfring"]
     cfg = write_config(tmp_path, base)
     before = sorted(os.listdir(tmp_path))

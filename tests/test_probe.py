@@ -248,10 +248,11 @@ def test_convention_simulated_counts_match_fit_models(bench_geometry, quiet_nois
                 y = np.array([r.n_hv for r in rs], dtype=float)
                 amp = switch_transmission(switch) * rates.pair_rate_detected \
                     * 100.0 * SwitchSchedule().usable_fraction(switch)
-                f, _ = _noon_model(np.array([[amp, 0.9, phase]]), phi0)
-                assert np.max(np.abs(f[0] - y)) <= 1.0
+                f, _ = _noon_model(np.array([[amp], [0.9], [phase]]), phi0)
+                assert np.max(np.abs(f[:, 0] - y)) <= 1.0
             else:
                 n_h = np.array([r.n_h for r in rs], dtype=float)
                 n_v = np.array([r.n_v for r in rs], dtype=float)
-                f, _ = _single_model(np.array([[(1 - asym) / 2, asym, 0.9, phase]]), phi0)
-                assert np.max(np.abs(f[0] - n_v / (n_h + n_v))) <= 1.0 / np.min(n_h + n_v)
+                f, _ = _single_model(
+                    np.array([[(1 - asym) / 2], [asym], [0.9], [phase]]), phi0)
+                assert np.max(np.abs(f[:, 0] - n_v / (n_h + n_v))) <= 1.0 / np.min(n_h + n_v)

@@ -75,7 +75,7 @@ def test_set_point_shift_moves_the_fitted_phase_by_k_delta(
     x = np.linspace(0.0, 2.0 * math.pi / k, 11)
     truth = {"amplitude": 1e5 if model == "noon" else 0.5, "asymmetry": asymmetry,
              "visibility": visibility, "phase": phase}
-    y = fn(np.array([[truth[n] for n in names]]), x + delta)[0][0]
+    y = fn(np.array([[truth[n]] for n in names]), x + delta)[0][:, 0]
     fit = nlls(model, x, y)
     assert fit.converged
     assert wrap_phase(fit.phase - (phase + k * delta)) == pytest.approx(0.0, abs=1e-9)
