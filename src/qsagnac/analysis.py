@@ -155,49 +155,33 @@ def _cost(y, abs_y, w, f):
     return r, cost, 4.0 * _EPS * noise
 
 
-def _cholesky(a, n, sqrt):
-    """Cholesky solve of one system, or of a batch column by column.
-
-    a[i][j] for i < n is the lower triangle of the matrix and a[n][j] the
-    right-hand side, as floats or (B,) arrays: the factor's last row is
-    then the forward substitution.  Returns the solution as a list.
-    """
-    low = [[None] * n for _ in range(n + 1)]
-    for j in range(n):
-        for i in range(j, n + 1):
-            s = a[i][j]
-            for k in range(j):
-                s = s - low[i][k] * low[j][k]
-            low[i][j] = sqrt(s) if i == j else s / low[j][j]
-    d = [None] * n
-    for j in reversed(range(n)):
-        s = low[n][j]
-        for k in range(j + 1, n):
-            s = s - low[k][j] * d[k]
-        d[j] = s / low[j][j]
-    return d
-
-
 def _cholesky_solve(a, g):
     """Solve a d = g for a batch (P, P, B) of symmetric positive definite a.
 
-    g and d are (P, B).  Every row gets the bits of a solve of its own: the
-    arithmetic is elementwise, on the contiguous (B,) entries of the batch,
-    or on floats row by row in a batch of up to four rows, where numpy's
-    cost per call outweighs the loop.  A row whose pivot is not positive
-    comes back non-finite.
+    g and d are (P, B).  The factor is unrolled over the parameters, with g
+    as one more row of a, so its last row is the forward substitution.
+    Every operation is elementwise on the contiguous (B,) entries of the
+    batch, so each row gets the bits of a solve of its own at every batch
+    width, one row included.  A row whose pivot is not positive comes back
+    non-finite.
     """
     n = len(g)
-    if g.shape[1] > 4:
-        with np.errstate(all="ignore"):
-            return np.array(_cholesky([*a, g], n, np.sqrt))
-    d = np.full_like(g, np.nan)
-    for i, m in enumerate(np.concatenate([a, g[None]]).transpose(2, 0, 1).tolist()):
-        try:
-            d[:, i] = _cholesky(m, n, math.sqrt)
-        except (ValueError, ZeroDivisionError):
-            pass    # a pivot that is not positive: the row stays NaN
-    return d
+    a = [*a, g]
+    low = [[None] * n for _ in range(n + 1)]
+    with np.errstate(all="ignore"):
+        for j in range(n):
+            for i in range(j, n + 1):
+                s = a[i][j]
+                for k in range(j):
+                    s = s - low[i][k] * low[j][k]
+                low[i][j] = np.sqrt(s) if i == j else s / low[j][j]
+        d = [None] * n
+        for j in reversed(range(n)):
+            s = low[n][j]
+            for k in range(j + 1, n):
+                s = s - low[k][j] * d[k]
+            d[j] = s / low[j][j]
+    return np.array(d)
 
 
 def _least_squares(model, p, x, y, w):

@@ -234,7 +234,9 @@ def _write_outputs(args, config, outputs):
 
 
 def _seed_of(args, config):
-    return args.seed if args.seed is not None else int(config.get("seed", 0))
+    if args.seed is not None:
+        return args.seed
+    return config_kwargs(config, {"seed": ("seed", int)}).get("seed", 0)
 
 
 def cmd_simulate(args, config, sim):
@@ -312,6 +314,10 @@ def cmd_fit(args, config, fit_cfg):
     counts = fit_cfg.get("counts", {})
     if isinstance(counts, str):
         counts = {"noon": counts}
+    if not (isinstance(counts, dict)
+            and all(isinstance(path, str) for path in counts.values())):
+        raise ValueError(f"fit.counts: {counts!r} is neither a path "
+                         "nor a {kind: path} object")
     for kind, path in counts.items():
         if kind not in _KINDS:
             raise ValueError(f"unknown probe kind {kind!r}")
@@ -410,7 +416,7 @@ def cmd_design(args, config, design_cfg):
                   f"delta_phi = {r.delta_phi_projected:.3g} rad, "
                   f"delta_omega = {r.delta_omega:.3g} rad/s")
 
-    if design_cfg.get("landscape"):
+    if config_kwargs(design_cfg, {"landscape": ("landscape", bool)}).get("landscape"):
         rows = landscape(specs)
         outputs["landscape.csv"] = _csv_writer(
             ("name", "log10_area", "log10_delta_omega", "label"),
@@ -460,6 +466,8 @@ def main(argv=None):
         section = config.get(args.command)
         if section is None:
             raise ValueError(f"config has no {args.command!r} section")
+        if not isinstance(section, dict):
+            raise ValueError(f"config.{args.command}: {section!r} is not a JSON object")
         _write_outputs(args, config, args.fn(args, config, section))
         return 0
     except (FitError, DegenerateDesignError, InfeasibleDesignError,

@@ -145,13 +145,32 @@ def transmission(alpha_db_per_km, fiber_length, n_photons=1):
     return eta ** n_photons
 
 
+def _json_type_needed(value, kind):
+    """The JSON type that kind reads, or None when value is of that type.
+
+    bool reads a boolean, str a string, int an integral number and float
+    and from_degrees any number; a boolean is not a number, so no value is
+    coerced into another type.
+    """
+    if kind is bool:
+        return None if isinstance(value, bool) else "boolean"
+    if kind is str:
+        return None if isinstance(value, str) else "string"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "integer" if kind is int else "number"
+    if kind is int and not (isinstance(value, int) or value.is_integer()):
+        return "integer"
+    return None
+
+
 def config_kwargs(cfg, table):
     """Keyword arguments from a JSON object through a key -> (field, type) table.
 
     Only keys present (and not null) in cfg are passed on, so every default
     stays with the signature it configures.  The type applies to each item
-    of a list value.  Raises ValueError on values the type rejects and on
-    non-finite numbers.
+    of a list value.  Raises ValueError on a value of another JSON type
+    than the type reads (see _json_type_needed), on values the type rejects
+    and on non-finite numbers.
     """
     if not isinstance(cfg, dict):
         raise ValueError(f"expected a JSON object, got {cfg!r}")
@@ -160,9 +179,14 @@ def config_kwargs(cfg, table):
         raw = cfg.get(key)
         if raw is None:
             continue
+        values = raw if isinstance(raw, list) else [raw]
+        for v in values:
+            needed = _json_type_needed(v, kind)
+            if needed:
+                raise ValueError(f"{key}: {v!r} is not a JSON {needed}")
         try:
-            items = [kind(v) for v in (raw if isinstance(raw, list) else [raw])]
-        except (TypeError, ValueError, OverflowError) as exc:
+            items = [kind(v) for v in values]
+        except OverflowError as exc:
             raise ValueError(f"{key}: {exc}") from exc
         if any(isinstance(v, float) and not math.isfinite(v) for v in items):
             raise ValueError(f"{key}: non-finite value in {raw!r}")
@@ -187,13 +211,19 @@ _GEOMETRY_KEYS = {
 
 
 def geometry_from_dict(d):
-    """InterferometerGeometry from its JSON form; `shape` defaults to square."""
+    """InterferometerGeometry from its JSON form; `shape` defaults to square.
+
+    A square loop takes `turns` and a circular one `perimeter_m`; the other
+    shape's key is an error, not ignored.
+    """
     kwargs = config_kwargs(d, _GEOMETRY_KEYS)
     shape = d.get("shape", "square")
     if shape == "square":
-        kwargs.pop("perimeter", None)
-        return InterferometerGeometry.square(**kwargs)
-    if shape == "circular":
-        kwargs.pop("turns", None)
-        return InterferometerGeometry.circular(**kwargs)
-    raise ValueError(f"unknown loop shape {shape!r}")
+        build, other = InterferometerGeometry.square, "perimeter_m"
+    elif shape == "circular":
+        build, other = InterferometerGeometry.circular, "turns"
+    else:
+        raise ValueError(f"unknown loop shape {shape!r}")
+    if d.get(other) is not None:
+        raise ValueError(f"{other}: a {shape} loop does not read it")
+    return build(**kwargs)

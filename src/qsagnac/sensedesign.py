@@ -257,11 +257,17 @@ def design_from_dict(d):
 
 
 def design_to_dict(spec):
+    """JSON form of a DesignSpec, which design_from_dict reads back.
+
+    The winding is given by the key its shape reads: `turns` for a square
+    loop, `perimeter_m` for a circular one.
+    """
     g = spec.geometry
+    winding = ({"turns": g.turns} if g.shape == "square"
+               else {"perimeter_m": g.perimeter})
     return {
         "name": spec.name, "shape": g.shape, "fiber_length_m": g.fiber_length,
-        "perimeter_m": g.perimeter, "turns": g.turns,
-        "effective_area_m2": g.effective_area,
+        **winding, "effective_area_m2": g.effective_area,
         "frame_angle_deg": math.degrees(g.frame_angle),
         "latitude_deg": math.degrees(g.latitude),
         "wavelength_m": g.wavelength,

@@ -364,10 +364,13 @@ def test_cholesky_solve_matches_lu_and_flags_non_positive_pivots():
         d = _cholesky_solve(a_t, g_t)
         np.testing.assert_allclose(d, np.linalg.solve(a, g[..., None])[..., 0].T,
                                    rtol=1e-11, atol=0)
-        # a small batch is solved row by row in floats, with the same bits
-        for i in range(0, 512, 64):
-            assert np.array_equal(_cholesky_solve(a_t[..., i:i + 3], g_t[:, i:i + 3]),
-                                  d[:, i:i + 3])
+        # every batch width, one row included, takes the same elementwise
+        # arithmetic and gets the bits of the whole batch
+        for width in (1, 2, 3, 4):
+            for i in range(0, 512, 64):
+                assert np.array_equal(
+                    _cholesky_solve(a_t[..., i:i + width], g_t[:, i:i + width]),
+                    d[:, i:i + width])
     bad = np.stack([np.zeros((4, 4)), np.diag([1.0, -1.0, 1.0, 1.0])])
     for rows in (2, 8):
         d = _cholesky_solve(np.resize(bad, (rows, 4, 4)).transpose(1, 2, 0),

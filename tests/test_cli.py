@@ -315,21 +315,113 @@ _UNKNOWN_KEYS = {
 }
 
 
-@pytest.mark.parametrize("case", _UNKNOWN_KEYS)
-def test_unknown_config_key_exits_2(tmp_path, capsys, case):
-    name, command, key_path, value = _UNKNOWN_KEYS[case]
+def run_with(tmp_path, name, command, key_path, value):
+    """Run command on recipe name with key_path set to value, after its simulate.
+
+    key_path is dotted; a number in it indexes a list (design.specs.1.turns).
+    Returns the exit code.
+    """
     config = json.loads(Path(recipe(name)).read_text())
     *parents, key = key_path.split(".")
     block = config
     for parent in parents:
-        block = block[parent]
+        block = block[int(parent) if isinstance(block, list) else parent]
     block[key] = value
     out = str(tmp_path)
     main(["simulate", "--config", recipe(name), "--out", out])
-    assert main([command, "--config", write_config(tmp_path, config), "--out", out,
-                 "--fast"]) == 2
+    return main([command, "--config", write_config(tmp_path, config), "--out", out,
+                 "--fast"])
+
+
+@pytest.mark.parametrize("case", _UNKNOWN_KEYS)
+def test_unknown_config_key_exits_2(tmp_path, capsys, case):
+    name, command, key_path, value = _UNKNOWN_KEYS[case]
+    assert run_with(tmp_path, name, command, key_path, value) == 2
+    *parents, key = key_path.split(".")
     where = ".".join(["config", *parents])
     assert f"{where}: unknown key(s) {key}" in capsys.readouterr().err
+
+
+# case -> (recipe, command, key path, value): a value of another JSON type
+# than its key reads, which a conversion would otherwise coerce
+_WRONG_TYPES = {
+    # bool("false") is True: the counts would be Poisson draws
+    "bool from a string": ("fig2", "simulate", "simulate.sample_poisson", "false"),
+    "landscape from a string": ("fig5", "design", "design.landscape", "no"),
+    "bool from a number": ("fig2", "simulate", "simulate.sample_poisson", 0),
+    # int(360.7) is 360
+    "int from a fraction": ("fig2", "simulate", "geometry.turns", 360.7),
+    "mc_samples from a fraction": ("fig2", "fit", "fit.mc_samples", 2.9),
+    "photons_per_probe from a fraction": (
+        "table3", "design", "design.specs.0.photons_per_probe", 2.9),
+    "int from a string": ("fig2", "fit", "fit.mc_samples", "1000"),
+    # int(True) is 1
+    "seed from a bool": ("fig2", "simulate", "seed", True),
+    "float from a string": ("fig2", "simulate", "geometry.fiber_length_m", "2000"),
+    "float from a bool": ("fig2", "simulate", "simulate.true_omega_rad_s", True),
+    "degrees from a string": ("fig2", "simulate", "simulate.theta_deg", ["2.5"]),
+    "float list item from a bool": ("fig2", "simulate", "simulate.phi0_rad",
+                                    {"noon": [0.0, 1.0, True], "single": [0.0]}),
+    "str from a number": ("table3", "design", "design.specs.0.projection", 1),
+}
+
+
+@pytest.mark.parametrize("case", _WRONG_TYPES)
+def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, case):
+    name, command, key_path, value = _WRONG_TYPES[case]
+    assert run_with(tmp_path, name, command, key_path, value) == 2
+    key = key_path.rsplit(".", 1)[-1]
+    assert re.search(rf"{key}: .* is not a JSON", capsys.readouterr().err)
+
+
+def test_json_integers_read_as_floats_and_integral_floats_as_ints(tmp_path):
+    """2000 is a float length and 360.0 an integral turn count: same counts."""
+    config = json.loads(Path(recipe("fig2")).read_text())
+    config["geometry"].update(fiber_length_m=2000, effective_area_m2=715, turns=360.0)
+    config["simulate"]["duration_s"] = {"noon": 1800, "single": 900}
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["simulate", "--config", recipe("fig2"), "--out", str(a)]) == 0
+    assert main(["simulate", "--config", write_config(tmp_path, config),
+                 "--out", str(b)]) == 0
+    for kind in ("noon", "single"):
+        name = f"counts_{kind}.csv"
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("counts", [5, ["counts_noon.csv"], {"noon": 5}, None],
+                         ids=["number", "list", "number path", "null"])
+def test_fit_counts_neither_path_nor_object_exits_2(tmp_path, capsys, counts):
+    assert run_with(tmp_path, "fig2", "fit", "fit.counts", counts) == 2
+    assert "fit.counts: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "design"])
+@pytest.mark.parametrize("section", [[], "x", 5], ids=["list", "string", "number"])
+def test_command_section_not_an_object_exits_2(tmp_path, capsys, command, section):
+    cfg = write_config(tmp_path, {"schema_version": 1, command: section})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert f"config.{command}: {section!r} is not a JSON object" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("shape, key, value", [("square", "perimeter_m", 5.0),
+                                               ("circular", "turns", 7)])
+def test_geometry_key_of_the_other_shape_exits_2(tmp_path, capsys, shape, key, value):
+    """A key the shape does not read is an error, not silently dropped."""
+    config = json.loads(Path(recipe("fig2")).read_text())
+    geometry = config["geometry"]
+    geometry.pop("effective_area_m2")
+    if shape == "circular":
+        del geometry["turns"]
+        geometry.update(shape="circular", perimeter_m=5.0)
+    geometry[key] = value
+    cfg = write_config(tmp_path, config)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
+    assert f"{key}: a {shape} loop does not read it" in capsys.readouterr().err
+    del geometry[key]
+    assert main(["simulate", "--config", write_config(tmp_path, config),
+                 "--out", str(tmp_path / "run")]) == 0
 
 
 def _config_key_names(keys):
