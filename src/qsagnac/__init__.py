@@ -6,11 +6,6 @@ from .sagnac import (CONSTANTS, OFF_TRANSMISSION, InterferometerGeometry,
                      PhysicalConstants, SwitchState, geometry_from_dict,
                      sagnac_phase, scale_factor, switch_transmission,
                      transmission)
-from .polarization import (H, V, PLUS, MINUS, JonesVector,
-                           PolarizationEllipse, bias_unitary, ellipse_of,
-                           hwp, phase_shift, qwp, reconstruct_fiber_unitary,
-                           sagnac_loop, solve_triplet, vector_of,
-                           waveplate_triplet)
 from .probe import (CLASSICAL, NOON2, SINGLE, ProbeKind, TwoModeState,
                     coincidence_projection, evolve, fringe_probs,
                     hom_interfere, noon_state, output_state_after_hwp,

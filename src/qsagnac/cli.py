@@ -31,8 +31,8 @@ from .expsim import (NoiseConfig, RateConfig, SwitchSchedule, angle_sweep,
                      new_file, read_counts_csv, read_trace_csv,
                      simulate_polarimeter, write_counts_csv, write_trace_csv)
 from .probe import NOON2, SINGLE
-from .sagnac import (_GEOMETRY_KEYS, CONSTANTS, config_kwargs, from_degrees,
-                     geometry_from_dict, scale_factor)
+from .sagnac import (_GEOMETRY_KEYS, CONSTANTS, check_config, config_kwargs,
+                     from_degrees, geometry_from_dict, scale_factor)
 from .sensedesign import (_DESIGN_KEYS, InfeasibleDesignError, design_from_dict,
                           landscape, optimize_gfring, rotation_resolution)
 
@@ -48,18 +48,21 @@ def _load_config(path):
             config = json.load(f)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+    check_config(config, _CONFIG_KEYS)
     version = config.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: schema_version {version!r}, "
                          f"this build reads {SCHEMA_VERSION}")
-    _check_keys(config, _CONFIG_KEYS, "config")
     return config
 
 
 # JSON key -> (keyword, type) for each config block, read by config_kwargs;
-# defaults stay with the dataclass or function each block configures
+# (keyword, [type]) for a list; defaults stay with the dataclass or
+# function each block configures
+_TOP_KEYS = {
+    "schema_version": ("schema_version", int),
+    "seed": ("seed", int),
+}
 _SCHEDULE_KEYS = {
     "frequency_hz": ("frequency", float),
     "duty": ("duty", float),
@@ -80,14 +83,15 @@ _NOISE_KEYS = {
     "leakage_fraction": ("leakage_fraction", float),
 }
 _SIMULATE_KEYS = {
+    "kinds": ("kinds", [str]),
     "true_omega_rad_s": ("true_omega", float),
-    "theta_deg": ("theta_list", from_degrees),
+    "theta_deg": ("theta_list", [from_degrees]),
     "sample_poisson": ("sample_poisson", bool),
 }
-# simulate keys that take a scalar or a {kind: value} map
+# simulate keys that take a {kind: value} object
 _PER_KIND_KEYS = {
-    "phi0_rad": ("phi0_list", float),
-    "base_phase_rad": ("base_phase", float),
+    "phi0_rad": ("phi0_list", [float]),
+    "base_phase_rad": ("base_phase", [float]),
     "duration_s": ("duration_s", float),
     "visibility": ("visibility", float),
     "channel_asymmetry": ("channel_asymmetry", float),
@@ -98,15 +102,16 @@ _TRACE_KEYS = {
 }
 _FIT_KEYS = {
     "scale_factor_s": ("scale_factor_s", float),
+    "trace": ("trace", str),
 }
 _MC_KEYS = {
     "mc_samples": ("n_samples", int),
     "motor_sigma_rad": ("motor_sigma", float),
 }
 _CALIBRATION_KEYS = {
-    "angles_deg": ("angles", from_degrees),
-    "phases_rad": ("phases", float),
-    "sigmas_rad": ("sigmas", float),
+    "angles_deg": ("angles", [from_degrees]),
+    "phases_rad": ("phases", [float]),
+    "sigmas_rad": ("sigmas", [float]),
     "omega_earth_rad_s": ("omega_earth", float),
     "mc_samples": ("n_samples", int),
 }
@@ -122,45 +127,27 @@ _GFRING_KEYS = {
 }
 
 
-def _block(*tables, **blocks):
-    """Keys of a config block: the keys of its tables, then the blocks in it."""
-    return {**dict.fromkeys(key for table in tables for key in table), **blocks}
-
-
-# every key a config may hold; a key maps to the keys of the block it holds,
-# [keys] for a list of blocks, or None for a value
-_CONFIG_KEYS = _block(
-    ["schema_version", "seed"],
-    geometry=_block(_GEOMETRY_KEYS, ["shape"]), schedule=_block(_SCHEDULE_KEYS),
-    rates=_block(_RATES_KEYS), noise=_block(_NOISE_KEYS),
-    simulate=_block(_SIMULATE_KEYS, _PER_KIND_KEYS, ["kinds"],
-                    trace=_block(_TRACE_KEYS)),
-    fit=_block(_FIT_KEYS, _MC_KEYS, ["counts", "trace"],
-               calibration=_block(_CALIBRATION_KEYS)),
-    design=_block(["landscape"], gfring=_block(_GFRING_KEYS),
-                  specs=[_block(_GEOMETRY_KEYS, _DESIGN_KEYS, ["name", "shape"])]),
-)
-
-
-def _check_keys(block, keys, where):
-    """Raise ValueError on a key that no block of the config reads."""
-    if isinstance(keys, list):
-        for i, item in enumerate(block if isinstance(block, list) else []):
-            _check_keys(item, keys[0], f"{where}[{i}]")
-    elif isinstance(block, dict):
-        unknown = sorted(set(block) - set(keys))
-        if unknown:
-            raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
-        for key, sub in keys.items():
-            if sub is not None and key in block:
-                _check_keys(block[key], sub, f"{where}.{key}")
+# the schema of a config, which check_config walks once at load: a dict is
+# a JSON object of its keys, [spec] a JSON array of spec, and a
+# (keyword, type) table entry one value
+_CONFIG_KEYS = {
+    **_TOP_KEYS,
+    "geometry": _GEOMETRY_KEYS, "schedule": _SCHEDULE_KEYS,
+    "rates": _RATES_KEYS, "noise": _NOISE_KEYS,
+    "simulate": {**_SIMULATE_KEYS, "trace": _TRACE_KEYS,
+                 **{key: dict.fromkeys(_KINDS, entry)
+                    for key, entry in _PER_KIND_KEYS.items()}},
+    "fit": {**_FIT_KEYS, **_MC_KEYS, "calibration": _CALIBRATION_KEYS,
+            "counts": dict.fromkeys(_KINDS, ("counts", str))},
+    "design": {"landscape": ("landscape", bool), "gfring": _GFRING_KEYS,
+               "specs": [{**_GEOMETRY_KEYS, **_DESIGN_KEYS}]},
+}
 
 
 def _per_kind(cfg, kind):
     """The per-kind simulate keys of cfg resolved for one probe kind."""
-    return config_kwargs({k: v.get(kind) if isinstance(v, dict) else v
-                          for k, v in cfg.items() if k in _PER_KIND_KEYS},
-                         _PER_KIND_KEYS)
+    return config_kwargs({key: cfg[key][kind] for key in _PER_KIND_KEYS
+                          if kind in cfg.get(key, {})}, _PER_KIND_KEYS)
 
 
 def _resolve(path, out_dir):
@@ -236,22 +223,23 @@ def _write_outputs(args, config, outputs):
 def _seed_of(args, config):
     if args.seed is not None:
         return args.seed
-    return config_kwargs(config, {"seed": ("seed", int)}).get("seed", 0)
+    return config_kwargs(config, _TOP_KEYS).get("seed", 0)
 
 
 def cmd_simulate(args, config, sim):
-    geom = geometry_from_dict(config.get("geometry") or {})
-    schedule = SwitchSchedule(**config_kwargs(config.get("schedule") or {},
+    geom = geometry_from_dict(config.get("geometry", {}))
+    schedule = SwitchSchedule(**config_kwargs(config.get("schedule", {}),
                                               _SCHEDULE_KEYS))
-    rates = RateConfig(**config_kwargs(config.get("rates") or {}, _RATES_KEYS))
-    noise = NoiseConfig(**config_kwargs(config.get("noise") or {}, _NOISE_KEYS))
+    rates = RateConfig(**config_kwargs(config.get("rates", {}), _RATES_KEYS))
+    noise = NoiseConfig(**config_kwargs(config.get("noise", {}), _NOISE_KEYS))
     opts = config_kwargs(sim, _SIMULATE_KEYS)
+    kinds = opts.pop("kinds", ["noon"])
     true_omega = opts.pop("true_omega", CONSTANTS.omega_earth)
     thetas = opts.pop("theta_list", [geom.frame_angle])
 
     root = np.random.SeedSequence(_seed_of(args, config))
     outputs = {}
-    for kind in sim.get("kinds", ["noon"]):
+    for kind in kinds:
         if kind not in _KINDS:
             raise ValueError(f"unknown probe kind {kind!r}")
         kind_opts = _per_kind(sim, kind)
@@ -311,16 +299,7 @@ def cmd_fit(args, config, fit_cfg):
               "seed": _seed_of(args, config), "kinds": {}}
     outputs = {}
 
-    counts = fit_cfg.get("counts", {})
-    if isinstance(counts, str):
-        counts = {"noon": counts}
-    if not (isinstance(counts, dict)
-            and all(isinstance(path, str) for path in counts.values())):
-        raise ValueError(f"fit.counts: {counts!r} is neither a path "
-                         "nor a {kind: path} object")
-    for kind, path in counts.items():
-        if kind not in _KINDS:
-            raise ValueError(f"unknown probe kind {kind!r}")
+    for kind, path in fit_cfg.get("counts", {}).items():
         records = read_counts_csv(_resolve(path, args.out))
         if not records:
             raise ValueError(f"{path}: no count records")
@@ -368,9 +347,9 @@ def cmd_fit(args, config, fit_cfg):
         report["enhancement"] = {"value": value, "sigma": sigma}
         print(f"enhancement: {value:.2f} +- {sigma:.2f}")
 
-    trace_path = fit_cfg.get("trace")
+    trace_path = opts.get("trace")
     if trace_path is not None:
-        schedule = SwitchSchedule(**config_kwargs(config.get("schedule") or {},
+        schedule = SwitchSchedule(**config_kwargs(config.get("schedule", {}),
                                                   _SCHEDULE_KEYS))
         demod = report["demodulation"] = demodulate_trace(
             read_trace_csv(_resolve(trace_path, args.out)), schedule)
@@ -416,7 +395,7 @@ def cmd_design(args, config, design_cfg):
                   f"delta_phi = {r.delta_phi_projected:.3g} rad, "
                   f"delta_omega = {r.delta_omega:.3g} rad/s")
 
-    if config_kwargs(design_cfg, {"landscape": ("landscape", bool)}).get("landscape"):
+    if design_cfg.get("landscape"):
         rows = landscape(specs)
         outputs["landscape.csv"] = _csv_writer(
             ("name", "log10_area", "log10_delta_omega", "label"),
@@ -463,12 +442,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args.config)
-        section = config.get(args.command)
-        if section is None:
+        if args.command not in config:
             raise ValueError(f"config has no {args.command!r} section")
-        if not isinstance(section, dict):
-            raise ValueError(f"config.{args.command}: {section!r} is not a JSON object")
-        _write_outputs(args, config, args.fn(args, config, section))
+        _write_outputs(args, config, args.fn(args, config, config[args.command]))
         return 0
     except (FitError, DegenerateDesignError, InfeasibleDesignError,
             UndefinedRatioError) as exc:

@@ -7,11 +7,13 @@ phase shift between its counter-propagating modes
 
 where Theta is the angle between the loop normal and the rotation axis.
 The scale factor S = 8 pi A / (lambda c) converts rotation rate to phase.
-config_kwargs reads every JSON config block of the package, the geometry
-block here and the others in sensedesign and cli.
+check_config checks a whole JSON config against its schema once, and
+config_kwargs then reads each of its blocks, the geometry block here and
+the others in sensedesign and cli.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -163,34 +165,54 @@ def _json_type_needed(value, kind):
     return None
 
 
-def config_kwargs(cfg, table):
-    """Keyword arguments from a JSON object through a key -> (field, type) table.
+def check_config(value, schema, where="config"):
+    """Raise ValueError, naming the key path, where value does not fit schema.
 
-    Only keys present (and not null) in cfg are passed on, so every default
-    stays with the signature it configures.  The type applies to each item
-    of a list value.  Raises ValueError on a value of another JSON type
-    than the type reads (see _json_type_needed), on values the type rejects
-    and on non-finite numbers.
+    A dict schema is a JSON object of its keys and [spec] a JSON array of
+    spec.  A (keyword, type) entry is one value of the JSON type that type
+    reads (see _json_type_needed), a finite one if a number, and a
+    (keyword, [type]) entry a JSON array of such values.  null fits no
+    schema.
     """
-    if not isinstance(cfg, dict):
-        raise ValueError(f"expected a JSON object, got {cfg!r}")
+    if isinstance(schema, tuple):
+        schema = schema[1]
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where}: {value!r} is not a JSON object")
+        unknown = sorted(set(value) - set(schema))
+        if unknown:
+            raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
+        for key, item in value.items():
+            check_config(item, schema[key], f"{where}.{key}")
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: {value!r} is not a JSON array")
+        for i, item in enumerate(value):
+            check_config(item, schema[0], f"{where}[{i}]")
+    else:
+        needed = _json_type_needed(value, schema)
+        if needed:
+            raise ValueError(f"{where}: {value!r} is not a JSON {needed}")
+        # NaN, an infinity, or an integer too large for a float
+        if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{where}: non-finite number {value!r}")
+
+
+def config_kwargs(cfg, table):
+    """Keyword arguments from a checked block through a key -> (keyword, type) table.
+
+    cfg is a block that check_config has passed, so each value already has
+    the JSON type and shape its key declares; nothing is checked here.  Only
+    keys present in cfg are passed on, so every default stays with the
+    signature it configures.  The type converts the value, or each item of
+    a (keyword, [type]) list.
+    """
     kwargs = {}
     for key, (field, kind) in table.items():
-        raw = cfg.get(key)
-        if raw is None:
-            continue
-        values = raw if isinstance(raw, list) else [raw]
-        for v in values:
-            needed = _json_type_needed(v, kind)
-            if needed:
-                raise ValueError(f"{key}: {v!r} is not a JSON {needed}")
-        try:
-            items = [kind(v) for v in values]
-        except OverflowError as exc:
-            raise ValueError(f"{key}: {exc}") from exc
-        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-            raise ValueError(f"{key}: non-finite value in {raw!r}")
-        kwargs[field] = items if isinstance(raw, list) else items[0]
+        if key in cfg:
+            value = cfg[key]
+            kwargs[field] = ([kind[0](v) for v in value] if isinstance(kind, list)
+                             else kind(value))
     return kwargs
 
 
@@ -200,6 +222,7 @@ def from_degrees(degrees):
 
 
 _GEOMETRY_KEYS = {
+    "shape": ("shape", str),
     "fiber_length_m": ("fiber_length", float),
     "turns": ("turns", int),
     "perimeter_m": ("perimeter", float),
@@ -217,13 +240,13 @@ def geometry_from_dict(d):
     shape's key is an error, not ignored.
     """
     kwargs = config_kwargs(d, _GEOMETRY_KEYS)
-    shape = d.get("shape", "square")
+    shape = kwargs.pop("shape", "square")
     if shape == "square":
         build, other = InterferometerGeometry.square, "perimeter_m"
     elif shape == "circular":
         build, other = InterferometerGeometry.circular, "turns"
     else:
         raise ValueError(f"unknown loop shape {shape!r}")
-    if d.get(other) is not None:
+    if other in d:
         raise ValueError(f"{other}: a {shape} loop does not read it")
     return build(**kwargs)

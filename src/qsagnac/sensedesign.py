@@ -238,6 +238,7 @@ def landscape(specs):
 
 
 _DESIGN_KEYS = {
+    "name": ("name", str),
     "alpha_db_per_km": ("alpha_db_per_km", float),
     "pair_rate_in_hz": ("pair_rate_in", float),
     "integration_time_s": ("integration_time", float),
@@ -250,9 +251,9 @@ _DESIGN_KEYS = {
 def design_from_dict(d):
     """DesignSpec from its JSON form: geometry keys plus the design keys."""
     try:
-        return DesignSpec(name=d["name"], geometry=geometry_from_dict(d),
+        return DesignSpec(geometry=geometry_from_dict(d),
                           **config_kwargs(d, _DESIGN_KEYS))
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise ValueError(f"design spec missing field: {exc}") from exc
 
 
@@ -260,12 +261,13 @@ def design_to_dict(spec):
     """JSON form of a DesignSpec, which design_from_dict reads back.
 
     The winding is given by the key its shape reads: `turns` for a square
-    loop, `perimeter_m` for a circular one.
+    loop, `perimeter_m` for a circular one.  A field that is None (no
+    measured_delta_phi) is left out, as a config gives no null.
     """
     g = spec.geometry
     winding = ({"turns": g.turns} if g.shape == "square"
                else {"perimeter_m": g.perimeter})
-    return {
+    d = {
         "name": spec.name, "shape": g.shape, "fiber_length_m": g.fiber_length,
         **winding, "effective_area_m2": g.effective_area,
         "frame_angle_deg": math.degrees(g.frame_angle),
@@ -278,3 +280,4 @@ def design_to_dict(spec):
         "projection": spec.projection,
         "measured_delta_phi_rad": spec.measured_delta_phi,
     }
+    return {key: value for key, value in d.items() if value is not None}

@@ -116,11 +116,24 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     assert "gfring_optimum" in json.loads((tmp_path / "design_report.json").read_text())
 
 
-def test_invalid_simulation_parameters_exit_2(tmp_path):
+def test_cli_import_leaves_polarization_out():
+    """The CLI uses no Jones calculus, so importing it does not load it."""
+    src = os.path.dirname(os.path.dirname(qsagnac.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, qsagnac.cli; "
+         "print('qsagnac.polarization' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["False"]
+
+
+def test_invalid_simulation_parameters_exit_2(tmp_path, capsys):
     base = json.loads(Path(recipe("fig2")).read_text())
-    base["simulate"]["duration_s"] = 0.0
+    base["simulate"]["duration_s"] = {"noon": 0.0, "single": 0.0}
     cfg = write_config(tmp_path, base)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "duration must be positive" in capsys.readouterr().err
 
 
 def test_fit_fig2_fast(tmp_path, capsys):
@@ -315,11 +328,10 @@ _UNKNOWN_KEYS = {
 }
 
 
-def run_with(tmp_path, name, command, key_path, value):
-    """Run command on recipe name with key_path set to value, after its simulate.
+def config_with(tmp_path, name, key_path, value):
+    """Write recipe name with key_path set to value; returns the config's path.
 
     key_path is dotted; a number in it indexes a list (design.specs.1.turns).
-    Returns the exit code.
     """
     config = json.loads(Path(recipe(name)).read_text())
     *parents, key = key_path.split(".")
@@ -327,10 +339,23 @@ def run_with(tmp_path, name, command, key_path, value):
     for parent in parents:
         block = block[int(parent) if isinstance(block, list) else parent]
     block[key] = value
+    return write_config(tmp_path, config)
+
+
+def run_with(tmp_path, name, command, key_path, value):
+    """Run command on recipe name with key_path set to value, after its simulate.
+
+    Returns the exit code.
+    """
     out = str(tmp_path)
     main(["simulate", "--config", recipe(name), "--out", out])
-    return main([command, "--config", write_config(tmp_path, config), "--out", out,
-                 "--fast"])
+    return main([command, "--config", config_with(tmp_path, name, key_path, value),
+                 "--out", out, "--fast"])
+
+
+def message_path(key_path):
+    """How an error message names key_path: config.design.specs[0].name."""
+    return "config." + re.sub(r"\.(\d+)(?=\.|$)", r"[\1]", key_path)
 
 
 @pytest.mark.parametrize("case", _UNKNOWN_KEYS)
@@ -360,8 +385,8 @@ _WRONG_TYPES = {
     "float from a string": ("fig2", "simulate", "geometry.fiber_length_m", "2000"),
     "float from a bool": ("fig2", "simulate", "simulate.true_omega_rad_s", True),
     "degrees from a string": ("fig2", "simulate", "simulate.theta_deg", ["2.5"]),
-    "float list item from a bool": ("fig2", "simulate", "simulate.phi0_rad",
-                                    {"noon": [0.0, 1.0, True], "single": [0.0]}),
+    "float list item from a bool": ("fig2", "simulate", "simulate.phi0_rad.noon",
+                                    [0.0, 1.0, True]),
     "str from a number": ("table3", "design", "design.specs.0.projection", 1),
 }
 
@@ -370,8 +395,9 @@ _WRONG_TYPES = {
 def test_config_value_of_the_wrong_json_type_exits_2(tmp_path, capsys, case):
     name, command, key_path, value = _WRONG_TYPES[case]
     assert run_with(tmp_path, name, command, key_path, value) == 2
-    key = key_path.rsplit(".", 1)[-1]
-    assert re.search(rf"{key}: .* is not a JSON", capsys.readouterr().err)
+    # a list item is named by its index: config.simulate.theta_deg[0]
+    pattern = rf"{re.escape(message_path(key_path))}(\[\d+\])?: .* is not a JSON"
+    assert re.search(pattern, capsys.readouterr().err)
 
 
 def test_json_integers_read_as_floats_and_integral_floats_as_ints(tmp_path):
@@ -388,11 +414,57 @@ def test_json_integers_read_as_floats_and_integral_floats_as_ints(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-@pytest.mark.parametrize("counts", [5, ["counts_noon.csv"], {"noon": 5}, None],
-                         ids=["number", "list", "number path", "null"])
-def test_fit_counts_neither_path_nor_object_exits_2(tmp_path, capsys, counts):
+@pytest.mark.parametrize("counts, key_path", [
+    (5, "fit.counts"), (["counts_noon.csv"], "fit.counts"),
+    ({"noon": 5}, "fit.counts.noon"), (None, "fit.counts")],
+    ids=["number", "list", "number path", "null"])
+def test_fit_counts_neither_path_nor_object_exits_2(tmp_path, capsys, counts,
+                                                    key_path):
     assert run_with(tmp_path, "fig2", "fit", "fit.counts", counts) == 2
-    assert "fit.counts: " in capsys.readouterr().err
+    assert f"{message_path(key_path)}: " in capsys.readouterr().err
+
+
+# case -> (recipe, command, key path, value): each is rejected when the
+# config loads, naming its key path, before any output is written
+_MALFORMED = {
+    # a falsy block used to run on the defaults
+    "noise list": ("fig2", "simulate", "noise", []),
+    "noise false": ("fig2", "simulate", "noise", False),
+    "schedule string": ("fig2", "simulate", "schedule", ""),
+    "rates number": ("fig2", "simulate", "rates", 0),
+    # was iterated by character: unknown probe kind 'n'
+    "kinds string": ("fig2", "simulate", "simulate.kinds", "noon"),
+    "fit trace number": ("fig4_cw", "fit", "fit.trace", 5),
+    # a list where a value belongs was passed on: [false] is true
+    "seed list": ("fig2", "simulate", "seed", [1, 2]),
+    "sample_poisson list": ("fig2", "simulate", "simulate.sample_poisson", [False]),
+    "landscape list": ("fig5", "design", "design.landscape", [False]),
+    # a kind typo used to leave single at its default visibility
+    "per-kind typo": ("fig2", "simulate", "simulate.visibility",
+                      {"noon": 0.97, "singel": 0.5}),
+    "per-kind scalar": ("fig2", "simulate", "simulate.duration_s", 900.0),
+    "base_phase_rad scalar": ("fig2", "simulate", "simulate.base_phase_rad.noon", 0.0),
+    "counts path": ("fig2", "fit", "fit.counts", "counts_noon.csv"),
+    "specs object": ("table3", "design", "design.specs", {}),
+    "spec name number": ("table3", "design", "design.specs.0.name", 5),
+    # True == 1, so the version check alone passes it
+    "schema_version true": ("fig2", "simulate", "schema_version", True),
+    "null": ("fig2", "fit", "fit.mc_samples", None),
+    "integer beyond a float": ("fig2", "simulate", "geometry.fiber_length_m",
+                               10 ** 400),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED)
+def test_malformed_config_exits_2_naming_its_key(tmp_path, capsys, case):
+    name, command, key_path, value = _MALFORMED[case]
+    cfg = config_with(tmp_path, name, key_path, value)
+    out = tmp_path / "run"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{message_path(key_path)}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "fit", "design"])
@@ -425,13 +497,16 @@ def test_geometry_key_of_the_other_shape_exits_2(tmp_path, capsys, shape, key, v
 
 
 def _config_key_names(keys):
-    """Every key name of a config-key tree: dict keys, list items, nested blocks."""
+    """Every key name of a config schema: dict keys, list items, nested blocks.
+
+    A (keyword, type) entry is a value, with no key names in it.
+    """
     if isinstance(keys, list):
         return _config_key_names(keys[0])
     names = set()
     for key, sub in keys.items():
         names.add(key)
-        if sub is not None:
+        if not isinstance(sub, tuple):
             names |= _config_key_names(sub)
     return names
 

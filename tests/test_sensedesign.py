@@ -9,6 +9,7 @@ from qsagnac import (CONSTANTS, DesignSpec, InterferometerGeometry,
                      design_from_dict, design_to_dict, landscape,
                      optimize_gfring, pair_rate_out, phase_resolution,
                      regime_label, rotation_resolution, transmission)
+from qsagnac.cli import main
 from qsagnac.sensedesign import InfeasibleDesignError
 
 LN10 = math.log(10.0)
@@ -249,12 +250,22 @@ def test_regime_label_boundaries():
     assert regime_label(CONSTANTS.omega_gr * 0.999) == "below_omega_gr"
 
 
-def test_design_dict_round_trip():
-    for spec in load_table_specs():
+def test_design_dict_round_trip(tmp_path):
+    """design_to_dict gives specs that read back, also as a `design` config."""
+    specs = load_table_specs()
+    for spec in specs:
         again = design_from_dict(design_to_dict(spec))
         assert design_to_dict(again) == design_to_dict(spec)
         assert rotation_resolution(again).delta_omega \
             == rotation_resolution(spec).delta_omega
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"schema_version": 1, "design": {
+        "specs": [design_to_dict(spec) for spec in specs]}}))
+    recipe = str(resources.files("qsagnac") / "recipes" / "table3.json")
+    for name, path in (("written", str(config)), ("recipe", recipe)):
+        assert main(["design", "--config", path, "--out", str(tmp_path / name)]) == 0
+    assert (tmp_path / "written" / "designs.csv").read_bytes() \
+        == (tmp_path / "recipe" / "designs.csv").read_bytes()
 
 
 def test_design_from_dict_validation():
