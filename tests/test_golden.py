@@ -2,8 +2,9 @@
 
 tests/golden/<recipe>/ holds the outputs of one run: for the fit recipes
 the fit_report.json, table_*.csv files and fit stdout of simulate + fit
---fast, for the design recipes the design_report.json, CSV files and
-stdout of design.  `python tests/golden/regenerate.py` rewrites them and
+--fast, with the simulated data (simulate's stdout, the counts_*.csv
+files and the sha256 of trace.csv), for the design recipes the
+design_report.json, CSV files and stdout of design.  `python tests/golden/regenerate.py` rewrites them and
 prints the largest move of each field class.  Text outputs must match
 exactly, and report keys in name and order.  Report fields compare by
 class:
@@ -17,6 +18,7 @@ class:
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -41,15 +43,26 @@ _EARTH_SIGMAS = {"phi_on": "phi_on_sigma", "phi_off": "phi_off_sigma",
 
 
 def run_fast_recipe(name, out_dir):
-    """simulate + fit --fast of a bundled recipe; returns {file name: text}."""
+    """simulate + fit --fast of a bundled recipe; returns {file name: text}.
+
+    A trace.csv is pinned by its sha256, as trace.csv.sha256: the trace
+    itself is too large to commit.
+    """
     config = str(resources.files("qsagnac") / "recipes" / f"{name}.json")
     out = Path(out_dir)
-    with contextlib.redirect_stdout(io.StringIO()):
+    simulate_stdout = io.StringIO()
+    with contextlib.redirect_stdout(simulate_stdout):
         assert main(["simulate", "--config", config, "--out", str(out)]) == 0
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert main(["fit", "--config", config, "--out", str(out), "--fast"]) == 0
-    files = {p.name: p.read_text() for p in sorted(out.glob("table_*.csv"))}
+    files = {p.name: p.read_text()
+             for pattern in ("counts_*.csv", "table_*.csv")
+             for p in sorted(out.glob(pattern))}
+    trace = out / "trace.csv"
+    if trace.exists():
+        files["trace.csv.sha256"] = hashlib.sha256(trace.read_bytes()).hexdigest() + "\n"
+    files["simulate_stdout.txt"] = simulate_stdout.getvalue()
     files["fit_report.json"] = (out / "fit_report.json").read_text()
     files["fit_stdout.txt"] = stdout.getvalue()
     return files
