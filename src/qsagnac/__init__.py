@@ -6,7 +6,7 @@ from .sagnac import (CONSTANTS, OFF_TRANSMISSION, InterferometerGeometry,
                      PhysicalConstants, SwitchState, geometry_from_dict,
                      sagnac_phase, scale_factor, switch_transmission,
                      transmission)
-from .probe import (CLASSICAL, NOON2, SINGLE, ProbeKind, TwoModeState,
+from .probe import (NOON2, SINGLE, ProbeKind, TwoModeState,
                     coincidence_projection, evolve, fringe_probs,
                     hom_interfere, noon_state, output_state_after_hwp,
                     two_photon_hwp)

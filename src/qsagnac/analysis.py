@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expsim import CountRecord, NoiseConfig, SwitchSchedule, seed_sequence
-from .probe import NOON2, SINGLE
+from .probe import KINDS
 from .sagnac import CONSTANTS, SwitchState
 
 
@@ -95,10 +95,9 @@ def _single_model(params, x):
     return av * jac[:, 0], jac
 
 
+# the fringe harmonic k of each model is the phase gain of its probe,
+# KINDS[model].enhancement: the phase enters as k x + phase
 _MODELS = {"noon": (_noon_model, NOON_PARAMS), "single": (_single_model, SINGLE_PARAMS)}
-# fringe harmonic k of each model, its probe's phase gain: the phase enters
-# as k x + phase
-_HARMONIC = {"noon": NOON2.enhancement, "single": SINGLE.enhancement}
 
 
 # condition-number limit of every design check
@@ -380,7 +379,7 @@ def nlls(model, x, y, weights=None):
             f"{model} data are constant; phase and visibility are unidentifiable")
     w = 1.0 / np.maximum(y, 1.0) if weights is None \
         else np.asarray(weights, dtype=float)
-    params = _harmonic_solve(x, y[None, :], w[None, :], _HARMONIC[model])
+    params = _harmonic_solve(x, y[None, :], w[None, :], KINDS[model].enhancement)
     ok, n_iter = True, 0
     if model == "single":
         params, conv, iters = _least_squares(fn, params, x, y[:, None], w[:, None])
@@ -519,8 +518,6 @@ def extract_earth_phase(fit_on, fit_off, mc=None):
         raise FitError("cannot difference unconverged fits")
     phi_e = wrap_phase(fit_off.phase - fit_on.phase)
     if mc is not None:
-        if mc.phi_e_sigma is None:
-            raise ValueError("bootstrap lacks one of the switch states")
         return EarthPhaseResult(
             fit_on.model,
             fit_on.phase, mc.param_sigmas["on"]["phase"],
@@ -553,6 +550,14 @@ def _group_by(records, attr):
     return groups
 
 
+def _fit_switch_states(records, model):
+    """_fit_state of each switch state, keyed on then off; both must be present."""
+    groups = _group_by(records, "switch")
+    if SwitchState.ON not in groups or SwitchState.OFF not in groups:
+        raise ValueError("need records in both switch states")
+    return {s: _fit_state(groups[s], model) for s in (SwitchState.ON, SwitchState.OFF)}
+
+
 def _resample_fits(fit, x, y, w, delta):
     """Fits of the resamples (rows of y, w) taken at set points x + delta.
 
@@ -567,8 +572,9 @@ def _resample_fits(fit, x, y, w, delta):
     """
     fn, names = _MODELS[fit.model]
     ip = names.index("phase")
+    k = KINDS[fit.model].enhancement
     if fit.model == "noon":
-        p, bad = _harmonic_solve(x, y, w, _HARMONIC["noon"]), 0
+        p, bad = _harmonic_solve(x, y, w, k), 0
     else:
         p0 = np.array([[fit.params[n]] for n in names])
         p = np.empty((len(names), len(y)))
@@ -578,7 +584,7 @@ def _resample_fits(fit, x, y, w, delta):
             p[:, rows], conv[rows], _ = _least_squares(
                 fn, p0, x, y[rows].T, w[rows].T)
         bad = int(np.count_nonzero(~conv))
-    p[ip] -= _HARMONIC[fit.model] * delta
+    p[ip] -= k * delta
     _canonicalize(fit.model, p)
     p[ip] = fit.phase + wrap_phase(p[ip] - fit.phase)
     return p, bad
@@ -589,9 +595,10 @@ _MC_CHUNK = 20_000
 
 
 def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None, seed=None):
-    """Parametric bootstrap of the fringe fits.
+    """Parametric bootstrap of the fringe fits of both switch states.
 
-    Each resample draws Poisson counts around the observed ones and one
+    records must hold both switch states (ValueError otherwise).  Each
+    resample draws Poisson counts around the observed ones and one
     Gaussian set-point offset delta with sigma motor_sigma that displaces
     every bias value of the resample, in both switch states.  A common
     shift of the set points only moves the fitted phase by -k delta (k = 2
@@ -604,54 +611,46 @@ def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None, seed=Non
     resamples whose fit did not converge; FitError is raised if it
     exceeds 1%.
     """
-    if model not in _MODELS:
-        raise ValueError(f"unknown fringe model {model!r}")
     if n_samples < 2:
         raise ValueError("need at least two resamples")
     if motor_sigma is None:
         motor_sigma = NoiseConfig().motor_sigma
+    base = _fit_switch_states(records, model)
     names = _MODELS[model][1]
-    groups = _group_by(records, "switch")
-    states = [s for s in (SwitchState.ON, SwitchState.OFF) if s in groups]
-    base = {s: _fit_state(groups[s], model) for s in states}
 
     rng = np.random.default_rng(seed_sequence(seed))
-    samples = {s: [] for s in states}
+    samples = {s: [] for s in base}
     bad = 0
     left = n_samples
     while left > 0:
         b = min(_MC_CHUNK, left)
         left -= b
         delta = rng.normal(0.0, motor_sigma, b) if motor_sigma > 0.0 else np.zeros(b)
-        for s in states:
-            fit, x, counts = base[s]
+        for s, (fit, x, counts) in base.items():
             y, w = _observations(model, **{
                 c: rng.poisson(mu, (b, len(x))).astype(float) for c, mu in counts.items()})
             p, n_bad = _resample_fits(fit, x, y, w, delta)
             bad += n_bad
             samples[s].append(p)
 
-    frac = bad / (n_samples * len(states))
+    frac = bad / (2 * n_samples)
     if frac > 0.01:
         raise FitError(f"{frac:.1%} of bootstrap refits failed to converge")
 
     means, sigmas = {}, {}
-    stacked = {s: np.concatenate(samples[s], axis=1) for s in states}
-    for s in states:
+    stacked = {s: np.concatenate(samples[s], axis=1) for s in base}
+    for s in base:
         means[s.value] = {n: float(m) for n, m in zip(names, stacked[s].mean(axis=1))}
         sigmas[s.value] = {n: float(v) for n, v in zip(names, stacked[s].std(axis=1, ddof=1))}
 
-    phi_e_mean = phi_e_sigma = None
-    if len(states) == 2:
-        ip = names.index("phase")
-        base_e = wrap_phase(base[SwitchState.OFF][0].phase - base[SwitchState.ON][0].phase)
-        diff = stacked[SwitchState.OFF][ip] - stacked[SwitchState.ON][ip]
-        diff = base_e + wrap_phase(diff - base_e)
-        phi_e_mean = float(diff.mean())
-        phi_e_sigma = float(diff.std(ddof=1))
+    ip = names.index("phase")
+    base_e = wrap_phase(base[SwitchState.OFF][0].phase - base[SwitchState.ON][0].phase)
+    diff = stacked[SwitchState.OFF][ip] - stacked[SwitchState.ON][ip]
+    diff = base_e + wrap_phase(diff - base_e)
     return McUncertainty(model=model, n_samples=n_samples, motor_sigma=motor_sigma,
                          param_means=means, param_sigmas=sigmas,
-                         phi_e_mean=phi_e_mean, phi_e_sigma=phi_e_sigma,
+                         phi_e_mean=float(diff.mean()),
+                         phi_e_sigma=float(diff.std(ddof=1)),
                          nonconverged_fraction=frac)
 
 
@@ -756,7 +755,17 @@ def _cosine_lsq(angles, phases, weights):
     return a, b, sxx, sxy, syy
 
 
-def _check_angle_set(angles):
+def _check_angle_set(angles, phases, sigmas):
+    """angles, phases and sigmas as float arrays, checked for a cosine fit.
+
+    They must be 1-d and of equal length, the sigmas positive, and the
+    angles at least three distinct values spanning _MIN_SPAN_DEG.
+    """
+    angles, phases, sigmas = (np.asarray(a, dtype=float) for a in (angles, phases, sigmas))
+    if not (angles.shape == phases.shape == sigmas.shape) or angles.ndim != 1:
+        raise ValueError("angles, phases and sigmas must be 1-d and equal length")
+    if np.any(sigmas <= 0.0):
+        raise ValueError("phase sigmas must be positive")
     distinct = sorted(set(float(a) for a in angles))
     if len(distinct) < 3:
         raise DegenerateDesignError("need at least three distinct angles")
@@ -764,6 +773,7 @@ def _check_angle_set(angles):
         raise DegenerateDesignError(
             f"angles span {math.degrees(distinct[-1] - distinct[0]):.2f} deg; "
             f"need at least {_MIN_SPAN_DEG} deg")
+    return angles, phases, sigmas
 
 
 def calibrate_scale_factor(angles, phases, sigmas, omega_earth=None,
@@ -776,14 +786,7 @@ def calibrate_scale_factor(angles, phases, sigmas, omega_earth=None,
     with its Gaussian sigma and each angle uniformly within
     +-angle_halfwidth, and reports means and standard deviations.
     """
-    angles = np.asarray(angles, dtype=float)
-    phases = np.asarray(phases, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
-    if not (angles.shape == phases.shape == sigmas.shape) or angles.ndim != 1:
-        raise ValueError("angles, phases and sigmas must be 1-d and equal length")
-    if np.any(sigmas <= 0.0):
-        raise ValueError("phase sigmas must be positive")
-    _check_angle_set(angles)
+    angles, phases, sigmas = _check_angle_set(angles, phases, sigmas)
     if omega_earth is None:
         omega_earth = CONSTANTS.omega_earth
     if n_samples < 2:
@@ -828,16 +831,9 @@ def fit_angle_sweep(angles, phi_e, sigmas, scale_factor_s, enhancement=1):
     enhancement the probe's phase gain.  Sigmas propagate through the
     linearized design matrix.
     """
-    angles = np.asarray(angles, dtype=float)
-    phi_e = np.asarray(phi_e, dtype=float)
-    sigmas = np.asarray(sigmas, dtype=float)
-    if not (angles.shape == phi_e.shape == sigmas.shape) or angles.ndim != 1:
-        raise ValueError("angles, phases and sigmas must be 1-d and equal length")
-    if np.any(sigmas <= 0.0):
-        raise ValueError("phase sigmas must be positive")
+    angles, phi_e, sigmas = _check_angle_set(angles, phi_e, sigmas)
     if scale_factor_s <= 0.0 or enhancement < 1:
         raise ValueError("scale factor must be positive, enhancement >= 1")
-    _check_angle_set(angles)
 
     w = 1.0 / (sigmas * sigmas)
     a, b, sxx, sxy, syy = _cosine_lsq(angles, phi_e, w)
@@ -882,9 +878,6 @@ def group_records_by_angle(records):
 
 def fit_switch_pair(records, model):
     """Fit both switch states of one angle; returns (fit_on, fit_off, earth)."""
-    groups = _group_by(records, "switch")
-    if SwitchState.ON not in groups or SwitchState.OFF not in groups:
-        raise ValueError("need records in both switch states")
-    fit_on = _fit_state(groups[SwitchState.ON], model)[0]
-    fit_off = _fit_state(groups[SwitchState.OFF], model)[0]
+    base = _fit_switch_states(records, model)
+    fit_on, fit_off = base[SwitchState.ON][0], base[SwitchState.OFF][0]
     return fit_on, fit_off, extract_earth_phase(fit_on, fit_off)

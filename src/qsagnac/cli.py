@@ -30,7 +30,7 @@ from .analysis import (DegenerateDesignError, FitError, UndefinedRatioError,
 from .expsim import (NoiseConfig, RateConfig, SwitchSchedule, angle_sweep,
                      new_file, read_counts_csv, read_trace_csv,
                      simulate_polarimeter, write_counts_csv, write_trace_csv)
-from .probe import NOON2, SINGLE
+from .probe import KINDS
 from .sagnac import (_GEOMETRY_KEYS, CONSTANTS, check_config, config_kwargs,
                      from_degrees, geometry_from_dict, scale_factor)
 from .sensedesign import (_DESIGN_KEYS, InfeasibleDesignError, design_from_dict,
@@ -38,7 +38,6 @@ from .sensedesign import (_DESIGN_KEYS, InfeasibleDesignError, design_from_dict,
 
 SCHEMA_VERSION = 1
 
-_KINDS = {"noon": NOON2, "single": SINGLE}
 _FAST_SAMPLES = 1000  # Monte-Carlo sample count under --fast
 
 
@@ -83,12 +82,12 @@ _NOISE_KEYS = {
     "leakage_fraction": ("leakage_fraction", float),
 }
 _SIMULATE_KEYS = {
-    "kinds": ("kinds", [str]),
     "true_omega_rad_s": ("true_omega", float),
     "theta_deg": ("theta_list", [from_degrees]),
     "sample_poisson": ("sample_poisson", bool),
 }
-# simulate keys that take a {kind: value} object
+# simulate keys that take a {kind: value} object; the kinds simulated are
+# the kinds phi0_rad gives a grid for
 _PER_KIND_KEYS = {
     "phi0_rad": ("phi0_list", [float]),
     "base_phase_rad": ("base_phase", [float]),
@@ -135,10 +134,10 @@ _CONFIG_KEYS = {
     "geometry": _GEOMETRY_KEYS, "schedule": _SCHEDULE_KEYS,
     "rates": _RATES_KEYS, "noise": _NOISE_KEYS,
     "simulate": {**_SIMULATE_KEYS, "trace": _TRACE_KEYS,
-                 **{key: dict.fromkeys(_KINDS, entry)
+                 **{key: dict.fromkeys(KINDS, entry)
                     for key, entry in _PER_KIND_KEYS.items()}},
     "fit": {**_FIT_KEYS, **_MC_KEYS, "calibration": _CALIBRATION_KEYS,
-            "counts": dict.fromkeys(_KINDS, ("counts", str))},
+            "counts": dict.fromkeys(KINDS, ("counts", str))},
     "design": {"landscape": ("landscape", bool), "gfring": _GFRING_KEYS,
                "specs": [{**_GEOMETRY_KEYS, **_DESIGN_KEYS}]},
 }
@@ -233,22 +232,25 @@ def cmd_simulate(args, config, sim):
     rates = RateConfig(**config_kwargs(config.get("rates", {}), _RATES_KEYS))
     noise = NoiseConfig(**config_kwargs(config.get("noise", {}), _NOISE_KEYS))
     opts = config_kwargs(sim, _SIMULATE_KEYS)
-    kinds = opts.pop("kinds", ["noon"])
     true_omega = opts.pop("true_omega", CONSTANTS.omega_earth)
     thetas = opts.pop("theta_list", [geom.frame_angle])
 
+    grids = sim.get("phi0_rad", {})
+    for key in _PER_KIND_KEYS:
+        for kind in sim.get(key, {}):
+            if kind not in grids:
+                raise ValueError(f"config.simulate.{key}.{kind}: no "
+                                 f"simulate.phi0_rad.{kind} grid, so nothing reads it")
+
     root = np.random.SeedSequence(_seed_of(args, config))
     outputs = {}
-    for kind in kinds:
-        if kind not in _KINDS:
-            raise ValueError(f"unknown probe kind {kind!r}")
-        kind_opts = _per_kind(sim, kind)
-        if "phi0_list" not in kind_opts:
-            raise ValueError(f"simulate.phi0_rad missing for kind {kind!r}")
+    for kind, probe in KINDS.items():
+        if kind not in grids:
+            continue
         records = angle_sweep(
-            _KINDS[kind], geom, thetas, true_omega=true_omega,
+            probe, geom, thetas, true_omega=true_omega,
             seed=root.spawn(1)[0], schedule=schedule, rates=rates, noise=noise,
-            **opts, **kind_opts)
+            **opts, **_per_kind(sim, kind))
         outputs[f"counts_{kind}.csv"] = _announced(
             partial(write_counts_csv, records), f"wrote counts_{kind}.csv: "
             f"{len(records)} records over {len(thetas)} angle(s)")
@@ -326,7 +328,7 @@ def cmd_fit(args, config, fit_cfg):
             sweep = fit_angle_sweep(
                 list(groups), [a["earth_phase"].phi_e for a in angles],
                 [a["earth_phase"].phi_e_sigma for a in angles],
-                scale, enhancement=_KINDS[kind].enhancement)
+                scale, enhancement=KINDS[kind].enhancement)
             kind_report["angle_sweep"] = sweep
             print(f"{kind} sweep: amplitude = {1e3 * sweep.amplitude:.2f} "
                   f"+- {1e3 * sweep.amplitude_sigma:.2f} mrad, "

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .probe import ProbeKind, fringe_probs
+from .probe import NOON2, SINGLE, fringe_probs
 from .sagnac import SwitchState, sagnac_phase, switch_transmission
 
 
@@ -128,24 +128,20 @@ def _draw_counts(rng, lam, sample_poisson):
 
 
 def simulate_counts(kind, geom, phi0_list, true_omega, seed, duration_s=1800.0,
-                    schedule=None, rates=None, noise=None, visibility=None,
-                    distinguishability=0.0, base_phase=0.0, channel_asymmetry=0.0,
-                    sample_poisson=True):
+                    schedule=None, rates=None, noise=None, visibility=1.0,
+                    base_phase=0.0, channel_asymmetry=0.0, sample_poisson=True):
     """Count records for one angle: every bias set point in both switch states.
 
-    Port probabilities are fringe_probs(k (phi0 - phi_s) + base_phase) with
-    k the probe's phase enhancement, so the fitted phase drops by k * phi_s
+    kind is NOON2, the path-entangled pair, or SINGLE, the heralded single
+    photon; any other kind raises TypeError.  Port probabilities are
+    fringe_probs(k (phi0 - phi_s) + base_phase, visibility) with k the
+    probe's phase enhancement, so the fitted phase drops by k * phi_s
     when the loop is switched in and the on/off difference is positive.
-    visibility defaults to 1 - distinguishability for pairs, 1 otherwise.
     Bias noise (set-point jitter, drift, walk) is drawn once per set
     point and shared by the two switch states.
     """
-    if not isinstance(kind, ProbeKind):
-        raise TypeError("kind must be a ProbeKind")
-    if kind.name == "classical":
-        raise ValueError("classical probe is continuous; use simulate_polarimeter")
-    if kind.name == "noon" and kind.photons != 2:
-        raise ValueError("only two-photon pairs are simulated")
+    if kind not in (NOON2, SINGLE):
+        raise TypeError(f"kind must be NOON2 or SINGLE, not {kind!r}")
     if duration_s <= 0.0:
         raise ValueError("duration must be positive")
     if len(phi0_list) == 0:
@@ -153,8 +149,6 @@ def simulate_counts(kind, geom, phi0_list, true_omega, seed, duration_s=1800.0,
     schedule = schedule or SwitchSchedule()
     rates = rates or RateConfig()
     noise = noise or NoiseConfig()
-    if visibility is None:
-        visibility = 1.0 - distinguishability if kind.name == "noon" else 1.0
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must be in [0, 1]")
 
@@ -244,19 +238,17 @@ def simulate_polarimeter(geom, true_omega, total_time, seed, schedule=None,
 
 
 def angle_sweep(kind, geom, theta_list, phi0_list, true_omega, seed,
-                base_phase=0.0, **kwargs):
+                base_phase=None, **kwargs):
     """Records over a list of frame angles; one seed substream per angle.
 
-    base_phase may be a scalar or a sequence aligned with theta_list.
+    base_phase is None, no base phase, or one value per angle of theta_list.
     """
     if len(theta_list) == 0:
         raise ValueError("need at least one angle")
-    try:
-        phases = [float(b) for b in base_phase]
-        if len(phases) != len(theta_list):
-            raise ValueError("base_phase sequence must match theta_list")
-    except TypeError:
-        phases = [float(base_phase)] * len(theta_list)
+    phases = [0.0] * len(theta_list) if base_phase is None \
+        else [float(b) for b in base_phase]
+    if len(phases) != len(theta_list):
+        raise ValueError("base_phase must have one value per angle")
 
     children = seed_sequence(seed).spawn(len(theta_list))
     records = []

@@ -25,25 +25,16 @@ class ProbeKind:
     name: str
     photons: int
 
-    def __post_init__(self):
-        if self.name not in ("single", "noon", "classical"):
-            raise ValueError(f"unknown probe kind {self.name!r}")
-        if self.name == "single" and self.photons != 1:
-            raise ValueError("single-photon probe carries exactly one photon")
-        if self.name == "noon" and self.photons < 2:
-            raise ValueError("path-entangled probe needs at least two photons")
-        if self.name == "classical" and self.photons != 0:
-            raise ValueError("classical probe carries no photon number")
-
     @property
     def enhancement(self):
         """Phase accumulation rate relative to a single photon."""
-        return self.photons if self.name == "noon" else 1
+        return self.photons
 
 
 SINGLE = ProbeKind("single", 1)
 NOON2 = ProbeKind("noon", 2)
-CLASSICAL = ProbeKind("classical", 0)
+# the probes that are simulated and fit, by config name, in simulation order
+KINDS = {"noon": NOON2, "single": SINGLE}
 
 
 @dataclass(frozen=True)

@@ -111,18 +111,11 @@ def scale_factor(geom):
     return 8.0 * math.pi * geom.effective_area / (geom.wavelength * CONSTANTS.c)
 
 
-def sagnac_phase(geom, omega, switch=SwitchState.ON, off_residual_fraction=0.0):
-    """Rotation phase picked up in one pass; zero in the off state (loop bypassed).
-
-    off_residual_fraction models an imperfect off-state area cancellation
-    as that fraction of the on-state area.
-    """
-    phi = scale_factor(geom) * omega * math.cos(geom.frame_angle)
+def sagnac_phase(geom, omega, switch=SwitchState.ON):
+    """Rotation phase picked up in one pass; 0 in the off state, which bypasses the loop."""
     if switch is SwitchState.OFF:
-        if not 0.0 <= off_residual_fraction < 1.0:
-            raise ValueError("off-state residual fraction must be in [0, 1)")
-        return off_residual_fraction * phi
-    return phi
+        return 0.0
+    return scale_factor(geom) * omega * math.cos(geom.frame_angle)
 
 
 def switch_transmission(switch):

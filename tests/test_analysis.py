@@ -625,6 +625,13 @@ def test_switch_pair_needs_both_states(quiet_noise):
         fit_switch_pair(ons, "noon")
 
 
+def test_mc_needs_both_states(quiet_noise):
+    recs = noiseless_records(NOON2, quiet_noise, duration=100.0)
+    offs = [r for r in recs if r.switch is SwitchState.OFF]
+    with pytest.raises(ValueError, match="both switch states"):
+        mc_uncertainty(offs, "noon", n_samples=100, seed=0)
+
+
 def test_common_bias_offset_cancels_in_earth_phase(quiet_noise):
     """A rigid shift of every set point moves both fits, not their difference."""
     recs = noiseless_records(NOON2, quiet_noise)

@@ -246,12 +246,40 @@ def test_failed_fit_leaves_no_new_file(tmp_path, capsys):
 def test_failed_simulate_leaves_no_file(tmp_path, capsys):
     """A bad second kind fails the run before the first kind's counts are written."""
     config = json.loads(Path(recipe("fig2")).read_text())
-    config["simulate"]["kinds"] = ["noon", "nooon"]
+    config["simulate"]["duration_s"]["single"] = 0.0
     out = tmp_path / "run"
     assert main(["simulate", "--config", write_config(tmp_path, config),
                  "--out", str(out)]) == 2
     assert not out.exists()
-    assert "unknown probe kind 'nooon'" in capsys.readouterr().err
+    assert "duration must be positive" in capsys.readouterr().err
+
+
+def test_simulate_kinds_exits_2(tmp_path, capsys):
+    """The kinds simulated are the kinds phi0_rad gives a grid for: no kinds list."""
+    cfg = config_with(tmp_path, "fig2", "simulate.kinds", ["noon", "single"])
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config.simulate: unknown key(s) kinds" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["duration_s", "visibility", "base_phase_rad"])
+def test_per_kind_key_without_a_grid_exits_2(tmp_path, capsys, key):
+    """A kind with no phi0_rad grid is not simulated, so its other keys are unread."""
+    config = json.loads(Path(recipe("fig2")).read_text())
+    del config["simulate"]["phi0_rad"]["single"]
+    for other in ("duration_s", "visibility", "base_phase_rad"):
+        if other != key:
+            del config["simulate"][other]["single"]
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", write_config(tmp_path, config),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"config.simulate.{key}.single: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_rerun_replaces_outputs_and_leaves_hard_links(tmp_path):
@@ -432,8 +460,6 @@ _MALFORMED = {
     "noise false": ("fig2", "simulate", "noise", False),
     "schedule string": ("fig2", "simulate", "schedule", ""),
     "rates number": ("fig2", "simulate", "rates", 0),
-    # was iterated by character: unknown probe kind 'n'
-    "kinds string": ("fig2", "simulate", "simulate.kinds", "noon"),
     "fit trace number": ("fig4_cw", "fit", "fit.trace", 5),
     # a list where a value belongs was passed on: [false] is true
     "seed list": ("fig2", "simulate", "seed", [1, 2]),

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qsagnac import (NOON2, SINGLE, CLASSICAL, NoiseConfig, RateConfig,
+from qsagnac import (NOON2, SINGLE, NoiseConfig, ProbeKind, RateConfig,
                      SwitchSchedule, SwitchState, angle_sweep,
                      read_counts_csv, read_trace_csv, simulate_counts,
                      simulate_polarimeter, write_counts_csv, write_trace_csv)
@@ -135,8 +135,9 @@ def test_motor_jitter_is_common_to_both_switch_states(bench_geometry):
 def test_simulate_counts_validation(bench_geometry):
     with pytest.raises(TypeError):
         simulate_counts("noon", bench_geometry, [0.0], OMEGA_E, seed=0)
-    with pytest.raises(ValueError):
-        simulate_counts(CLASSICAL, bench_geometry, [0.0], OMEGA_E, seed=0)
+    # only the two-photon pair is simulated
+    with pytest.raises(TypeError):
+        simulate_counts(ProbeKind("noon", 3), bench_geometry, [0.0], OMEGA_E, seed=0)
     with pytest.raises(ValueError):
         simulate_counts(NOON2, bench_geometry, [0.0], OMEGA_E, seed=0,
                         duration_s=0.0)

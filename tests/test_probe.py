@@ -8,7 +8,7 @@ from qsagnac import (RateConfig, SwitchSchedule, SwitchState, sagnac_phase,
                      simulate_counts, switch_transmission)
 from qsagnac.analysis import _noon_model, _single_model
 from qsagnac.polarization import PLUS, phase_shift, sagnac_loop
-from qsagnac.probe import (CLASSICAL, NOON2, SINGLE, ProbeKind, TwoModeState,
+from qsagnac.probe import (NOON2, SINGLE, ProbeKind, TwoModeState,
                            coincidence_projection, evolve, fringe_probs,
                            hom_interfere, noon_state, output_state_after_hwp,
                            two_photon_hwp)
@@ -29,17 +29,13 @@ def pair_coincidence_prob(phi0, phi_s):
 def test_probe_kind_enhancement():
     assert SINGLE.enhancement == 1
     assert NOON2.enhancement == 2
-    assert CLASSICAL.enhancement == 1
-    assert ProbeKind("noon", 3).enhancement == 3
 
 
-def test_probe_kind_validation():
-    with pytest.raises(ValueError):
-        ProbeKind("single", 2)
-    with pytest.raises(ValueError):
-        ProbeKind("noon", 1)
-    with pytest.raises(ValueError):
-        ProbeKind("squeezed", 2)
+def test_probe_kind_validation(bench_geometry):
+    """A kind other than NOON2 and SINGLE is refused where it would be simulated."""
+    for kind in (ProbeKind("single", 2), ProbeKind("noon", 1), ProbeKind("squeezed", 2)):
+        with pytest.raises(TypeError):
+            simulate_counts(kind, bench_geometry, [0.0], 0.0, seed=0)
 
 
 def test_state_normalization_enforced():
@@ -105,18 +101,6 @@ def test_hom_rejects_out_of_range():
         hom_interfere(-0.1)
     with pytest.raises(ValueError):
         hom_interfere(1.2)
-
-
-def test_fringe_visibility_linear_in_distinguishability(bench_geometry, quiet_noise):
-    # simulate_counts defaults the pair visibility to 1 - distinguishability;
-    # bias points 0 and pi/2 sit on the bright and dark coincidence fringe
-    rates = RateConfig(coincidence_window=1e-15)
-    for d in (0.0, 0.25, 1.0):
-        recs = simulate_counts(NOON2, bench_geometry, [0.0, math.pi / 2], 0.0, seed=1,
-                               rates=rates, noise=quiet_noise, distinguishability=d,
-                               sample_poisson=False)
-        hi, lo = (r.n_hv for r in recs if r.switch is SwitchState.ON)
-        assert (hi - lo) / (hi + lo) == pytest.approx(1.0 - d, abs=1e-6)
 
 
 def test_full_chain_coincidence_fringe():

@@ -14,8 +14,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from qsagnac import (CONSTANTS, InterferometerGeometry, SwitchState,  # noqa: E402
                      demodulate_trace, nlls, simulate_polarimeter, wrap_phase)
-from qsagnac.analysis import _HARMONIC, _MODELS  # noqa: E402
+from qsagnac.analysis import _MODELS  # noqa: E402
 from qsagnac.expsim import CountRecord, read_counts_csv, write_counts_csv  # noqa: E402
+from qsagnac.probe import KINDS  # noqa: E402
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -71,7 +72,7 @@ def test_set_point_shift_moves_the_fitted_phase_by_k_delta(
     other parameters come back as they went in: a noiseless round trip.
     """
     fn, names = _MODELS[model]
-    k = _HARMONIC[model]
+    k = KINDS[model].enhancement
     x = np.linspace(0.0, 2.0 * math.pi / k, 11)
     truth = {"amplitude": 1e5 if model == "noon" else 0.5, "asymmetry": asymmetry,
              "visibility": visibility, "phase": phase}

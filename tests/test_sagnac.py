@@ -42,16 +42,6 @@ def test_sagnac_phase_perpendicular_frame():
     assert abs(sagnac_phase(geom, OMEGA_E)) < 1e-18
 
 
-def test_sagnac_phase_off_residual(bench_geometry):
-    on = sagnac_phase(bench_geometry, OMEGA_E)
-    off = sagnac_phase(bench_geometry, OMEGA_E, SwitchState.OFF,
-                       off_residual_fraction=0.05)
-    assert off == pytest.approx(0.05 * on, rel=1e-12)
-    with pytest.raises(ValueError):
-        sagnac_phase(bench_geometry, OMEGA_E, SwitchState.OFF,
-                     off_residual_fraction=1.5)
-
-
 def test_phase_linear_in_rate_and_area():
     base = InterferometerGeometry.square(2000.0, 360, effective_area=715.0)
     tripled = InterferometerGeometry.square(2000.0, 360, effective_area=3 * 715.0)
