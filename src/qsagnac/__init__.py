@@ -3,9 +3,8 @@
 __version__ = "0.1.0"
 
 from .sagnac import (CONSTANTS, OFF_TRANSMISSION, InterferometerGeometry,
-                     PhysicalConstants, SwitchState, geometry_from_dict,
-                     sagnac_phase, scale_factor, switch_transmission,
-                     transmission)
+                     PhysicalConstants, SwitchState, sagnac_phase,
+                     scale_factor, switch_transmission, transmission)
 from .probe import (NOON2, SINGLE, ProbeKind, TwoModeState,
                     coincidence_projection, evolve, fringe_probs,
                     hom_interfere, noon_state, output_state_after_hwp,
@@ -23,7 +22,6 @@ from .analysis import (AngleSweepFit, CalibrationResult, DegenerateDesignError,
                        fit_switch_pair, group_records_by_angle, mc_uncertainty,
                        nlls, wrap_phase)
 from .sensedesign import (DesignSpec, GfringOptimum, InfeasibleDesignError,
-                          LandscapeRow, SensitivityReport, design_from_dict,
-                          design_to_dict, landscape, optimize_gfring,
-                          pair_rate_out, phase_resolution, regime_label,
-                          rotation_resolution)
+                          LandscapeRow, SensitivityReport, landscape,
+                          optimize_gfring, pair_rate_out, phase_resolution,
+                          regime_label, rotation_resolution)

@@ -1,17 +1,22 @@
 """Command line interface: simulate raw data, fit it, evaluate designs.
 
-All commands consume one JSON config (see the bundled recipes).  Each
-command computes its products and returns them as {file name: writer};
-main then writes them into --out, and the manifest last, so a failed run
-writes nothing.  Relative input paths in a config are resolved against
---out, so a fit can chain onto a simulate run in the same directory.
-Exit codes: 0 success, 2 bad config or input, 3 fit or feasibility
-failure.
+All commands consume one JSON config (see the bundled recipes), and this
+module alone knows its format: check_config checks the whole config
+against the key tables when it loads, config_kwargs reads a block into
+keyword arguments, and _build passes them on to what the block
+configures, naming by its key path a required key left out.  Each command
+computes its products and returns them as {file name: writer}; main then
+writes them into --out, and the manifest last, so a failed run writes
+nothing.  Relative input paths in a config are resolved against --out, so
+a fit can chain onto a simulate run in the same directory.  Exit codes: 0
+success, 2 bad config or input (a simulate or fit section that asks for
+no output included), 3 fit or feasibility failure.
 """
 
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -31,10 +36,9 @@ from .expsim import (NoiseConfig, RateConfig, SwitchSchedule, angle_sweep,
                      new_file, read_counts_csv, read_trace_csv,
                      simulate_polarimeter, write_counts_csv, write_trace_csv)
 from .probe import KINDS
-from .sagnac import (_GEOMETRY_KEYS, CONSTANTS, check_config, config_kwargs,
-                     from_degrees, geometry_from_dict, scale_factor)
-from .sensedesign import (_DESIGN_KEYS, InfeasibleDesignError, design_from_dict,
-                          landscape, optimize_gfring, rotation_resolution)
+from .sagnac import CONSTANTS, InterferometerGeometry, scale_factor
+from .sensedesign import (DesignSpec, InfeasibleDesignError, landscape,
+                          optimize_gfring, rotation_resolution)
 
 SCHEMA_VERSION = 1
 
@@ -55,12 +59,112 @@ def _load_config(path):
     return config
 
 
+def _json_type_needed(value, kind):
+    """The JSON type that kind reads, or None when value is of that type.
+
+    bool reads a boolean, str a string, int an integral number and float
+    and from_degrees any number; a boolean is not a number, so no value is
+    coerced into another type.
+    """
+    if kind is bool:
+        return None if isinstance(value, bool) else "boolean"
+    if kind is str:
+        return None if isinstance(value, str) else "string"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return "integer" if kind is int else "number"
+    if kind is int and not (isinstance(value, int) or value.is_integer()):
+        return "integer"
+    return None
+
+
+def check_config(value, schema, where="config"):
+    """Raise ValueError, naming the key path, where value does not fit schema.
+
+    A dict schema is a JSON object of its keys and [spec] a JSON array of
+    spec.  A (keyword, type) entry is one value of the JSON type that type
+    reads (see _json_type_needed), a finite one if a number, and a
+    (keyword, [type]) entry a JSON array of such values.  null fits no
+    schema.
+    """
+    if isinstance(schema, tuple):
+        schema = schema[1]
+    if isinstance(schema, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where}: {value!r} is not a JSON object")
+        unknown = sorted(set(value) - set(schema))
+        if unknown:
+            raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
+        for key, item in value.items():
+            check_config(item, schema[key], f"{where}.{key}")
+    elif isinstance(schema, list):
+        if not isinstance(value, list):
+            raise ValueError(f"{where}: {value!r} is not a JSON array")
+        for i, item in enumerate(value):
+            check_config(item, schema[0], f"{where}[{i}]")
+    else:
+        needed = _json_type_needed(value, schema)
+        if needed:
+            raise ValueError(f"{where}: {value!r} is not a JSON {needed}")
+        # NaN, an infinity, or an integer too large for a float
+        if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
+            raise ValueError(f"{where}: non-finite number {value!r}")
+
+
+def config_kwargs(cfg, table):
+    """Keyword arguments from a checked block through a key -> (keyword, type) table.
+
+    cfg is a block that check_config has passed, so each value already has
+    the JSON type and shape its key declares; nothing is checked here.  Only
+    keys present in cfg are passed on, so every default stays with the
+    signature it configures.  The type converts the value, or each item of
+    a (keyword, [type]) list.
+    """
+    kwargs = {}
+    for key, (field, kind) in table.items():
+        if key in cfg:
+            value = cfg[key]
+            kwargs[field] = ([kind[0](v) for v in value] if isinstance(kind, list)
+                             else kind(value))
+    return kwargs
+
+
+def _build(fn, cfg, table, where, **given):
+    """fn called with the keyword arguments of block cfg, updated by given.
+
+    A parameter of fn with no default that neither supplies raises
+    ValueError naming its JSON key: "config.geometry: missing turns".
+    """
+    kwargs = {**config_kwargs(cfg, table), **given}
+    keys = {field: key for key, (field, _) in table.items()}
+    missing = [keys[p.name] for p in inspect.signature(fn).parameters.values()
+               if p.default is p.empty and p.name not in kwargs
+               and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
+    if missing:
+        raise ValueError(f"{where}: missing {', '.join(missing)}")
+    return fn(**kwargs)
+
+
+def from_degrees(degrees):
+    """Config converter: degrees in, radians out."""
+    return math.radians(float(degrees))
+
+
 # JSON key -> (keyword, type) for each config block, read by config_kwargs;
 # (keyword, [type]) for a list; defaults stay with the dataclass or
 # function each block configures
 _TOP_KEYS = {
     "schema_version": ("schema_version", int),
     "seed": ("seed", int),
+}
+_GEOMETRY_KEYS = {
+    "shape": ("shape", str),
+    "fiber_length_m": ("fiber_length", float),
+    "turns": ("turns", int),
+    "perimeter_m": ("perimeter", float),
+    "frame_angle_deg": ("frame_angle", from_degrees),
+    "latitude_deg": ("latitude", from_degrees),
+    "wavelength_m": ("wavelength", float),
+    "effective_area_m2": ("effective_area", float),
 }
 _SCHEDULE_KEYS = {
     "frequency_hz": ("frequency", float),
@@ -114,6 +218,15 @@ _CALIBRATION_KEYS = {
     "omega_earth_rad_s": ("omega_earth", float),
     "mc_samples": ("n_samples", int),
 }
+_DESIGN_KEYS = {
+    "name": ("name", str),
+    "alpha_db_per_km": ("alpha_db_per_km", float),
+    "pair_rate_in_hz": ("pair_rate_in", float),
+    "integration_time_s": ("integration_time", float),
+    "photons_per_probe": ("photons_per_probe", int),
+    "projection": ("projection", str),
+    "measured_delta_phi_rad": ("measured_delta_phi", float),
+}
 _GFRING_KEYS = {
     "latitude_deg": ("latitude", from_degrees),
     "alpha_db_per_km": ("alpha_db_per_km", float),
@@ -141,6 +254,31 @@ _CONFIG_KEYS = {
     "design": {"landscape": ("landscape", bool), "gfring": _GFRING_KEYS,
                "specs": [{**_GEOMETRY_KEYS, **_DESIGN_KEYS}]},
 }
+
+
+def geometry_from_dict(d, where):
+    """InterferometerGeometry from its JSON form; `shape` defaults to square.
+
+    A square loop takes `turns` and a circular one `perimeter_m`; the other
+    shape's key is an error, not ignored.
+    """
+    shape = d.get("shape", "square")
+    if shape == "square":
+        build, other = InterferometerGeometry.square, "perimeter_m"
+    elif shape == "circular":
+        build, other = InterferometerGeometry.circular, "turns"
+    else:
+        raise ValueError(f"unknown loop shape {shape!r}")
+    if other in d:
+        raise ValueError(f"{other}: a {shape} loop does not read it")
+    return _build(build, {k: v for k, v in d.items() if k != "shape"},
+                  _GEOMETRY_KEYS, where)
+
+
+def design_from_dict(d, where="design spec"):
+    """DesignSpec from its JSON form: geometry keys plus the design keys."""
+    return _build(DesignSpec, d, _DESIGN_KEYS, where,
+                  geometry=geometry_from_dict(d, where))
 
 
 def _per_kind(cfg, kind):
@@ -226,11 +364,16 @@ def _seed_of(args, config):
 
 
 def cmd_simulate(args, config, sim):
-    geom = geometry_from_dict(config.get("geometry", {}))
-    schedule = SwitchSchedule(**config_kwargs(config.get("schedule", {}),
-                                              _SCHEDULE_KEYS))
-    rates = RateConfig(**config_kwargs(config.get("rates", {}), _RATES_KEYS))
-    noise = NoiseConfig(**config_kwargs(config.get("noise", {}), _NOISE_KEYS))
+    if not sim.get("phi0_rad") and "trace" not in sim:
+        raise ValueError("config.simulate: no phi0_rad grid and no trace, "
+                         "so nothing is simulated")
+    geom = geometry_from_dict(config.get("geometry", {}), "config.geometry")
+    schedule = _build(SwitchSchedule, config.get("schedule", {}),
+                      _SCHEDULE_KEYS, "config.schedule")
+    rates = _build(RateConfig, config.get("rates", {}), _RATES_KEYS,
+                   "config.rates")
+    noise = _build(NoiseConfig, config.get("noise", {}), _NOISE_KEYS,
+                   "config.noise")
     opts = config_kwargs(sim, _SIMULATE_KEYS)
     true_omega = opts.pop("true_omega", CONSTANTS.omega_earth)
     thetas = opts.pop("theta_list", [geom.frame_angle])
@@ -287,15 +430,18 @@ def _table_row(angle):
 
 
 def cmd_fit(args, config, fit_cfg):
-    mc_opts = config_kwargs(fit_cfg, _MC_KEYS)
+    if not fit_cfg.get("counts") and "trace" not in fit_cfg \
+            and "calibration" not in fit_cfg:
+        raise ValueError("config.fit: no counts, trace or calibration, "
+                         "so nothing is fitted")
+    fast = {"n_samples": _FAST_SAMPLES} if args.fast else {}
+    mc_opts = {**config_kwargs(fit_cfg, _MC_KEYS), **fast}
     opts = config_kwargs(fit_cfg, _FIT_KEYS)
-    if args.fast:
-        mc_opts["n_samples"] = _FAST_SAMPLES
 
     scale = opts.get("scale_factor_s")
     geom_cfg = config.get("geometry")
     if scale is None and geom_cfg:
-        scale = scale_factor(geometry_from_dict(geom_cfg))
+        scale = scale_factor(geometry_from_dict(geom_cfg, "config.geometry"))
     root = np.random.SeedSequence(_seed_of(args, config))
     report = {"schema_version": SCHEMA_VERSION, "package_version": __version__,
               "seed": _seed_of(args, config), "kinds": {}}
@@ -351,19 +497,17 @@ def cmd_fit(args, config, fit_cfg):
 
     trace_path = opts.get("trace")
     if trace_path is not None:
-        schedule = SwitchSchedule(**config_kwargs(config.get("schedule", {}),
-                                                  _SCHEDULE_KEYS))
+        schedule = _build(SwitchSchedule, config.get("schedule", {}),
+                          _SCHEDULE_KEYS, "config.schedule")
         demod = report["demodulation"] = demodulate_trace(
             read_trace_csv(_resolve(trace_path, args.out)), schedule)
         print(f"demodulated trace: phi_s = {1e3 * demod.phi_s:.3f} mrad")
 
     cal_cfg = fit_cfg.get("calibration")
     if cal_cfg is not None:
-        cal_opts = config_kwargs(cal_cfg, _CALIBRATION_KEYS)
-        if args.fast:
-            cal_opts["n_samples"] = _FAST_SAMPLES
-        cal = report["calibration"] = calibrate_scale_factor(
-            seed=root.spawn(1)[0], **cal_opts)
+        cal = report["calibration"] = _build(
+            calibrate_scale_factor, cal_cfg, _CALIBRATION_KEYS,
+            "config.fit.calibration", seed=root.spawn(1)[0], **fast)
         print(f"calibration: S = {cal.scale_factor:.2f} "
               f"+- {cal.scale_factor_sigma:.2f} s, "
               f"theta_offset = {math.degrees(cal.theta_offset):+.3f} "
@@ -379,7 +523,8 @@ _DESIGN_COLUMNS = ("name", "shape", "fiber_length_m", "perimeter_m", "turns",
 
 
 def cmd_design(args, config, design_cfg):
-    specs = [design_from_dict(d) for d in design_cfg.get("specs", [])]
+    specs = [design_from_dict(d, f"config.design.specs[{i}]")
+             for i, d in enumerate(design_cfg.get("specs", []))]
     reports = [rotation_resolution(s) for s in specs]
     outputs = {}
     out_json = {"schema_version": SCHEMA_VERSION, "package_version": __version__,
@@ -409,7 +554,7 @@ def cmd_design(args, config, design_cfg):
         g = design_cfg.get("gfring")
         if g is None:
             raise ValueError("--optimize-gfring needs a design.gfring section")
-        optimum = optimize_gfring(**config_kwargs(g, _GFRING_KEYS))
+        optimum = _build(optimize_gfring, g, _GFRING_KEYS, "config.design.gfring")
         out_json["gfring_optimum"] = optimum
         print(f"gfring optimum: L = {optimum.fiber_length / 1e3:.2f} km, "
               f"n_t = {optimum.turns}, "

@@ -7,13 +7,9 @@ phase shift between its counter-propagating modes
 
 where Theta is the angle between the loop normal and the rotation axis.
 The scale factor S = 8 pi A / (lambda c) converts rotation rate to phase.
-check_config checks a whole JSON config against its schema once, and
-config_kwargs then reads each of its blocks, the geometry block here and
-the others in sensedesign and cli.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -138,108 +134,3 @@ def transmission(alpha_db_per_km, fiber_length, n_photons=1):
         raise ValueError("need at least one photon")
     eta = 10.0 ** (-alpha_db_per_km * (fiber_length / 1000.0) / 10.0)
     return eta ** n_photons
-
-
-def _json_type_needed(value, kind):
-    """The JSON type that kind reads, or None when value is of that type.
-
-    bool reads a boolean, str a string, int an integral number and float
-    and from_degrees any number; a boolean is not a number, so no value is
-    coerced into another type.
-    """
-    if kind is bool:
-        return None if isinstance(value, bool) else "boolean"
-    if kind is str:
-        return None if isinstance(value, str) else "string"
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return "integer" if kind is int else "number"
-    if kind is int and not (isinstance(value, int) or value.is_integer()):
-        return "integer"
-    return None
-
-
-def check_config(value, schema, where="config"):
-    """Raise ValueError, naming the key path, where value does not fit schema.
-
-    A dict schema is a JSON object of its keys and [spec] a JSON array of
-    spec.  A (keyword, type) entry is one value of the JSON type that type
-    reads (see _json_type_needed), a finite one if a number, and a
-    (keyword, [type]) entry a JSON array of such values.  null fits no
-    schema.
-    """
-    if isinstance(schema, tuple):
-        schema = schema[1]
-    if isinstance(schema, dict):
-        if not isinstance(value, dict):
-            raise ValueError(f"{where}: {value!r} is not a JSON object")
-        unknown = sorted(set(value) - set(schema))
-        if unknown:
-            raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
-        for key, item in value.items():
-            check_config(item, schema[key], f"{where}.{key}")
-    elif isinstance(schema, list):
-        if not isinstance(value, list):
-            raise ValueError(f"{where}: {value!r} is not a JSON array")
-        for i, item in enumerate(value):
-            check_config(item, schema[0], f"{where}[{i}]")
-    else:
-        needed = _json_type_needed(value, schema)
-        if needed:
-            raise ValueError(f"{where}: {value!r} is not a JSON {needed}")
-        # NaN, an infinity, or an integer too large for a float
-        if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-            raise ValueError(f"{where}: non-finite number {value!r}")
-
-
-def config_kwargs(cfg, table):
-    """Keyword arguments from a checked block through a key -> (keyword, type) table.
-
-    cfg is a block that check_config has passed, so each value already has
-    the JSON type and shape its key declares; nothing is checked here.  Only
-    keys present in cfg are passed on, so every default stays with the
-    signature it configures.  The type converts the value, or each item of
-    a (keyword, [type]) list.
-    """
-    kwargs = {}
-    for key, (field, kind) in table.items():
-        if key in cfg:
-            value = cfg[key]
-            kwargs[field] = ([kind[0](v) for v in value] if isinstance(kind, list)
-                             else kind(value))
-    return kwargs
-
-
-def from_degrees(degrees):
-    """Config converter: degrees in, radians out."""
-    return math.radians(float(degrees))
-
-
-_GEOMETRY_KEYS = {
-    "shape": ("shape", str),
-    "fiber_length_m": ("fiber_length", float),
-    "turns": ("turns", int),
-    "perimeter_m": ("perimeter", float),
-    "frame_angle_deg": ("frame_angle", from_degrees),
-    "latitude_deg": ("latitude", from_degrees),
-    "wavelength_m": ("wavelength", float),
-    "effective_area_m2": ("effective_area", float),
-}
-
-
-def geometry_from_dict(d):
-    """InterferometerGeometry from its JSON form; `shape` defaults to square.
-
-    A square loop takes `turns` and a circular one `perimeter_m`; the other
-    shape's key is an error, not ignored.
-    """
-    kwargs = config_kwargs(d, _GEOMETRY_KEYS)
-    shape = kwargs.pop("shape", "square")
-    if shape == "square":
-        build, other = InterferometerGeometry.square, "perimeter_m"
-    elif shape == "circular":
-        build, other = InterferometerGeometry.circular, "turns"
-    else:
-        raise ValueError(f"unknown loop shape {shape!r}")
-    if other in d:
-        raise ValueError(f"{other}: a {shape} loop does not read it")
-    return build(**kwargs)

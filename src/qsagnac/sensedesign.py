@@ -10,8 +10,8 @@ rate resolution.
 import math
 from dataclasses import dataclass, field
 
-from .sagnac import (CONSTANTS, InterferometerGeometry, config_kwargs,
-                     geometry_from_dict, scale_factor, transmission)
+from .sagnac import (CONSTANTS, InterferometerGeometry, scale_factor,
+                     transmission)
 
 
 class InfeasibleDesignError(ValueError):
@@ -235,49 +235,3 @@ def landscape(specs):
             log10_area=math.log10(report.effective_area),
             log10_delta_omega=math.log10(report.delta_omega)))
     return rows
-
-
-_DESIGN_KEYS = {
-    "name": ("name", str),
-    "alpha_db_per_km": ("alpha_db_per_km", float),
-    "pair_rate_in_hz": ("pair_rate_in", float),
-    "integration_time_s": ("integration_time", float),
-    "photons_per_probe": ("photons_per_probe", int),
-    "projection": ("projection", str),
-    "measured_delta_phi_rad": ("measured_delta_phi", float),
-}
-
-
-def design_from_dict(d):
-    """DesignSpec from its JSON form: geometry keys plus the design keys."""
-    try:
-        return DesignSpec(geometry=geometry_from_dict(d),
-                          **config_kwargs(d, _DESIGN_KEYS))
-    except TypeError as exc:
-        raise ValueError(f"design spec missing field: {exc}") from exc
-
-
-def design_to_dict(spec):
-    """JSON form of a DesignSpec, which design_from_dict reads back.
-
-    The winding is given by the key its shape reads: `turns` for a square
-    loop, `perimeter_m` for a circular one.  A field that is None (no
-    measured_delta_phi) is left out, as a config gives no null.
-    """
-    g = spec.geometry
-    winding = ({"turns": g.turns} if g.shape == "square"
-               else {"perimeter_m": g.perimeter})
-    d = {
-        "name": spec.name, "shape": g.shape, "fiber_length_m": g.fiber_length,
-        **winding, "effective_area_m2": g.effective_area,
-        "frame_angle_deg": math.degrees(g.frame_angle),
-        "latitude_deg": math.degrees(g.latitude),
-        "wavelength_m": g.wavelength,
-        "alpha_db_per_km": spec.alpha_db_per_km,
-        "pair_rate_in_hz": spec.pair_rate_in,
-        "integration_time_s": spec.integration_time,
-        "photons_per_probe": spec.photons_per_probe,
-        "projection": spec.projection,
-        "measured_delta_phi_rad": spec.measured_delta_phi,
-    }
-    return {key: value for key, value in d.items() if value is not None}

@@ -14,10 +14,10 @@ from qsagnac import (CONSTANTS, NOON2, SINGLE, InterferometerGeometry,
                      optimize_gfring, rotation_resolution, sagnac_phase,
                      scale_factor, simulate_counts, simulate_polarimeter,
                      wrap_phase)
+from qsagnac.cli import design_from_dict
 from qsagnac.polarization import (H, bias_unitary, ellipse_of, hwp,
                                   is_unitary, phase_shift, qwp, sagnac_loop)
 from qsagnac.sagnac import SwitchState
-from qsagnac.sensedesign import design_from_dict
 
 OMEGA_E = 7.29e-5
 

@@ -356,17 +356,24 @@ _UNKNOWN_KEYS = {
 }
 
 
+LEFT_OUT = object()
+
+
 def config_with(tmp_path, name, key_path, value):
     """Write recipe name with key_path set to value; returns the config's path.
 
     key_path is dotted; a number in it indexes a list (design.specs.1.turns).
+    The value LEFT_OUT removes the key.
     """
     config = json.loads(Path(recipe(name)).read_text())
     *parents, key = key_path.split(".")
     block = config
     for parent in parents:
         block = block[int(parent) if isinstance(block, list) else parent]
-    block[key] = value
+    if value is LEFT_OUT:
+        del block[key]
+    else:
+        block[key] = value
     return write_config(tmp_path, config)
 
 
@@ -489,6 +496,42 @@ def test_malformed_config_exits_2_naming_its_key(tmp_path, capsys, case):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"{message_path(key_path)}: " in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# case -> (recipe, command line, key path, value, message): a key that the
+# block's callee has no default for is left out, or a simulate or fit
+# section asks for nothing; each exits 2 before any output is written
+_NOTHING_TO_READ = {
+    "geometry left out": ("fig2", "simulate", "geometry", LEFT_OUT,
+                          "config.geometry: missing fiber_length_m, turns"),
+    "circular perimeter": ("fig2", "simulate", "geometry",
+                           {"shape": "circular", "fiber_length_m": 2000.0},
+                           "config.geometry: missing perimeter_m"),
+    **{f"spec {key}": ("table3", "design", f"design.specs.1.{key}", LEFT_OUT,
+                       f"config.design.specs[1]: missing {key}")
+       for key in ("alpha_db_per_km", "pair_rate_in_hz", "integration_time_s")},
+    "gfring empty": ("table3", "design --optimize-gfring", "design.gfring", {},
+                     "config.design.gfring: missing latitude_deg"),
+    "calibration empty": ("fig4_cw", "fit", "fit", {"calibration": {}},
+                          "config.fit.calibration: missing angles_deg, "
+                          "phases_rad, sigmas_rad"),
+    "simulate empty": ("fig2", "simulate", "simulate", {},
+                       "config.simulate: no phi0_rad grid and no trace"),
+    "fit empty": ("fig2", "fit", "fit", {},
+                  "config.fit: no counts, trace or calibration"),
+}
+
+
+@pytest.mark.parametrize("case", _NOTHING_TO_READ)
+def test_missing_key_or_empty_section_exits_2_naming_it(tmp_path, capsys, case):
+    name, command, key_path, value, message = _NOTHING_TO_READ[case]
+    cfg = config_with(tmp_path, name, key_path, value)
+    out = tmp_path / "run"
+    assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
     assert "Traceback" not in err
     assert not out.exists()
 
