@@ -789,6 +789,8 @@ def calibrate_scale_factor(angles, phases, sigmas, omega_earth=None,
     angles, phases, sigmas = _check_angle_set(angles, phases, sigmas)
     if omega_earth is None:
         omega_earth = CONSTANTS.omega_earth
+    if omega_earth <= 0.0:
+        raise ValueError("omega_earth must be positive")
     if n_samples < 2:
         raise ValueError("need at least two resamples")
 

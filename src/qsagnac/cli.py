@@ -4,13 +4,15 @@ All commands consume one JSON config (see the bundled recipes), and this
 module alone knows its format: check_config checks the whole config
 against the key tables when it loads, config_kwargs reads a block into
 keyword arguments, and _build passes them on to what the block
-configures, naming by its key path a required key left out.  Each command
-computes its products and returns them as {file name: writer}; main then
-writes them into --out, and the manifest last, so a failed run writes
-nothing.  Relative input paths in a config are resolved against --out, so
-a fit can chain onto a simulate run in the same directory.  Exit codes: 0
-success, 2 bad config or input (a simulate or fit section that asks for
-no output included), 3 fit or feasibility failure.
+configures, naming by its path a required key left out or a value the
+callee rejects.  Each command computes its products and returns them as
+{file name: writer}, with its stdout summary as a list of lines; main
+then writes them into --out, the manifest last, and only then prints the
+lines, so a failed run writes and prints nothing.  Relative input paths
+in a config are resolved against --out, so a fit can chain onto a
+simulate run in the same directory.  Exit codes: 0 success, 2 bad config
+or input (a simulate or fit section that asks for no output included), 3
+fit or feasibility failure.
 """
 
 import argparse
@@ -132,7 +134,8 @@ def _build(fn, cfg, table, where, **given):
     """fn called with the keyword arguments of block cfg, updated by given.
 
     A parameter of fn with no default that neither supplies raises
-    ValueError naming its JSON key: "config.geometry: missing turns".
+    ValueError naming its JSON key: "config.geometry: missing turns".  A plain
+    ValueError from fn is prefixed with where; a subclass, which exits 3, is not.
     """
     kwargs = {**config_kwargs(cfg, table), **given}
     keys = {field: key for key, (field, _) in table.items()}
@@ -141,7 +144,12 @@ def _build(fn, cfg, table, where, **given):
                and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
     if missing:
         raise ValueError(f"{where}: missing {', '.join(missing)}")
-    return fn(**kwargs)
+    try:
+        return fn(**kwargs)
+    except ValueError as exc:
+        if type(exc) is not ValueError:
+            raise
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def from_degrees(degrees):
@@ -268,9 +276,9 @@ def geometry_from_dict(d, where):
     elif shape == "circular":
         build, other = InterferometerGeometry.circular, "turns"
     else:
-        raise ValueError(f"unknown loop shape {shape!r}")
+        raise ValueError(f"{where}.shape: unknown loop shape {shape!r}")
     if other in d:
-        raise ValueError(f"{other}: a {shape} loop does not read it")
+        raise ValueError(f"{where}.{other}: a {shape} loop does not read it")
     return _build(build, {k: v for k, v in d.items() if k != "shape"},
                   _GEOMETRY_KEYS, where)
 
@@ -279,12 +287,6 @@ def design_from_dict(d, where="design spec"):
     """DesignSpec from its JSON form: geometry keys plus the design keys."""
     return _build(DesignSpec, d, _DESIGN_KEYS, where,
                   geometry=geometry_from_dict(d, where))
-
-
-def _per_kind(cfg, kind):
-    """The per-kind simulate keys of cfg resolved for one probe kind."""
-    return config_kwargs({key: cfg[key][kind] for key in _PER_KIND_KEYS
-                          if kind in cfg.get(key, {})}, _PER_KIND_KEYS)
 
 
 def _resolve(path, out_dir):
@@ -301,14 +303,6 @@ def _csv_writer(header, rows):
     return write
 
 
-def _announced(write, message):
-    """write, then print message."""
-    def run(path):
-        write(path)
-        print(message)
-    return run
-
-
 def _report_form(obj):
     """JSON form of a value json cannot encode: a dataclass, or an array as a list.
 
@@ -322,10 +316,12 @@ def _report_form(obj):
 
 
 def _json_writer(report):
-    """A function that writes report as indented JSON at its path."""
+    """A function that writes the version keys, then report, as indented JSON."""
     def write(path):
         with new_file(path) as f:
-            json.dump(report, f, indent=2, default=_report_form)
+            json.dump({"schema_version": SCHEMA_VERSION,
+                       "package_version": __version__, **report},
+                      f, indent=2, default=_report_form)
     return write
 
 
@@ -345,22 +341,14 @@ def _write_outputs(args, config, outputs):
     for name, write in outputs.items():
         write(os.path.join(args.out, name))
     _json_writer({
-        "schema_version": SCHEMA_VERSION,
-        "package_version": __version__,
         "command": args.command,
-        "seed": _seed_of(args, config),
+        "seed": args.seed,
         "fast": args.fast,
         "config_sha256": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "config": config,
         "outputs": list(outputs),
     })(manifest)
-
-
-def _seed_of(args, config):
-    if args.seed is not None:
-        return args.seed
-    return config_kwargs(config, _TOP_KEYS).get("seed", 0)
 
 
 def cmd_simulate(args, config, sim):
@@ -385,18 +373,20 @@ def cmd_simulate(args, config, sim):
                 raise ValueError(f"config.simulate.{key}.{kind}: no "
                                  f"simulate.phi0_rad.{kind} grid, so nothing reads it")
 
-    root = np.random.SeedSequence(_seed_of(args, config))
-    outputs = {}
+    root = np.random.SeedSequence(args.seed)
+    outputs, lines = {}, []
     for kind, probe in KINDS.items():
         if kind not in grids:
             continue
-        records = angle_sweep(
-            probe, geom, thetas, true_omega=true_omega,
-            seed=root.spawn(1)[0], schedule=schedule, rates=rates, noise=noise,
-            **opts, **_per_kind(sim, kind))
-        outputs[f"counts_{kind}.csv"] = _announced(
-            partial(write_counts_csv, records), f"wrote counts_{kind}.csv: "
-            f"{len(records)} records over {len(thetas)} angle(s)")
+        records = _build(
+            angle_sweep, {key: sim[key][kind] for key in _PER_KIND_KEYS
+                          if kind in sim.get(key, {})},
+            _PER_KIND_KEYS, f"config.simulate ({kind})", kind=probe, geom=geom,
+            theta_list=thetas, true_omega=true_omega, seed=root.spawn(1)[0],
+            schedule=schedule, rates=rates, noise=noise, **opts)
+        outputs[f"counts_{kind}.csv"] = partial(write_counts_csv, records)
+        lines.append(f"wrote counts_{kind}.csv: "
+                     f"{len(records)} records over {len(thetas)} angle(s)")
 
     trace_cfg = sim.get("trace")
     if trace_cfg is not None:
@@ -406,9 +396,9 @@ def cmd_simulate(args, config, sim):
                                      trace_opts.get("total_time", 600.0),
                                      root.spawn(1)[0], schedule=schedule,
                                      rates=rates, noise=noise)
-        outputs["trace.csv"] = _announced(partial(write_trace_csv, trace),
-                                          f"wrote trace.csv: {len(trace.t)} samples")
-    return outputs
+        outputs["trace.csv"] = partial(write_trace_csv, trace)
+        lines.append(f"wrote trace.csv: {len(trace.t)} samples")
+    return outputs, lines
 
 
 _TABLE_COLUMNS = ("theta_deg", "v_on_pct", "v_on_sigma_pct", "v_off_pct",
@@ -442,10 +432,9 @@ def cmd_fit(args, config, fit_cfg):
     geom_cfg = config.get("geometry")
     if scale is None and geom_cfg:
         scale = scale_factor(geometry_from_dict(geom_cfg, "config.geometry"))
-    root = np.random.SeedSequence(_seed_of(args, config))
-    report = {"schema_version": SCHEMA_VERSION, "package_version": __version__,
-              "seed": _seed_of(args, config), "kinds": {}}
-    outputs = {}
+    root = np.random.SeedSequence(args.seed)
+    report = {"seed": args.seed, "kinds": {}}
+    outputs, lines = {}, []
 
     for kind, path in fit_cfg.get("counts", {}).items():
         records = read_counts_csv(_resolve(path, args.out))
@@ -462,9 +451,9 @@ def cmd_fit(args, config, fit_cfg):
         kind_report = report["kinds"][kind] = {"angles": angles}
         for angle in angles:
             earth = angle["earth_phase"]
-            print(f"{kind} theta={angle['theta_deg']:+7.2f} deg: "
-                  f"phi_e = {1e3 * earth.phi_e:+.3f} "
-                  f"+- {1e3 * earth.phi_e_sigma:.3f} mrad")
+            lines.append(f"{kind} theta={angle['theta_deg']:+7.2f} deg: "
+                         f"phi_e = {1e3 * earth.phi_e:+.3f} "
+                         f"+- {1e3 * earth.phi_e_sigma:.3f} mrad")
         outputs[f"table_{kind}.csv"] = _csv_writer(
             _TABLE_COLUMNS, [_table_row(angle) for angle in angles])
 
@@ -476,9 +465,9 @@ def cmd_fit(args, config, fit_cfg):
                 [a["earth_phase"].phi_e_sigma for a in angles],
                 scale, enhancement=KINDS[kind].enhancement)
             kind_report["angle_sweep"] = sweep
-            print(f"{kind} sweep: amplitude = {1e3 * sweep.amplitude:.2f} "
-                  f"+- {1e3 * sweep.amplitude_sigma:.2f} mrad, "
-                  f"omega = {sweep.omega:.3e} +- {sweep.omega_sigma:.1e} rad/s")
+            lines.append(f"{kind} sweep: amplitude = {1e3 * sweep.amplitude:.2f} "
+                         f"+- {1e3 * sweep.amplitude_sigma:.2f} mrad, "
+                         f"omega = {sweep.omega:.3e} +- {sweep.omega_sigma:.1e} rad/s")
 
     kinds = report["kinds"]
     if "noon" in kinds and "single" in kinds:
@@ -493,7 +482,7 @@ def cmd_fit(args, config, fit_cfg):
             pair1 = (e1.phi_e, e1.phi_e_sigma)
         value, sigma = enhancement_factor(pair2, pair1)
         report["enhancement"] = {"value": value, "sigma": sigma}
-        print(f"enhancement: {value:.2f} +- {sigma:.2f}")
+        lines.append(f"enhancement: {value:.2f} +- {sigma:.2f}")
 
     trace_path = opts.get("trace")
     if trace_path is not None:
@@ -501,20 +490,20 @@ def cmd_fit(args, config, fit_cfg):
                           _SCHEDULE_KEYS, "config.schedule")
         demod = report["demodulation"] = demodulate_trace(
             read_trace_csv(_resolve(trace_path, args.out)), schedule)
-        print(f"demodulated trace: phi_s = {1e3 * demod.phi_s:.3f} mrad")
+        lines.append(f"demodulated trace: phi_s = {1e3 * demod.phi_s:.3f} mrad")
 
     cal_cfg = fit_cfg.get("calibration")
     if cal_cfg is not None:
         cal = report["calibration"] = _build(
             calibrate_scale_factor, cal_cfg, _CALIBRATION_KEYS,
             "config.fit.calibration", seed=root.spawn(1)[0], **fast)
-        print(f"calibration: S = {cal.scale_factor:.2f} "
-              f"+- {cal.scale_factor_sigma:.2f} s, "
-              f"theta_offset = {math.degrees(cal.theta_offset):+.3f} "
-              f"+- {math.degrees(cal.theta_offset_sigma):.3f} deg")
+        lines.append(f"calibration: S = {cal.scale_factor:.2f} "
+                     f"+- {cal.scale_factor_sigma:.2f} s, "
+                     f"theta_offset = {math.degrees(cal.theta_offset):+.3f} "
+                     f"+- {math.degrees(cal.theta_offset_sigma):.3f} deg")
 
     outputs["fit_report.json"] = _json_writer(report)
-    return outputs
+    return outputs, lines
 
 
 _DESIGN_COLUMNS = ("name", "shape", "fiber_length_m", "perimeter_m", "turns",
@@ -526,9 +515,8 @@ def cmd_design(args, config, design_cfg):
     specs = [design_from_dict(d, f"config.design.specs[{i}]")
              for i, d in enumerate(design_cfg.get("specs", []))]
     reports = [rotation_resolution(s) for s in specs]
-    outputs = {}
-    out_json = {"schema_version": SCHEMA_VERSION, "package_version": __version__,
-                "designs": reports}
+    outputs, lines = {}, []
+    out_json = {"designs": reports}
 
     if reports:
         # quoted delta_phi follows the projected-axis convention
@@ -538,9 +526,9 @@ def cmd_design(args, config, design_cfg):
                 r.scale_factor, r.delta_phi_projected, r.delta_omega)]
             for r in reports])
         for r in reports:
-            print(f"{r.name}: S = {r.scale_factor:.4g} s, "
-                  f"delta_phi = {r.delta_phi_projected:.3g} rad, "
-                  f"delta_omega = {r.delta_omega:.3g} rad/s")
+            lines.append(f"{r.name}: S = {r.scale_factor:.4g} s, "
+                         f"delta_phi = {r.delta_phi_projected:.3g} rad, "
+                         f"delta_omega = {r.delta_omega:.3g} rad/s")
 
     if design_cfg.get("landscape"):
         rows = landscape(specs)
@@ -556,12 +544,12 @@ def cmd_design(args, config, design_cfg):
             raise ValueError("--optimize-gfring needs a design.gfring section")
         optimum = _build(optimize_gfring, g, _GFRING_KEYS, "config.design.gfring")
         out_json["gfring_optimum"] = optimum
-        print(f"gfring optimum: L = {optimum.fiber_length / 1e3:.2f} km, "
-              f"n_t = {optimum.turns}, "
-              f"delta_omega = {optimum.report.delta_omega:.3g} rad/s")
+        lines.append(f"gfring optimum: L = {optimum.fiber_length / 1e3:.2f} km, "
+                     f"n_t = {optimum.turns}, "
+                     f"delta_omega = {optimum.report.delta_omega:.3g} rad/s")
 
     outputs["design_report.json"] = _json_writer(out_json)
-    return outputs
+    return outputs, lines
 
 
 def build_parser():
@@ -591,7 +579,12 @@ def main(argv=None):
         config = _load_config(args.config)
         if args.command not in config:
             raise ValueError(f"config has no {args.command!r} section")
-        _write_outputs(args, config, args.fn(args, config, config[args.command]))
+        if args.seed is None:
+            args.seed = config_kwargs(config, _TOP_KEYS).get("seed", 0)
+        outputs, lines = args.fn(args, config, config[args.command])
+        _write_outputs(args, config, outputs)
+        for line in lines:
+            print(line)
         return 0
     except (FitError, DegenerateDesignError, InfeasibleDesignError,
             UndefinedRatioError) as exc:

@@ -85,6 +85,8 @@ class InterferometerGeometry:
     def square(cls, fiber_length, turns, frame_angle=0.0, latitude=0.0,
                wavelength=1550e-9, effective_area=None):
         """Square frame wound with `turns` turns of total fiber length `fiber_length`."""
+        if turns < 1:
+            raise ValueError("need at least one turn")
         perimeter = fiber_length / turns
         side = perimeter / 4.0
         area = side * side * turns if effective_area is None else effective_area
@@ -95,6 +97,8 @@ class InterferometerGeometry:
     def circular(cls, fiber_length, perimeter, frame_angle=0.0, latitude=0.0,
                  wavelength=1550e-9, effective_area=None):
         """Circular coil of given single-turn perimeter; turn count is rounded."""
+        if perimeter <= 0.0:
+            raise ValueError("perimeter must be positive")
         turns = int(round(fiber_length / perimeter))
         radius = perimeter / (2.0 * math.pi)
         area = turns * math.pi * radius * radius if effective_area is None else effective_area

@@ -825,6 +825,11 @@ def test_calibration_validation():
     with pytest.raises(ValueError):
         calibrate_scale_factor([0.0, 0.5, 1.0], [1, 2, 3], [1e-5] * 3,
                                n_samples=1)
+    # a zero rate gave S = inf, a negative one a negative scale factor
+    for omega in (0.0, -OMEGA_E):
+        with pytest.raises(ValueError, match="omega_earth must be positive"):
+            calibrate_scale_factor([0.0, 0.5, 1.0], [1e-3, 2e-3, 3e-3],
+                                   [1e-5] * 3, omega_earth=omega)
 
 
 @pytest.mark.parametrize("deg", [(0.0, 180.0, 360.0), (90.0, 270.0, 450.0)],

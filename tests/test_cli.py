@@ -232,15 +232,18 @@ def test_fit_drive_that_never_crosses_half_exits_2(tmp_path, capsys):
 
 
 def test_failed_fit_leaves_no_new_file(tmp_path, capsys):
-    """The noon kind fits, the single kind fails: nothing is written."""
+    """The noon kind fits, the single kind fails: nothing is written or printed."""
     out = str(tmp_path)
     main(["simulate", "--config", recipe("fig2"), "--out", out])
     path = tmp_path / "counts_single.csv"
     path.write_text("\n".join(path.read_text().splitlines()[:4]) + "\n")
     before = sorted(os.listdir(out))
+    capsys.readouterr()
     assert main(["fit", "--config", recipe("fig2"), "--out", out, "--fast"]) == 3
     assert sorted(os.listdir(out)) == before
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
 
 
 def test_failed_simulate_leaves_no_file(tmp_path, capsys):
@@ -501,8 +504,9 @@ def test_malformed_config_exits_2_naming_its_key(tmp_path, capsys, case):
 
 
 # case -> (recipe, command line, key path, value, message): a key that the
-# block's callee has no default for is left out, or a simulate or fit
-# section asks for nothing; each exits 2 before any output is written
+# block's callee has no default for is left out, a simulate or fit section
+# asks for nothing, or the callee rejects a value, named by its block path;
+# each exits 2 before any output is written or any result printed
 _NOTHING_TO_READ = {
     "geometry left out": ("fig2", "simulate", "geometry", LEFT_OUT,
                           "config.geometry: missing fiber_length_m, turns"),
@@ -521,6 +525,29 @@ _NOTHING_TO_READ = {
                        "config.simulate: no phi0_rad grid and no trace"),
     "fit empty": ("fig2", "fit", "fit", {},
                   "config.fit: no counts, trace or calibration"),
+    "duration zero": ("fig2", "simulate", "simulate.duration_s.noon", 0.0,
+                      "config.simulate (noon): duration must be positive"),
+    "phi0 grid empty": ("fig2", "simulate", "simulate.phi0_rad.noon", [],
+                        "config.simulate (noon): need at least one bias set point"),
+    "frequency zero": ("fig2", "simulate", "schedule.frequency_hz", 0,
+                       "config.schedule: switch frequency must be positive"),
+    # each divided by zero with a traceback
+    **{f"turns zero under {command}": (
+        "fig2", command, "geometry.turns", 0, "config.geometry: need at least one turn")
+       for command in ("simulate", "fit")},
+    "circular perimeter zero": ("fig2", "simulate", "geometry",
+                                {"shape": "circular", "fiber_length_m": 2000.0,
+                                 "perimeter_m": 0},
+                                "config.geometry: perimeter must be positive"),
+    "shape unknown": ("fig2", "simulate", "geometry.shape", "hexagonal",
+                      "config.geometry.shape: unknown loop shape 'hexagonal'"),
+    "spec shape unknown": ("table3", "design", "design.specs.2.shape", "hexagonal",
+                           "config.design.specs[2].shape: unknown loop shape"),
+    # a zero rate wrote S = Infinity into fit_report.json
+    "calibration zero rate": ("fig4_cw", "fit", "fit", {"calibration": {
+        "omega_earth_rad_s": 0, "angles_deg": [-90.0, -45.0, 0.0],
+        "phases_rad": [0.0, 2e-3, 2.8e-3], "sigmas_rad": [2e-5, 2e-5, 2e-5]}},
+        "config.fit.calibration: omega_earth must be positive"),
 }
 
 
@@ -530,9 +557,10 @@ def test_missing_key_or_empty_section_exits_2_naming_it(tmp_path, capsys, case):
     cfg = config_with(tmp_path, name, key_path, value)
     out = tmp_path / "run"
     assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert message in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -559,7 +587,8 @@ def test_geometry_key_of_the_other_shape_exits_2(tmp_path, capsys, shape, key, v
     geometry[key] = value
     cfg = write_config(tmp_path, config)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "run")]) == 2
-    assert f"{key}: a {shape} loop does not read it" in capsys.readouterr().err
+    assert f"config.geometry.{key}: a {shape} loop does not read it" \
+        in capsys.readouterr().err
     del geometry[key]
     assert main(["simulate", "--config", write_config(tmp_path, config),
                  "--out", str(tmp_path / "run")]) == 0
@@ -664,8 +693,8 @@ def test_design_empty_spec_list(tmp_path):
     assert report["designs"] == []
 
 
-def test_design_infeasible_target_exits_3(tmp_path):
-    """The designs table computes, the optimizer fails: nothing is written."""
+def test_design_infeasible_target_exits_3(tmp_path, capsys):
+    """The designs table computes, the optimizer fails: nothing is written or printed."""
     base = json.loads(Path(recipe("table3")).read_text())
     base["design"]["gfring"]["target_snr"] = 1e9
     cfg = write_config(tmp_path, base)
@@ -673,6 +702,7 @@ def test_design_infeasible_target_exits_3(tmp_path):
     assert main(["design", "--config", cfg, "--out", str(tmp_path),
                  "--optimize-gfring"]) == 3
     assert sorted(os.listdir(tmp_path)) == before
+    assert capsys.readouterr().out == ""
 
 
 def test_optimizer_flag_needs_gfring_section(tmp_path):

@@ -92,6 +92,11 @@ def test_geometry_winding_consistency():
         InterferometerGeometry("square", 2000.0, 10.0, 5, 100.0)
     with pytest.raises(ValueError):
         InterferometerGeometry.square(-1.0, 10)
+    # checked before the perimeter is divided out
+    with pytest.raises(ValueError, match="at least one turn"):
+        InterferometerGeometry.square(2000.0, 0)
+    with pytest.raises(ValueError, match="perimeter must be positive"):
+        InterferometerGeometry.circular(2000.0, 0.0)
     with pytest.raises(ValueError):
         InterferometerGeometry("square", 2000.0, 5.5555, 360, -715.0)
     with pytest.raises(ValueError):
