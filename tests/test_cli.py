@@ -531,7 +531,7 @@ _NOTHING_TO_READ = {
                         "config.simulate (noon): need at least one bias set point"),
     "frequency zero": ("fig2", "simulate", "schedule.frequency_hz", 0,
                        "config.schedule: switch frequency must be positive"),
-    # each divided by zero with a traceback
+    # zero turns and a zero perimeter divided by zero, with a traceback
     **{f"turns zero under {command}": (
         "fig2", command, "geometry.turns", 0, "config.geometry: need at least one turn")
        for command in ("simulate", "fit")},
