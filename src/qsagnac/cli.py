@@ -392,10 +392,11 @@ def cmd_simulate(args, config, sim):
     if trace_cfg is not None:
         trace_opts = config_kwargs(trace_cfg, _TRACE_KEYS)
         t_geom = replace(geom, frame_angle=trace_opts.get("frame_angle", geom.frame_angle))
-        trace = simulate_polarimeter(t_geom, true_omega,
-                                     trace_opts.get("total_time", 600.0),
-                                     root.spawn(1)[0], schedule=schedule,
-                                     rates=rates, noise=noise)
+        trace = _build(simulate_polarimeter, {}, {}, "config.simulate.trace",
+                       geom=t_geom, true_omega=true_omega,
+                       total_time=trace_opts.get("total_time", 600.0),
+                       seed=root.spawn(1)[0], schedule=schedule, rates=rates,
+                       noise=noise)
         outputs["trace.csv"] = partial(write_trace_csv, trace)
         lines.append(f"wrote trace.csv: {len(trace.t)} samples")
     return outputs, lines
@@ -424,6 +425,16 @@ def cmd_fit(args, config, fit_cfg):
             and "calibration" not in fit_cfg:
         raise ValueError("config.fit: no counts, trace or calibration, "
                          "so nothing is fitted")
+    # checked here, not left to the callees: --fast replaces a sample count
+    # unread, and a count-data error of the bootstrap names no config block
+    for where, block in (("config.fit", fit_cfg),
+                         ("config.fit.calibration", fit_cfg.get("calibration", {}))):
+        if block.get("mc_samples", 2) < 2:
+            raise ValueError(f"{where}: mc_samples {block['mc_samples']}, "
+                             "need at least two resamples")
+    if fit_cfg.get("scale_factor_s", 1.0) <= 0.0:
+        raise ValueError(f"config.fit: scale_factor_s {fit_cfg['scale_factor_s']} "
+                         "is not positive")
     fast = {"n_samples": _FAST_SAMPLES} if args.fast else {}
     mc_opts = {**config_kwargs(fit_cfg, _MC_KEYS), **fast}
     opts = config_kwargs(fit_cfg, _FIT_KEYS)
@@ -512,9 +523,11 @@ _DESIGN_COLUMNS = ("name", "shape", "fiber_length_m", "perimeter_m", "turns",
 
 
 def cmd_design(args, config, design_cfg):
-    specs = [design_from_dict(d, f"config.design.specs[{i}]")
-             for i, d in enumerate(design_cfg.get("specs", []))]
-    reports = [rotation_resolution(s) for s in specs]
+    specs, reports = [], []
+    for i, d in enumerate(design_cfg.get("specs", [])):
+        where = f"config.design.specs[{i}]"
+        specs.append(design_from_dict(d, where))
+        reports.append(_build(rotation_resolution, {}, {}, where, spec=specs[-1]))
     outputs, lines = {}, []
     out_json = {"designs": reports}
 
@@ -579,8 +592,12 @@ def main(argv=None):
         config = _load_config(args.config)
         if args.command not in config:
             raise ValueError(f"config has no {args.command!r} section")
+        where = "--seed"
         if args.seed is None:
             args.seed = config_kwargs(config, _TOP_KEYS).get("seed", 0)
+            where = "config.seed"
+        if args.seed < 0:
+            raise ValueError(f"{where}: seed {args.seed} is negative")
         outputs, lines = args.fn(args, config, config[args.command])
         _write_outputs(args, config, outputs)
         for line in lines:

@@ -1,6 +1,7 @@
 import pytest
 
-from qsagnac import InterferometerGeometry, NoiseConfig
+from qsagnac import InterferometerGeometry
+from qsagnac.expsim import NoiseConfig
 
 
 @pytest.fixture

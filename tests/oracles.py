@@ -1,6 +1,11 @@
-"""Jones calculus for the polarization optics around the fiber loop.
+"""Physics oracles the tests check the package against; no command runs them.
 
-Conventions: states are column vectors (E_H, E_V); rotations are
+Jones calculus for the polarization optics around the fiber loop, and the
+two-mode Fock states of the probe through the loop and the output plate.
+qsagnac.probe.fringe_probs, the one fringe formula the package uses, is
+tested against both.
+
+Jones conventions: states are column vectors (E_H, E_V); rotations are
 counterclockwise looking into the beam.  Waveplates are unitary up to
 the global phase chosen here:
 
@@ -10,12 +15,19 @@ the global phase chosen here:
 so qwp(theta) @ qwp(theta) == hwp(theta) exactly.  The loop itself acts
 as a relative phase between the counter-propagating components, mapped
 onto H/V at the output: sagnac_loop(phi) = diag(e^{i phi}, 1).
+
+Fock conventions: a state is a superposition over occupations (n_h, n_v)
+of the loop polarization modes.  The loop imprints its phase phi_s on the
+H-occupation (evolve), as sagnac_loop does; the half-wave plate at pi/8
+mixes the modes before detection (two_photon_hwp).
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+_SQRT2 = math.sqrt(2.0)
 
 
 def _rotation(theta):
@@ -210,3 +222,94 @@ def reconstruct_fiber_unitary(out_h, out_plus):
     if s[-1] < 0.1 * s[0]:
         raise ValueError("outputs nearly parallel; fiber unitary ill-conditioned")
     return u @ vh
+
+
+@dataclass(frozen=True)
+class TwoModeState:
+    """Superposition over occupation pairs (n_h, n_v) with complex amplitudes."""
+
+    basis: tuple
+    amplitudes: tuple
+
+    def __post_init__(self):
+        if len(self.basis) != len(self.amplitudes):
+            raise ValueError("basis and amplitudes differ in length")
+        if len(set(self.basis)) != len(self.basis):
+            raise ValueError("repeated basis occupation")
+        norm = sum(abs(a) ** 2 for a in self.amplitudes)
+        if abs(norm - 1.0) > 1e-9:
+            raise ValueError(f"state not normalized: |amps|^2 = {norm}")
+
+    def as_array(self):
+        return np.array(self.amplitudes, dtype=complex)
+
+    def amplitude(self, occupation):
+        for occ, amp in zip(self.basis, self.amplitudes):
+            if occ == tuple(occupation):
+                return complex(amp)
+        return 0.0j
+
+    def probability(self, occupation):
+        return abs(self.amplitude(occupation)) ** 2
+
+
+def noon_state(n=2):
+    """(|n,0> - |0,n>)/sqrt(2)."""
+    if n < 1:
+        raise ValueError("need at least one photon")
+    return TwoModeState(((n, 0), (0, n)), (1.0 / _SQRT2, -1.0 / _SQRT2))
+
+
+def evolve(state, phi_s, n=None):
+    """Loop pass: each occupation (n_h, n_v) gains phase n_h * phi_s.
+
+    n, when given, asserts the total photon number of the probe.
+    """
+    if n is not None and any(sum(occ) != n for occ in state.basis):
+        raise ValueError(f"state is not an {n}-photon probe")
+    amps = tuple(a * np.exp(1.0j * occ[0] * phi_s)
+                 for occ, a in zip(state.basis, state.amplitudes))
+    return TwoModeState(state.basis, amps)
+
+
+def hom_interfere(distinguishability=0.0):
+    """Two-photon state leaving the interference beamsplitter.
+
+    distinguishability d = 0 gives the ideal pair (|2,0> - |0,2>)/sqrt(2);
+    d = 1 leaves a residual |1,1> amplitude with bunching probabilities
+    (1/4, 1/2, 1/4).  Intermediate d interpolates with unit norm.
+    """
+    d = float(distinguishability)
+    if not 0.0 <= d <= 1.0:
+        raise ValueError("distinguishability must be in [0, 1]")
+    bunched = math.sqrt(2.0 - d * d) / 2.0
+    return TwoModeState(((2, 0), (1, 1), (0, 2)),
+                        (bunched, -1.0j * d / _SQRT2, -bunched))
+
+
+def two_photon_hwp():
+    """Half-wave plate at pi/8 on the symmetric two-photon subspace.
+
+    Basis order ((2,0), (1,1), (0,2)).
+    """
+    return np.array([
+        [0.5, 1.0 / _SQRT2, 0.5],
+        [1.0 / _SQRT2, 0.0, -1.0 / _SQRT2],
+        [0.5, -1.0 / _SQRT2, 0.5],
+    ], dtype=complex)
+
+
+def coincidence_projection(state):
+    """Probability of one photon in each output mode."""
+    return state.probability((1, 1))
+
+
+def output_state_after_hwp(phi_s):
+    """Pair state after loop (phase phi_s) and output half-wave plate.
+
+    Amplitudes (sin/sqrt2, -i cos, sin/sqrt2) of the loop phase, in basis
+    ((2,0), (1,1), (0,2)), up to a global phase.
+    """
+    s, c = math.sin(phi_s), math.cos(phi_s)
+    return TwoModeState(((2, 0), (1, 1), (0, 2)),
+                        (s / _SQRT2, -1.0j * c, s / _SQRT2))

@@ -7,21 +7,24 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from qsagnac import (NOON2, SINGLE, RateConfig, SwitchState,
-                     calibrate_scale_factor, demodulate_trace,
-                     enhancement_factor, extract_earth_phase, fit_angle_sweep,
-                     fit_noon_fringe, fit_single_fringe, fit_switch_pair,
-                     group_records_by_angle, mc_uncertainty, nlls,
-                     simulate_counts, simulate_polarimeter, wrap_phase)
+from qsagnac import NOON2, SINGLE, SwitchState
 from qsagnac import analysis
 from qsagnac.analysis import (_MODELS, SINGLE_PARAMS, DegenerateDesignError,
                               FitError, FringeFit, UndefinedRatioError,
                               _canonicalize, _cholesky_solve, _edge_distance,
                               _fit_state, _harmonic_solve, _least_squares,
                               _noon_model, _normal_equations, _observations,
-                              _resample_fits, _single_model)
+                              _resample_fits, _single_model,
+                              calibrate_scale_factor, demodulate_trace,
+                              enhancement_factor, extract_earth_phase,
+                              fit_angle_sweep, fit_noon_fringe,
+                              fit_single_fringe, fit_switch_pair,
+                              group_records_by_angle, mc_uncertainty, nlls,
+                              wrap_phase)
 from qsagnac.cli import main
-from qsagnac.expsim import PolarimeterTrace, SwitchSchedule, read_counts_csv
+from qsagnac.expsim import (PolarimeterTrace, RateConfig, SwitchSchedule,
+                            read_counts_csv, simulate_counts,
+                            simulate_polarimeter)
 
 OMEGA_E = 7.29e-5
 PHI_S = 2.8264857358648266e-3   # loop phase of the 715 m^2 geometry at theta = 0
@@ -544,7 +547,7 @@ def test_noon_set_points_at_multiples_of_half_pi_are_degenerate(model):
 
 
 def test_noon_records_at_multiples_of_half_pi_are_degenerate():
-    from qsagnac import CountRecord
+    from qsagnac.expsim import CountRecord
     x = np.arange(5) * (math.pi / 2.0)
     y = np.round(0.5 * 1e5 * (1.0 + 0.9 * np.cos(2.0 * x + 0.3)))
     recs = [CountRecord(theta=0.0, phi0=float(p), switch=SwitchState.ON,
@@ -698,7 +701,7 @@ def test_demod_noiseless_is_exact(bench_geometry, quiet_noise):
 
 
 def test_demod_collects_leaked_signal(bench_geometry):
-    from qsagnac import NoiseConfig
+    from qsagnac.expsim import NoiseConfig
     noise = NoiseConfig(dark_rate=0.0, motor_sigma=0.0, drift_rate=0.0,
                         walk_sigma=0.0, polarimeter_sigma=0.0,
                         leakage_fraction=0.3)
@@ -710,7 +713,7 @@ def test_demod_collects_leaked_signal(bench_geometry):
 
 
 def test_demod_rejects_linear_drift(bench_geometry):
-    from qsagnac import NoiseConfig
+    from qsagnac.expsim import NoiseConfig
     noise = NoiseConfig(dark_rate=0.0, motor_sigma=0.0, drift_rate=1e-6,
                         walk_sigma=0.0, polarimeter_sigma=0.0,
                         leakage_fraction=0.0)
@@ -928,7 +931,7 @@ def test_enhancement_factor_needs_a_nonzero_denominator():
 
 
 def test_group_records_by_angle(bench_geometry, quiet_noise):
-    from qsagnac import angle_sweep
+    from qsagnac.expsim import angle_sweep
     thetas = [math.radians(d) for d in (-65.0, 2.5, 25.0)]
     recs = angle_sweep(NOON2, bench_geometry, thetas, [0.0, 0.5, 1.0, 1.5, 2.0],
                        OMEGA_E, seed=1, duration_s=60.0, noise=quiet_noise)

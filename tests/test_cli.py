@@ -96,7 +96,7 @@ import qsagnac
 for info in pkgutil.iter_modules(qsagnac.__path__):
     importlib.import_module("qsagnac." + info.name)
 from qsagnac.cli import main
-from qsagnac.polarization import solve_triplet
+from oracles import solve_triplet
 z = np.random.default_rng(3).standard_normal((2, 2, 2))
 solve_triplet(np.linalg.qr(z[0] + 1j * z[1])[0])
 code = main(["design", "--config", sys.argv[1], "--out", sys.argv[2], "--optimize-gfring"])
@@ -105,26 +105,26 @@ print(code, "scipy" in sys.modules or any(m.startswith("scipy.") for m in sys.mo
 """
 
 
-def test_cli_import_leaves_scipy_out(tmp_path):
+def fresh_python(*args):
+    """Run python on args with the package and the tests directory importable."""
     src = os.path.dirname(os.path.dirname(qsagnac.__file__))
+    tests = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run(
-        [sys.executable, "-c", SCIPY_BLOCKED, recipe("table3"), str(tmp_path)],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
+        p for p in (src, tests, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+
+
+def test_cli_import_leaves_scipy_out(tmp_path):
+    out = fresh_python("-c", SCIPY_BLOCKED, recipe("table3"), str(tmp_path))
     assert out.stdout.splitlines()[-1] == "0 False"
     assert "gfring_optimum" in json.loads((tmp_path / "design_report.json").read_text())
 
 
-def test_cli_import_leaves_polarization_out():
-    """The CLI uses no Jones calculus, so importing it does not load it."""
-    src = os.path.dirname(os.path.dirname(qsagnac.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, qsagnac.cli; "
-         "print('qsagnac.polarization' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=60)
+def test_package_import_leaves_numpy_out():
+    """The physical model and the design stage need no numpy, so importing them loads none."""
+    out = fresh_python("-c", "import sys, qsagnac, qsagnac.sensedesign; "
+                       "print('numpy' in sys.modules)")
     assert out.stdout.split() == ["False"]
 
 
@@ -548,6 +548,29 @@ _NOTHING_TO_READ = {
         "omega_earth_rad_s": 0, "angles_deg": [-90.0, -45.0, 0.0],
         "phases_rad": [0.0, 2e-3, 2.8e-3], "sigmas_rad": [2e-5, 2e-5, 2e-5]}},
         "config.fit.calibration: omega_earth must be positive"),
+    # numpy's "expected non-negative integer" named no key
+    "seed negative": ("fig2", "simulate", "seed", -5, "config.seed: seed -5 is negative"),
+    "seed option negative": ("fig2", "simulate --seed -3", "seed", 7,
+                             "--seed: seed -3 is negative"),
+    # values a callee that the command calls directly rejects, named by block
+    "trace total time zero": ("fig4_cw", "simulate", "simulate.trace.total_time_s", 0,
+                              "config.simulate.trace: trace must cover at least "
+                              "ten switch periods"),
+    "scale factor zero": ("fig3_tables12", "fit", "fit.scale_factor_s", 0,
+                          "config.fit: scale_factor_s 0 is not positive"),
+    "mc_samples one": ("fig2", "fit", "fit.mc_samples", 1,
+                       "config.fit: mc_samples 1, need at least two resamples"),
+    # --fast replaces the sample counts, which used to leave them unread
+    "mc_samples negative under --fast": (
+        "fig2", "fit --fast", "fit.mc_samples", -1,
+        "config.fit: mc_samples -1, need at least two resamples"),
+    "calibration mc_samples under --fast": (
+        "fig4_cw", "fit --fast", "fit.calibration.mc_samples", 0,
+        "config.fit.calibration: mc_samples 0, need at least two resamples"),
+    **{f"{name} zero projection": (
+        name, "design", "design.specs.4.latitude_deg", 0,
+        "config.design.specs[4]: projection factor is zero; rotation not observable")
+       for name in ("table3", "fig5")},
 }
 
 
@@ -562,6 +585,21 @@ def test_missing_key_or_empty_section_exits_2_naming_it(tmp_path, capsys, case):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_count_data_error_of_the_bootstrap_names_no_config_block(tmp_path, capsys):
+    """A bad counts file is a data error; config.fit is not its source."""
+    out = str(tmp_path)
+    main(["simulate", "--config", recipe("fig2"), "--out", out])
+    path = tmp_path / "counts_noon.csv"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0]] + [r for r in lines[1:] if ",on," in r]) + "\n")
+    capsys.readouterr()
+    assert main(["fit", "--config", recipe("fig2"), "--out", out, "--fast"]) == 2
+    captured = capsys.readouterr()
+    assert "need records in both switch states" in captured.err
+    assert "config.fit" not in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("command", ["simulate", "fit", "design"])

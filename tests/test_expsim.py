@@ -6,12 +6,13 @@ import warnings
 import numpy as np
 import pytest
 
-from qsagnac import (NOON2, SINGLE, NoiseConfig, ProbeKind, RateConfig,
-                     SwitchSchedule, SwitchState, angle_sweep,
-                     read_counts_csv, read_trace_csv, simulate_counts,
-                     simulate_polarimeter, write_counts_csv, write_trace_csv)
+from qsagnac import NOON2, SINGLE, ProbeKind, SwitchState
 from qsagnac.expsim import (TRACE_CSV_COLUMNS, _TRACE_BLOCK, CountRecord,
-                            PolarimeterTrace, new_file)
+                            NoiseConfig, PolarimeterTrace, RateConfig,
+                            SwitchSchedule, angle_sweep, new_file,
+                            read_counts_csv, read_trace_csv, simulate_counts,
+                            simulate_polarimeter, write_counts_csv,
+                            write_trace_csv)
 
 OMEGA_E = 7.29e-5
 PHI_S = 2.8264857358648266e-3  # loop phase of the 715 m^2 geometry at this rate

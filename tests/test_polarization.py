@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qsagnac.polarization import (H, LEFT_CIRCULAR, MINUS, PLUS, RIGHT_CIRCULAR,
-                                  V, JonesVector, PolarizationEllipse,
-                                  bias_unitary, ellipse_of, hwp, is_unitary,
-                                  phase_distance, phase_shift,
-                                  reconstruct_fiber_unitary, sagnac_loop,
-                                  solve_triplet, qwp, vector_of,
-                                  waveplate_triplet)
+from oracles import (H, LEFT_CIRCULAR, MINUS, PLUS, RIGHT_CIRCULAR, V,
+                     JonesVector, PolarizationEllipse, bias_unitary,
+                     ellipse_of, hwp, is_unitary, phase_distance, phase_shift,
+                     reconstruct_fiber_unitary, sagnac_loop, solve_triplet,
+                     qwp, vector_of, waveplate_triplet)
 
 
 def random_unitary(seed):

@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from qsagnac import (RateConfig, SwitchSchedule, SwitchState, sagnac_phase,
-                     simulate_counts, switch_transmission)
+from oracles import (PLUS, TwoModeState, coincidence_projection, evolve,
+                     hom_interfere, noon_state, output_state_after_hwp,
+                     phase_shift, sagnac_loop, two_photon_hwp)
+from qsagnac import SwitchState, sagnac_phase, switch_transmission
 from qsagnac.analysis import _noon_model, _single_model
-from qsagnac.polarization import PLUS, phase_shift, sagnac_loop
-from qsagnac.probe import (NOON2, SINGLE, ProbeKind, TwoModeState,
-                           coincidence_projection, evolve, fringe_probs,
-                           hom_interfere, noon_state, output_state_after_hwp,
-                           two_photon_hwp)
+from qsagnac.expsim import RateConfig, SwitchSchedule, simulate_counts
+from qsagnac.probe import NOON2, SINGLE, ProbeKind, fringe_probs
 
 
 def pair_at_output(phi0, phi_s, distinguishability=0.0):

@@ -12,10 +12,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qsagnac import (CONSTANTS, InterferometerGeometry, SwitchState,  # noqa: E402
-                     demodulate_trace, nlls, simulate_polarimeter, wrap_phase)
-from qsagnac.analysis import _MODELS  # noqa: E402
-from qsagnac.expsim import CountRecord, read_counts_csv, write_counts_csv  # noqa: E402
+from qsagnac import CONSTANTS, InterferometerGeometry, SwitchState  # noqa: E402
+from qsagnac.analysis import _MODELS, demodulate_trace, nlls, wrap_phase  # noqa: E402
+from qsagnac.expsim import (CountRecord, read_counts_csv,  # noqa: E402
+                            simulate_polarimeter, write_counts_csv)
 from qsagnac.probe import KINDS  # noqa: E402
 
 

@@ -5,12 +5,12 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from qsagnac import (CONSTANTS, DesignSpec, InterferometerGeometry,
-                     landscape, optimize_gfring, pair_rate_out,
-                     phase_resolution, regime_label, rotation_resolution,
-                     transmission)
+from qsagnac import CONSTANTS, InterferometerGeometry
 from qsagnac.cli import design_from_dict
-from qsagnac.sensedesign import InfeasibleDesignError
+from qsagnac.sensedesign import (DesignSpec, InfeasibleDesignError, landscape,
+                                 optimize_gfring, pair_rate_out,
+                                 phase_resolution, regime_label,
+                                 rotation_resolution)
 
 LN10 = math.log(10.0)
 
