@@ -10,4 +10,4 @@ __version__ = "0.1.0"
 from .sagnac import (CONSTANTS, OFF_TRANSMISSION, InterferometerGeometry,
                      PhysicalConstants, SwitchState, sagnac_phase,
                      scale_factor, switch_transmission, transmission)
-from .probe import KINDS, NOON2, SINGLE, ProbeKind, fringe_probs
+from .probe import NOON2, SINGLE, ProbeKind, fringe_probs
