@@ -31,19 +31,8 @@ import numpy as np
 
 from .expsim import CountRecord, NoiseConfig, SwitchSchedule, seed_sequence
 from .probe import KINDS
-from .sagnac import CONSTANTS, SwitchState
-
-
-class FitError(RuntimeError):
-    """Fit failed to converge or inputs cannot be fit."""
-
-
-class DegenerateDesignError(ValueError):
-    """Data do not constrain the model (span too small, flat fringe...)."""
-
-
-class UndefinedRatioError(ValueError):
-    """Denominator consistent with zero; the ratio carries no information."""
+from .sagnac import (CONSTANTS, DegenerateDesignError, FitError, SwitchState,
+                     UndefinedRatioError)
 
 
 def wrap_phase(phi):

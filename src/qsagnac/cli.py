@@ -11,8 +11,10 @@ then writes them into --out, the manifest last, and only then prints the
 lines, so a failed run writes and prints nothing.  Relative input paths
 in a config are resolved against --out, so a fit can chain onto a
 simulate run in the same directory.  Exit codes: 0 success, 2 bad config
-or input (a simulate or fit section that asks for no output included), 3
-fit or feasibility failure.
+or input (a section that asks for no output included), 3 fit or
+feasibility failure.  numpy, expsim and analysis are imported inside
+cmd_simulate and cmd_fit, the commands that run them, so design loads
+none of them; main catches the exit-3 errors from sagnac instead.
 """
 
 import argparse
@@ -26,19 +28,11 @@ import sys
 from dataclasses import fields, is_dataclass, replace
 from functools import partial
 
-import numpy as np
-
 from . import __version__
-from .analysis import (DegenerateDesignError, FitError, UndefinedRatioError,
-                       calibrate_scale_factor, demodulate_trace,
-                       enhancement_factor, extract_earth_phase,
-                       fit_angle_sweep, fit_switch_pair,
-                       group_records_by_angle, mc_uncertainty)
-from .expsim import (NoiseConfig, RateConfig, SwitchSchedule, angle_sweep,
-                     new_file, read_counts_csv, read_trace_csv,
-                     simulate_polarimeter, write_counts_csv, write_trace_csv)
 from .probe import KINDS
-from .sagnac import CONSTANTS, InterferometerGeometry, scale_factor
+from .sagnac import (CONSTANTS, DegenerateDesignError, FitError,
+                     InterferometerGeometry, UndefinedRatioError, new_file,
+                     scale_factor)
 from .sensedesign import (DesignSpec, InfeasibleDesignError, landscape,
                           optimize_gfring, rotation_resolution)
 
@@ -352,6 +346,11 @@ def _write_outputs(args, config, outputs):
 
 
 def cmd_simulate(args, config, sim):
+    import numpy as np
+
+    from .expsim import (NoiseConfig, RateConfig, SwitchSchedule, angle_sweep,
+                         simulate_polarimeter, write_counts_csv, write_trace_csv)
+
     if not sim.get("phi0_rad") and "trace" not in sim:
         raise ValueError("config.simulate: no phi0_rad grid and no trace, "
                          "so nothing is simulated")
@@ -421,6 +420,14 @@ def _table_row(angle):
 
 
 def cmd_fit(args, config, fit_cfg):
+    import numpy as np
+
+    from .analysis import (calibrate_scale_factor, demodulate_trace,
+                           enhancement_factor, extract_earth_phase,
+                           fit_angle_sweep, fit_switch_pair,
+                           group_records_by_angle, mc_uncertainty)
+    from .expsim import SwitchSchedule, read_counts_csv, read_trace_csv
+
     if not fit_cfg.get("counts") and "trace" not in fit_cfg \
             and "calibration" not in fit_cfg:
         raise ValueError("config.fit: no counts, trace or calibration, "
@@ -435,6 +442,9 @@ def cmd_fit(args, config, fit_cfg):
     if fit_cfg.get("scale_factor_s", 1.0) <= 0.0:
         raise ValueError(f"config.fit: scale_factor_s {fit_cfg['scale_factor_s']} "
                          "is not positive")
+    if fit_cfg.get("motor_sigma_rad", 0.0) < 0.0:
+        raise ValueError(f"config.fit: motor_sigma_rad {fit_cfg['motor_sigma_rad']} "
+                         "is negative")
     fast = {"n_samples": _FAST_SAMPLES} if args.fast else {}
     mc_opts = {**config_kwargs(fit_cfg, _MC_KEYS), **fast}
     opts = config_kwargs(fit_cfg, _FIT_KEYS)
@@ -523,6 +533,9 @@ _DESIGN_COLUMNS = ("name", "shape", "fiber_length_m", "perimeter_m", "turns",
 
 
 def cmd_design(args, config, design_cfg):
+    if not design_cfg.get("specs") and not args.optimize_gfring:
+        raise ValueError("config.design: no specs and no --optimize-gfring, "
+                         "so nothing is designed")
     specs, reports = [], []
     for i, d in enumerate(design_cfg.get("specs", [])):
         where = f"config.design.specs[{i}]"

@@ -9,14 +9,12 @@ a set point, which is what the on/off difference is designed to reject.
 
 import csv
 import math
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .probe import NOON2, SINGLE, fringe_probs
-from .sagnac import SwitchState, sagnac_phase, switch_transmission
+from .sagnac import SwitchState, new_file, sagnac_phase, switch_transmission
 
 
 @dataclass(frozen=True)
@@ -267,28 +265,6 @@ _TRACE_ROW = ",".join(["%.10g"] * len(TRACE_CSV_COLUMNS)) + "\n"
 # trace rows per formatted string: the string and its list of floats stay
 # near 1 MB for any trace length
 _TRACE_BLOCK = 4096
-
-
-@contextmanager
-def new_file(path, newline=None):
-    """Open path for writing text as a new file; remove it if the body raises.
-
-    A file already at path is unlinked first and never truncated: ext4
-    starts writeback of a truncated (or renamed-over) file when it is
-    closed, and the next rewrite of the path waits for that I/O.  A hard
-    link or symlink at path is replaced, not written through.
-    """
-    try:
-        os.remove(path)
-    except FileNotFoundError:
-        pass
-    f = open(path, "x", newline=newline)
-    try:
-        with f:
-            yield f
-    except BaseException:
-        os.remove(path)
-        raise
 
 
 def write_counts_csv(records, path):

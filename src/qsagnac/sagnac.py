@@ -7,11 +7,51 @@ phase shift between its counter-propagating modes
 
 where Theta is the angle between the loop normal and the rotation axis.
 The scale factor S = 8 pi A / (lambda c) converts rotation rate to phase.
+
+Every stage imports this module, and it loads no numpy, so it also holds
+what the CLI needs without importing the stages: the exit-3 errors of the
+estimation pipeline and new_file, through which every output is written.
 """
 
 import math
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+
+
+class FitError(RuntimeError):
+    """Fit failed to converge or inputs cannot be fit."""
+
+
+class DegenerateDesignError(ValueError):
+    """Data do not constrain the model (span too small, flat fringe...)."""
+
+
+class UndefinedRatioError(ValueError):
+    """Denominator consistent with zero; the ratio carries no information."""
+
+
+@contextmanager
+def new_file(path, newline=None):
+    """Open path for writing text as a new file; remove it if the body raises.
+
+    A file already at path is unlinked first and never truncated: ext4
+    starts writeback of a truncated (or renamed-over) file when it is
+    closed, and the next rewrite of the path waits for that I/O.  A hard
+    link or symlink at path is replaced, not written through.
+    """
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    f = open(path, "x", newline=newline)
+    try:
+        with f:
+            yield f
+    except BaseException:
+        os.remove(path)
+        raise
 
 
 @dataclass(frozen=True)

@@ -128,6 +128,46 @@ def test_package_import_leaves_numpy_out():
     assert out.stdout.split() == ["False"]
 
 
+def test_cli_import_leaves_numpy_out():
+    """numpy and the stages that need it load in the commands that run them."""
+    out = fresh_python("-c", "import sys, qsagnac.cli; print(*(m in sys.modules "
+                       "for m in ('numpy', 'qsagnac.analysis', 'qsagnac.expsim')))")
+    assert out.stdout.split() == ["False", "False", "False"]
+
+
+# argv: numpy blocked (1 or 0), then the qsagnac arguments; prints the
+# command's stdout, then its exit code
+RUN_MAIN = """
+import sys
+if sys.argv[1] == "1":
+    sys.modules["numpy"] = None  # any numpy import now raises ImportError
+from qsagnac.cli import main
+print(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("name, flags", [("table3", ["--optimize-gfring"]),
+                                         ("fig5", [])])
+def test_design_runs_with_numpy_blocked(tmp_path, name, flags):
+    """design gives the same files and stdout when no numpy can be imported."""
+    runs = {}
+    for blocked in ("1", "0"):
+        out = tmp_path / blocked
+        stdout = fresh_python("-c", RUN_MAIN, blocked, "design", "--config",
+                              recipe(name), "--out", str(out), *flags).stdout
+        assert stdout.splitlines()[-1] == "0"
+        runs[blocked] = (stdout, {f: (out / f).read_bytes() for f in os.listdir(out)})
+    assert runs["1"] == runs["0"]
+
+
+def test_simulate_leaves_analysis_out(tmp_path):
+    code = RUN_MAIN + "print('qsagnac.analysis' in sys.modules)\n"
+    out = fresh_python("-c", code, "0", "simulate", "--config", recipe("fig2"),
+                       "--out", str(tmp_path))
+    assert out.stdout.splitlines()[-2:] == ["0", "False"]
+    assert (tmp_path / "counts_noon.csv").exists()
+
+
 def test_invalid_simulation_parameters_exit_2(tmp_path, capsys):
     base = json.loads(Path(recipe("fig2")).read_text())
     base["simulate"]["duration_s"] = {"noon": 0.0, "single": 0.0}
@@ -525,6 +565,8 @@ _NOTHING_TO_READ = {
                        "config.simulate: no phi0_rad grid and no trace"),
     "fit empty": ("fig2", "fit", "fit", {},
                   "config.fit: no counts, trace or calibration"),
+    "design empty": ("table3", "design", "design", {},
+                     "config.design: no specs and no --optimize-gfring"),
     "duration zero": ("fig2", "simulate", "simulate.duration_s.noon", 0.0,
                       "config.simulate (noon): duration must be positive"),
     "phi0 grid empty": ("fig2", "simulate", "simulate.phi0_rad.noon", [],
@@ -558,6 +600,10 @@ _NOTHING_TO_READ = {
                               "ten switch periods"),
     "scale factor zero": ("fig3_tables12", "fit", "fit.scale_factor_s", 0,
                           "config.fit: scale_factor_s 0 is not positive"),
+    # the bootstrap drew no motor offsets for it and reported it as given
+    "motor sigma negative under --fast": (
+        "fig2", "fit --fast", "fit.motor_sigma_rad", -1.0,
+        "config.fit: motor_sigma_rad -1.0 is negative"),
     "mc_samples one": ("fig2", "fit", "fit.mc_samples", 1,
                        "config.fit: mc_samples 1, need at least two resamples"),
     # --fast replaces the sample counts, which used to leave them unread
@@ -724,11 +770,28 @@ def test_design_landscape(tmp_path):
     assert labels["this work"] == "below_omega_e"
 
 
-def test_design_empty_spec_list(tmp_path):
+def test_design_empty_spec_list(tmp_path, capsys):
+    """An empty specs list designs nothing unless the optimizer runs."""
     cfg = write_config(tmp_path, {"schema_version": 1, "design": {"specs": []}})
-    assert main(["design", "--config", cfg, "--out", str(tmp_path)]) == 0
-    report = json.loads((tmp_path / "design_report.json").read_text())
+    out = tmp_path / "run"
+    assert main(["design", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "config.design: no specs and no --optimize-gfring" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_design_optimizer_alone_with_empty_spec_list(tmp_path, capsys):
+    gfring = json.loads(Path(recipe("table3")).read_text())["design"]["gfring"]
+    cfg = write_config(tmp_path, {"schema_version": 1,
+                                  "design": {"specs": [], "gfring": gfring}})
+    out = tmp_path / "run"
+    assert main(["design", "--config", cfg, "--out", str(out),
+                 "--optimize-gfring"]) == 0
+    report = json.loads((out / "design_report.json").read_text())
     assert report["designs"] == []
+    assert report["gfring_optimum"]["turns"] == 8
+    assert capsys.readouterr().out.startswith("gfring optimum: ")
 
 
 def test_design_infeasible_target_exits_3(tmp_path, capsys):
