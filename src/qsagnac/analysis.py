@@ -22,10 +22,12 @@ repeatability.  Shifting every set point by delta only moves the fitted
 phase by -k delta, so each resample is fit on the observed set points and
 the offset is subtracted from its phase.  One-photon resamples are fit by
 the same solver, batched, from the observed-data fit to their own optimum.
+The bootstrap returns those observed-data fits, so the CLI fits each
+switch state once, in mc_uncertainty.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -446,7 +448,11 @@ def _observations(model, n_h=None, n_v=None, n_hv=None):
 def _fit_state(records, model):
     """Fit the records of one switch state; returns (fit, x, counts).
 
-    counts maps each column the model reads to its observed values.
+    noon fits the counts n_hv to amplitude/2 (1 + V cos(2 phi0 + phase)), one
+    exact weighted 3x3 solve; single fits the ratio n_v / (n_h + n_v) to
+    amplitude (1 - V cos(phi0 + phase)) / (1 + asymmetry V cos(phi0 + phase)).
+    The weights are those of _observations; counts maps each column the
+    model reads to its observed values.
     """
     if model not in _MODELS:
         raise ValueError(f"unknown fringe model {model!r}")
@@ -460,26 +466,6 @@ def _fit_state(records, model):
         raise FitError(f"{model} fringe fit did not converge from the harmonic "
                        f"start; weighted rss {fit.rss:.3e}")
     return fit, x, counts
-
-
-def fit_noon_fringe(records):
-    """Fit counts n_hv to amplitude/2 * (1 + V cos(2 phi0 + phase)).
-
-    Poisson weights from the observed counts, floored at one count; the
-    fringe is linear in its cosine and sine coefficients, so the weighted
-    fit is one exact 3x3 solve.
-    """
-    return _fit_state(records, "noon")[0]
-
-
-def fit_single_fringe(records):
-    """Fit the ratio n_v / (n_h + n_v) to the asymmetric one-photon fringe
-
-        amplitude (1 - V cos(phi0 + phase)) / (1 + asymmetry V cos(phi0 + phase))
-
-    with binomial weights from the observed channel counts.
-    """
-    return _fit_state(records, "single")[0]
 
 
 @dataclass(frozen=True)
@@ -519,7 +505,7 @@ def extract_earth_phase(fit_on, fit_off, mc=None):
 
 @dataclass(frozen=True)
 class McUncertainty:
-    """Bootstrap means and sigmas per switch state, plus the phase difference."""
+    """Bootstrap means and sigmas per switch state, the phase difference, the base fits."""
 
     model: str
     n_samples: int
@@ -529,6 +515,7 @@ class McUncertainty:
     phi_e_mean: float
     phi_e_sigma: float
     nonconverged_fraction: float
+    fits: tuple = field(repr=False)
 
 
 def _group_by(records, attr):
@@ -598,7 +585,7 @@ def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None, seed=Non
     Resamples are drawn and fit in batches of _MC_CHUNK (20 000), which
     fixes the RNG stream for a seed.  nonconverged_fraction counts the
     resamples whose fit did not converge; FitError is raised if it
-    exceeds 1%.
+    exceeds 1%.  fits holds the observed-data fits (on, off).
     """
     if n_samples < 2:
         raise ValueError("need at least two resamples")
@@ -640,7 +627,8 @@ def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None, seed=Non
                          param_means=means, param_sigmas=sigmas,
                          phi_e_mean=float(diff.mean()),
                          phi_e_sigma=float(diff.std(ddof=1)),
-                         nonconverged_fraction=frac)
+                         nonconverged_fraction=frac,
+                         fits=(base[SwitchState.ON][0], base[SwitchState.OFF][0]))
 
 
 @dataclass(frozen=True)
@@ -868,7 +856,10 @@ def group_records_by_angle(records):
 
 
 def fit_switch_pair(records, model):
-    """Fit both switch states of one angle; returns (fit_on, fit_off, earth)."""
+    """Fit both switch states of one angle; returns (fit_on, fit_off, earth).
+
+    The CLI takes the same fits from mc_uncertainty(...).fits instead.
+    """
     base = _fit_switch_states(records, model)
     fit_on, fit_off = base[SwitchState.ON][0], base[SwitchState.OFF][0]
     return fit_on, fit_off, extract_earth_phase(fit_on, fit_off)

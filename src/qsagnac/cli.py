@@ -300,12 +300,12 @@ def _csv_writer(header, rows):
 def _report_form(obj):
     """JSON form of a value json cannot encode: a dataclass, or an array as a list.
 
-    A dataclass gives its fields in order, each under the key in its
+    A dataclass gives its repr's fields in order, each under the key in its
     metadata "json" (a design field's unit-suffixed name), else its name.
     """
     if is_dataclass(obj):
         return {f.metadata.get("json", f.name): getattr(obj, f.name)
-                for f in fields(obj)}
+                for f in fields(obj) if f.repr}
     return obj.tolist()
 
 
@@ -424,8 +424,8 @@ def cmd_fit(args, config, fit_cfg):
 
     from .analysis import (calibrate_scale_factor, demodulate_trace,
                            enhancement_factor, extract_earth_phase,
-                           fit_angle_sweep, fit_switch_pair,
-                           group_records_by_angle, mc_uncertainty)
+                           fit_angle_sweep, group_records_by_angle,
+                           mc_uncertainty)
     from .expsim import SwitchSchedule, read_counts_csv, read_trace_csv
 
     if not fit_cfg.get("counts") and "trace" not in fit_cfg \
@@ -464,8 +464,8 @@ def cmd_fit(args, config, fit_cfg):
         groups = group_records_by_angle(records)
         angles = []
         for theta, recs in groups.items():
-            fit_on, fit_off, _ = fit_switch_pair(recs, model=kind)
             mc = mc_uncertainty(recs, kind, seed=root.spawn(1)[0], **mc_opts)
+            fit_on, fit_off = mc.fits
             angles.append({"theta_deg": math.degrees(theta), "fit_on": fit_on,
                            "fit_off": fit_off, "mc": mc,
                            "earth_phase": extract_earth_phase(fit_on, fit_off, mc)})
@@ -533,14 +533,18 @@ _DESIGN_COLUMNS = ("name", "shape", "fiber_length_m", "perimeter_m", "turns",
 
 
 def cmd_design(args, config, design_cfg):
-    if not design_cfg.get("specs") and not args.optimize_gfring:
-        raise ValueError("config.design: no specs and no --optimize-gfring, "
-                         "so nothing is designed")
-    specs, reports = [], []
+    if not design_cfg.get("specs"):
+        if not args.optimize_gfring:
+            raise ValueError("config.design: no specs and no --optimize-gfring, "
+                             "so nothing is designed")
+        if design_cfg.get("landscape"):
+            raise ValueError("config.design: landscape asked for, but no specs "
+                             "to place on it")
+    reports = []
     for i, d in enumerate(design_cfg.get("specs", [])):
         where = f"config.design.specs[{i}]"
-        specs.append(design_from_dict(d, where))
-        reports.append(_build(rotation_resolution, {}, {}, where, spec=specs[-1]))
+        reports.append(_build(rotation_resolution, {}, {}, where,
+                              spec=design_from_dict(d, where)))
     outputs, lines = {}, []
     out_json = {"designs": reports}
 
@@ -557,7 +561,7 @@ def cmd_design(args, config, design_cfg):
                          f"delta_omega = {r.delta_omega:.3g} rad/s")
 
     if design_cfg.get("landscape"):
-        rows = landscape(specs)
+        rows = landscape(reports)
         outputs["landscape.csv"] = _csv_writer(
             ("name", "log10_area", "log10_delta_omega", "label"),
             [[row.name, f"{row.log10_area:.6g}", f"{row.log10_delta_omega:.6g}",

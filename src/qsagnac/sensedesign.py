@@ -223,15 +223,10 @@ def regime_label(delta_omega):
     return "below_omega_gr"
 
 
-def landscape(specs):
-    """Area-versus-resolution rows for a set of designs."""
-    rows = []
-    for spec in specs:
-        report = rotation_resolution(spec)
-        rows.append(LandscapeRow(
-            name=spec.name, effective_area=report.effective_area,
-            delta_omega=report.delta_omega,
-            label=regime_label(report.delta_omega),
-            log10_area=math.log10(report.effective_area),
-            log10_delta_omega=math.log10(report.delta_omega)))
-    return rows
+def landscape(reports):
+    """Area-versus-resolution rows for the rotation_resolution reports of designs."""
+    return [LandscapeRow(name=r.name, effective_area=r.effective_area,
+                         delta_omega=r.delta_omega, label=regime_label(r.delta_omega),
+                         log10_area=math.log10(r.effective_area),
+                         log10_delta_omega=math.log10(r.delta_omega))
+            for r in reports]

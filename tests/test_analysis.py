@@ -17,8 +17,7 @@ from qsagnac.analysis import (_MODELS, SINGLE_PARAMS, DegenerateDesignError,
                               _resample_fits, _single_model,
                               calibrate_scale_factor, demodulate_trace,
                               enhancement_factor, extract_earth_phase,
-                              fit_angle_sweep, fit_noon_fringe,
-                              fit_single_fringe, fit_switch_pair,
+                              fit_angle_sweep, fit_switch_pair,
                               group_records_by_angle, mc_uncertainty, nlls,
                               wrap_phase)
 from qsagnac.cli import main
@@ -462,7 +461,7 @@ def test_covariance_is_the_symmetric_inverse_of_its_normal_matrix(tmp_path):
     records = [r for r in list(group_records_by_angle(
         read_counts_csv(str(tmp_path / "counts_noon.csv"))).values())[3]
         if r.switch is SwitchState.OFF]
-    fit = fit_noon_fringe(records)
+    fit = _fit_state(records, "noon")[0]
     x = np.array([r.phi0 for r in records])
     y, w = _observations("noon", n_hv=np.array([r.n_hv for r in records], dtype=float))
     jac = _noon_model(np.array([[fit.params[n]] for n in _MODELS["noon"][1]]), x)[1][..., 0]
@@ -486,7 +485,7 @@ def test_nlls_validation():
 def test_noon_fit_round_trip(quiet_noise):
     recs = [r for r in noiseless_records(NOON2, quiet_noise, visibility=0.9714)
             if r.switch is SwitchState.ON]
-    fit = fit_noon_fringe(recs)
+    fit = _fit_state(recs, "noon")[0]
     phi_s = PHI_S * math.cos(math.radians(2.5))
     assert fit.visibility == pytest.approx(0.9714, abs=1e-6)
     assert fit.phase == pytest.approx(wrap_phase(-2.0 * phi_s), abs=1e-6)
@@ -496,7 +495,7 @@ def test_noon_fit_round_trip(quiet_noise):
 def test_single_fit_round_trip(quiet_noise):
     recs = [r for r in noiseless_records(SINGLE, quiet_noise)
             if r.switch is SwitchState.ON]
-    fit = fit_single_fringe(recs)
+    fit = _fit_state(recs, "single")[0]
     phi_s = PHI_S * math.cos(math.radians(2.5))
     assert fit.params["asymmetry"] == pytest.approx(0.0, abs=1e-6)
     assert fit.visibility == pytest.approx(1.0, abs=1e-6)
@@ -508,7 +507,7 @@ def test_single_fit_reads_channel_asymmetry(quiet_noise):
     recs = [r for r in noiseless_records(SINGLE, quiet_noise,
                                          channel_asymmetry=1 / 11)
             if r.switch is SwitchState.ON]
-    fit = fit_single_fringe(recs)
+    fit = _fit_state(recs, "single")[0]
     assert fit.params["asymmetry"] == pytest.approx(1 / 11, abs=1e-6)
     assert fit.params["amplitude"] == pytest.approx(5 / 11, abs=1e-6)
 
@@ -517,7 +516,7 @@ def test_flat_fringe_is_degenerate(quiet_noise):
     recs = [r for r in noiseless_records(NOON2, quiet_noise, visibility=0.0)
             if r.switch is SwitchState.ON]
     with pytest.raises(DegenerateDesignError):
-        fit_noon_fringe(recs)
+        _fit_state(recs, "noon")
 
 
 @pytest.mark.parametrize("model", ["noon", "single"])
@@ -554,33 +553,36 @@ def test_noon_records_at_multiples_of_half_pi_are_degenerate():
                         duration=1.0, n_h=0, n_v=0, n_hv=int(v))
             for p, v in zip(x, y)]
     with pytest.raises(DegenerateDesignError):
-        fit_noon_fringe(recs)
+        _fit_state(recs, "noon")
 
 
 def test_narrow_span_is_degenerate(quiet_noise):
     recs = [r for r in noiseless_records(NOON2, quiet_noise)
             if r.switch is SwitchState.ON and r.phi0 < math.pi / 4]
     with pytest.raises(DegenerateDesignError):
-        fit_noon_fringe(recs)
+        _fit_state(recs, "noon")
     recs = [r for r in noiseless_records(SINGLE, quiet_noise)
             if r.switch is SwitchState.ON and r.phi0 < 0.9 * math.pi]
     with pytest.raises(DegenerateDesignError):
-        fit_single_fringe(recs)
+        _fit_state(recs, "single")
 
 
 def test_record_set_hygiene(quiet_noise):
     recs = noiseless_records(NOON2, quiet_noise)
     with pytest.raises(ValueError, match="switch"):
-        fit_noon_fringe(recs)
+        _fit_state(recs, "noon")
     ons = [r for r in recs if r.switch is SwitchState.ON]
     with pytest.raises(ValueError, match="angle"):
-        fit_noon_fringe(ons[:11] + [replace(r, theta=0.0) for r in ons[11:]])
+        _fit_state(ons[:11] + [replace(r, theta=0.0) for r in ons[11:]], "noon")
     with pytest.raises(DegenerateDesignError, match="set points"):
-        fit_noon_fringe(ons[:4])
+        _fit_state(ons[:4], "noon")
     with pytest.raises(ValueError):
-        fit_noon_fringe([])
+        _fit_state([], "noon")
     with pytest.raises(TypeError):
-        fit_noon_fringe([(0.0, 1, 2, 3)])
+        _fit_state([(0.0, 1, 2, 3)], "noon")
+    # checked before the count columns are looked up, which would raise KeyError
+    with pytest.raises(ValueError, match="unknown fringe model"):
+        _fit_state(ons, "gauss")
 
 
 def test_earth_phase_from_switch_difference():
@@ -664,11 +666,40 @@ def test_mc_is_deterministic(quiet_noise):
     assert a.param_means == b.param_means
 
 
+def test_fit_command_fits_each_switch_state_once(tmp_path, monkeypatch):
+    """fit takes its base fits from the bootstrap: one _fit_state per state."""
+    config = str(resources.files("qsagnac") / "recipes" / "fig2.json")
+    out = str(tmp_path)
+    assert main(["simulate", "--config", config, "--out", out]) == 0
+    calls = []
+
+    def counted(records, model):
+        calls.append(model)
+        return _fit_state(records, model)
+
+    monkeypatch.setattr(analysis, "_fit_state", counted)
+    assert main(["fit", "--config", config, "--out", out, "--fast"]) == 0
+    # one angle, two kinds, two switch states
+    assert sorted(calls) == ["noon", "noon", "single", "single"]
+
+
+@pytest.mark.parametrize("model", ["noon", "single"])
+def test_mc_returns_the_fits_of_fit_switch_pair(tmp_path, model):
+    config = str(resources.files("qsagnac") / "recipes" / "fig2.json")
+    assert main(["simulate", "--config", config, "--out", str(tmp_path)]) == 0
+    recs = read_counts_csv(str(tmp_path / f"counts_{model}.csv"))
+    mc = mc_uncertainty(recs, model, n_samples=50, seed=1)
+    for got, want in zip(mc.fits, fit_switch_pair(recs, model)[:2]):
+        assert got.params == want.params
+        assert np.array_equal(got.covariance, want.covariance)
+    assert "fits" not in repr(mc)
+
+
 def test_mc_matches_fisher_information_without_motor_noise(quiet_noise):
     """Poisson-only bootstrap spread agrees with the fit covariance."""
     recs = noiseless_records(NOON2, quiet_noise, duration=100.0)
     ons = [r for r in recs if r.switch is SwitchState.ON]
-    fisher = fit_noon_fringe(ons).sigmas["phase"]
+    fisher = _fit_state(ons, "noon")[0].sigmas["phase"]
     mc = mc_uncertainty(recs, "noon", n_samples=20_000, motor_sigma=0.0, seed=2)
     assert mc.param_sigmas["on"]["phase"] == pytest.approx(fisher, rel=0.10)
     assert mc.nonconverged_fraction == 0.0

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import traceback
 import warnings
 from importlib import resources
 from pathlib import Path
@@ -794,6 +795,23 @@ def test_design_optimizer_alone_with_empty_spec_list(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("gfring optimum: ")
 
 
+@pytest.mark.parametrize("specs", [None, []], ids=["absent", "empty"])
+def test_design_landscape_without_specs(tmp_path, capsys, specs):
+    """A landscape with no specs to place is bad input, not a header-only CSV."""
+    gfring = json.loads(Path(recipe("table3")).read_text())["design"]["gfring"]
+    design = {"landscape": True, "gfring": gfring}
+    if specs is not None:
+        design["specs"] = specs
+    cfg = write_config(tmp_path, {"schema_version": 1, "design": design})
+    out = tmp_path / "run"
+    assert main(["design", "--config", cfg, "--out", str(out),
+                 "--optimize-gfring"]) == 2
+    captured = capsys.readouterr()
+    assert "config.design: landscape asked for, but no specs" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_design_infeasible_target_exits_3(tmp_path, capsys):
     """The designs table computes, the optimizer fails: nothing is written or printed."""
     base = json.loads(Path(recipe("table3")).read_text())
@@ -814,3 +832,99 @@ def test_optimizer_flag_needs_gfring_section(tmp_path):
     assert main(["design", "--config", cfg, "--out", str(tmp_path),
                  "--optimize-gfring"]) == 2
     assert sorted(os.listdir(tmp_path)) == before
+
+
+def _boundary_values(value, schema, path=()):
+    """(key path, value) for each key of value that schema reads as a number
+    or a list: 0 and -1 for a number, [] for a list (of values or of specs)."""
+    if isinstance(schema, tuple):
+        kind = schema[1]
+        if isinstance(kind, list):
+            yield path, []
+        elif kind is not bool and kind is not str:
+            yield path, 0
+            yield path, -1
+    elif isinstance(schema, dict):
+        for key, item in value.items():
+            yield from _boundary_values(item, schema[key], path + (key,))
+    else:
+        yield path, []
+        for i, item in enumerate(value):
+            yield from _boundary_values(item, schema[0], path + (i,))
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON number {name}")
+
+
+# (recipe, command line): simulate and fit --fast of the count and trace
+# recipes, fit --fast of the angle sweep, design of both design recipes
+_SWEPT_RUNS = [("fig2", "simulate"), ("fig2", "fit --fast"),
+               ("fig4_cw", "simulate"), ("fig4_cw", "fit --fast"),
+               ("fig3_tables12", "fit --fast"),
+               ("table3", "design --optimize-gfring"), ("fig5", "design")]
+
+
+def test_boundary_values_of_every_schema_leaf(tmp_path, capsys):
+    """Each numeric leaf of a recipe at 0 and -1, and each list leaf at [],
+    exits 0, 2 or 3 without a traceback.  A failed run prints nothing on
+    stdout and leaves no --out; an exit 2 names a config path or the input
+    file; a run that succeeds writes only finite JSON numbers.
+
+    The sweep reads the leaves from _CONFIG_KEYS, so a key added to the
+    schema is swept too.  Leaves of another command's section are left
+    alone, and a fit reads the counts and trace of one unmutated simulate
+    run by absolute path.
+    """
+    data = tmp_path / "data"
+    for name in ("fig2", "fig3_tables12", "fig4_cw"):
+        assert main(["simulate", "--config", recipe(name),
+                     "--out", str(data / name)]) == 0
+    capsys.readouterr()
+    findings, n = [], 0
+    for name, command_line in _SWEPT_RUNS:
+        argv = command_line.split()
+        base = json.loads(Path(recipe(name)).read_text())
+        fit = base.get("fit", {})
+        for kind, path in fit.get("counts", {}).items():
+            fit["counts"][kind] = str(data / name / path)
+        if "trace" in fit:
+            fit["trace"] = str(data / name / fit["trace"])
+        others = {"simulate", "fit", "design"} - {argv[0]}
+        for path, value in _boundary_values(base, _CONFIG_KEYS):
+            if path[0] in others:
+                continue
+            n += 1
+            config = json.loads(json.dumps(base))
+            parent = config
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            # each config to a path of its own: rewriting one file in place
+            # waits on the file system
+            cfg = write_config(tmp_path, config, name=f"m{n}.json")
+            out = tmp_path / f"out{n}"
+            case = f"{name} {command_line} {'.'.join(map(str, path))}={value}"
+            try:
+                code = main(argv + ["--config", cfg, "--out", str(out)])
+            except Exception:
+                code = f"raised {traceback.format_exc()}"
+            captured = capsys.readouterr()
+            if code not in (0, 2, 3) or "Traceback" in captured.err:
+                findings.append(f"{case}: exit {code}, {captured.err!r}")
+            elif code:
+                if captured.out or out.exists():
+                    findings.append(f"{case}: exit {code} left stdout or --out")
+                if code == 2 and "config." not in captured.err \
+                        and cfg not in captured.err:
+                    findings.append(f"{case}: {captured.err.strip()!r} names "
+                                    "no config path or input file")
+            else:
+                for report in out.glob("*.json"):
+                    try:
+                        json.loads(report.read_text(),
+                                   parse_constant=_reject_constant)
+                    except ValueError as exc:
+                        findings.append(f"{case}: {report.name}: {exc}")
+    assert n > 100
+    assert findings == []

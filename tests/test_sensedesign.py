@@ -235,7 +235,7 @@ def test_gfring_optimizer_validation():
 
 def test_landscape_labels_and_order():
     specs = load_table_specs()
-    rows = landscape(specs)
+    rows = landscape([rotation_resolution(s) for s in specs])
     assert [r.name for r in rows] == [s.name for s in specs]
     by_name = {r.name: r for r in rows}
     assert by_name["this work"].label == "below_omega_e"
