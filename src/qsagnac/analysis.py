@@ -9,12 +9,17 @@ is the one start of its least-squares fit.  That fit takes Gauss-Newton
 steps, damped only after a refused step, and ends, unless its steps
 shrink only linearly, on an undamped step shorter than 1e-9 sigma: its
 result does not depend on the path or on the arithmetic of the normal
-equations, which come from one multiply-reduce over the set points per
-step and are solved by a Cholesky factor unrolled over the parameters,
-with LU for rows that are not positive definite.  The solver keeps the
-batch as the last axis of every array, so its products run along the
-batch.  The one-photon model takes cos and sin of x + phase by angle
-addition, so its trig runs on the set points and the phases alone.
+equations.  Each step sums only the distinct entries of the normal
+matrix, its lower triangle, one multiply-reduce over the set points per
+parameter row, mirrors them above the diagonal, and solves by a Cholesky
+factor unrolled over the parameters, which reads the lower triangle, with
+LU for rows that are not positive definite.  When every row keeps its
+step, the solver takes the trial arrays as they are instead of copying
+them in by mask.  It keeps the batch as the last axis of every array, so
+its products run along the batch.  The one-photon model takes cos and sin
+of x + phase by angle addition, so its trig runs on the set points and
+the phases alone, and folds its per-row factors on the (B,) parameter
+rows before they meet the (set points, batch) arrays.
 Uncertainties come from a parametric bootstrap: counts are resampled
 around the observed values and a common bias-phase offset delta, shared
 by every set point and both switch states of a resample, models the motor
@@ -73,17 +78,20 @@ def _single_model(params, x):
     x = x[:, None]
     cx, sx, cp, sp = np.cos(x), np.sin(x), np.cos(ph), np.sin(ph)
     c = cx * cp - sx * sp
-    vc = v * c
-    num = 1.0 - vc
-    inv = 1.0 / (1.0 + eta * vc)
-    # av / den^2, shared by the three Jacobian columns that carry it
-    q = av * inv * inv
+    # -v c, negated on the (B,) row: 1 - v c and 1 + eta v c come out exact
+    nvc = -v * c
+    inv = 1.0 / (1.0 - eta * nvc)
     jac = np.empty((len(c), 4) + c.shape[1:])
-    jac[:, 0] = num * inv
-    jac[:, 1] = -q * num * vc
-    jac[:, 2] = -q * c * (1.0 + eta)
-    jac[:, 3] = q * v * (1.0 + eta) * (sx * cp + cx * sp)
-    return av * jac[:, 0], jac
+    np.multiply(1.0 + nvc, inv, out=jac[:, 0])
+    f = av * jac[:, 0]
+    np.multiply(f * inv, nvc, out=jac[:, 1])
+    # the visibility and phase columns carry av (1 + eta) / den^2, with the
+    # per-row factor k = av (1 + eta) taken on the (B,) row
+    inv *= inv
+    k = av * (1.0 + eta)
+    np.multiply(c * inv, -k, out=jac[:, 2])
+    np.multiply((sx * cp + cx * sp) * inv, v * k, out=jac[:, 3])
+    return f, jac
 
 
 # the fringe harmonic k of each model is the phase gain of its probe,
@@ -118,12 +126,20 @@ def _normal_equations(jac, w, r):
     """Normal matrix J^T W J (P, P, B) and gradient J^T W r (P, B) of a batch.
 
     jac is (M, P, B), w and r are (M, B).  The weighted Jacobian is formed
-    once, and each product is one multiply-reduce over the set points: the
-    set points are the outer axis, so every column is summed in set-point
-    order and gets the same bits at every batch width, one row included.
+    once.  Only the P(P+1)/2 distinct entries of the matrix are summed: one
+    multiply-reduce over the set points per parameter row i gives the lower
+    triangle (i, j <= i), which _cholesky_solve reads, with the bits of the
+    full product, and is mirrored above the diagonal, so the matrix is
+    exactly symmetric; the gradient is one more.  The set points are the
+    outer axis, so every column is summed in set-point order and gets the
+    same bits at every batch width, one row included.
     """
     jw = jac * w[:, None]
-    return np.einsum("mib,mjb->ijb", jw, jac), np.einsum("mib,mb->ib", jw, r)
+    a = np.empty((jac.shape[1],) + jac.shape[1:])
+    for i in range(len(a)):
+        a[i, :i + 1] = np.einsum("mb,mjb->jb", jw[:, i], jac[:, :i + 1])
+        a[:i, i] = a[i, :i]
+    return a, np.einsum("mib,mb->ib", jw, r)
 
 
 _EPS = np.finfo(float).eps
@@ -201,8 +217,11 @@ def _least_squares(model, p, x, y, w):
 
     A row stops unconverged on a singular normal matrix, on damping above
     1e12, or when the step budget runs out.  Rows are updated in place by
-    mask on the batch axis; after _FULL_STEPS steps the rows still active
-    are gathered, so every row sees the arithmetic of a solve of its own.
+    mask on the batch axis, or, when every row keeps its step, p, the
+    Jacobian, the residuals and the cost are rebound to the trial arrays,
+    with the same values and no copy; after _FULL_STEPS steps the rows
+    still active are gathered, so every row sees the arithmetic of a solve
+    of its own.
     Returns (params (P, B), converged, n_iter); n_iter counts every step,
     kept or refused.
     """
@@ -250,10 +269,13 @@ def _least_squares(model, p, x, y, w):
         conv = keep & undamped & (dg <= _STEP_TOL ** 2)
         conv |= ok & (dg <= noise) & (~keep | undamped & (dg >= last))
         conv |= keep & (dg >= 0.1 * last) & (cost - cost_t <= _REL_TOL * cost)
-        np.copyto(p, p_t, where=keep)
-        np.copyto(jac, j_t, where=keep)
-        np.copyto(r, r_t, where=keep)
-        np.copyto(cost, cost_t, where=keep)
+        if keep.all():
+            p, jac, r, cost = p_t, j_t, r_t, cost_t
+        else:
+            np.copyto(p, p_t, where=keep)
+            np.copyto(jac, j_t, where=keep)
+            np.copyto(r, r_t, where=keep)
+            np.copyto(cost, cost_t, where=keep)
         last = dg
         lam = np.where(keep, lam / 10.0, np.where(undamped, _LAM0, 10.0 * lam))
         lam[lam < 1e-9] = 0.0

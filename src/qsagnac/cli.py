@@ -25,6 +25,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass, replace
 from functools import partial
 
@@ -138,8 +139,16 @@ def _build(fn, cfg, table, where, **given):
                and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)]
     if missing:
         raise ValueError(f"{where}: missing {', '.join(missing)}")
-    try:
+    with _named(where):
         return fn(**kwargs)
+
+
+@contextmanager
+def _named(where):
+    """Prefix where to a plain ValueError of the body; a subclass, which
+    exits 3, passes unchanged."""
+    try:
+        yield
     except ValueError as exc:
         if type(exc) is not ValueError:
             raise
@@ -433,7 +442,8 @@ def cmd_fit(args, config, fit_cfg):
         raise ValueError("config.fit: no counts, trace or calibration, "
                          "so nothing is fitted")
     # checked here, not left to the callees: --fast replaces a sample count
-    # unread, and a count-data error of the bootstrap names no config block
+    # unread, and a count-data error of the bootstrap names its CSV, not a
+    # config block
     for where, block in (("config.fit", fit_cfg),
                          ("config.fit.calibration", fit_cfg.get("calibration", {}))):
         if block.get("mc_samples", 2) < 2:
@@ -464,11 +474,12 @@ def cmd_fit(args, config, fit_cfg):
         groups = group_records_by_angle(records)
         angles = []
         for theta, recs in groups.items():
-            mc = mc_uncertainty(recs, kind, seed=root.spawn(1)[0], **mc_opts)
-            fit_on, fit_off = mc.fits
+            with _named(f"{path} (theta = {math.degrees(theta):+.2f} deg)"):
+                mc = mc_uncertainty(recs, kind, seed=root.spawn(1)[0], **mc_opts)
+                fit_on, fit_off = mc.fits
+                earth = extract_earth_phase(fit_on, fit_off, mc)
             angles.append({"theta_deg": math.degrees(theta), "fit_on": fit_on,
-                           "fit_off": fit_off, "mc": mc,
-                           "earth_phase": extract_earth_phase(fit_on, fit_off, mc)})
+                           "fit_off": fit_off, "mc": mc, "earth_phase": earth})
         kind_report = report["kinds"][kind] = {"angles": angles}
         for angle in angles:
             earth = angle["earth_phase"]

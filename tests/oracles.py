@@ -20,6 +20,11 @@ Fock conventions: a state is a superposition over occupations (n_h, n_v)
 of the loop polarization modes.  The loop imprints its phase phi_s on the
 H-occupation (evolve), as sagnac_loop does; the half-wave plate at pi/8
 mixes the modes before detection (two_photon_hwp).
+
+single_model is the one-photon fringe and its Jacobian written column by
+column, each from its own formula: the reference for the solver's
+qsagnac.analysis._single_model, which folds its per-row factors to make
+fewer passes over its arrays.
 """
 
 import math
@@ -313,3 +318,26 @@ def output_state_after_hwp(phi_s):
     s, c = math.sin(phi_s), math.cos(phi_s)
     return TwoModeState(((2, 0), (1, 1), (0, 2)),
                         (s / _SQRT2, -1.0j * c, s / _SQRT2))
+
+
+def single_model(params, x):
+    """One-photon fringe f (M, B) and Jacobian (M, 4, B) of parameters (4, B).
+
+    f = av (1 - v c) / (1 + eta v c), c = cos(x + phase), for the rows
+    (av, eta, v, phase) of params at set points x (M,).
+    """
+    av, eta, v, ph = params
+    x = x[:, None]
+    cx, sx, cp, sp = np.cos(x), np.sin(x), np.cos(ph), np.sin(ph)
+    c = cx * cp - sx * sp
+    vc = v * c
+    num = 1.0 - vc
+    inv = 1.0 / (1.0 + eta * vc)
+    # av / den^2, shared by the three Jacobian columns that carry it
+    q = av * inv * inv
+    jac = np.empty((len(c), 4) + c.shape[1:])
+    jac[:, 0] = num * inv
+    jac[:, 1] = -q * num * vc
+    jac[:, 2] = -q * c * (1.0 + eta)
+    jac[:, 3] = q * v * (1.0 + eta) * (sx * cp + cx * sp)
+    return av * jac[:, 0], jac

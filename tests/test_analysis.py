@@ -7,6 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from oracles import single_model
 from qsagnac import NOON2, SINGLE, SwitchState
 from qsagnac import analysis
 from qsagnac.analysis import (_MODELS, SINGLE_PARAMS, DegenerateDesignError,
@@ -196,6 +197,55 @@ def test_model_jacobian_matches_central_differences(model):
         assert np.all(np.abs(jac[:, j] - fd) <= 1e-6 * scale), names[j]
 
 
+def random_single_params(rng, n):
+    """Rows (av, eta, v, phase) over the ranges the fits meet, and beyond."""
+    return np.array([rng.uniform(0.1, 1e4, n),
+                     rng.choice([-1.0, 1.0], n) * rng.uniform(0.0, 0.5, n),
+                     rng.uniform(0.0, 1.0, n),
+                     rng.uniform(-math.pi, math.pi, n)])
+
+
+@pytest.mark.parametrize("n", [1, 257])
+def test_single_model_matches_the_column_formulas(n):
+    """The folded model gives the column-by-column f and Jacobian.
+
+    f takes the same operations, so it has the same bits; each Jacobian
+    column is within 1e-13 of its largest entry over the set points.
+    """
+    rng = np.random.default_rng(29)
+    x = np.sort(rng.uniform(0.0, 2.0 * math.pi, 13))
+    p = random_single_params(rng, n)
+    f, jac = _single_model(p, x)
+    f_ref, jac_ref = single_model(p, x)
+    assert np.array_equal(f, f_ref)
+    scale = np.max(np.abs(jac_ref), axis=0)
+    assert np.all(np.abs(jac - jac_ref) <= 1e-13 * scale)
+
+
+def test_normal_matrix_is_symmetric_and_summed_in_set_point_order():
+    """The normal matrix is exactly symmetric.
+
+    Its lower triangle, which the Cholesky factor reads, and the gradient
+    have the bits of the full products; each column of a 2048-row batch
+    has the bits of a one-row call.
+    """
+    rng = np.random.default_rng(31)
+    n, x = 2048, np.linspace(0.0, 2.0 * math.pi, 11)
+    f, jac = _single_model(random_single_params(rng, n), x)
+    w = rng.uniform(0.1, 1e4, f.shape)
+    r = rng.normal(0.0, 1e-2, f.shape)
+    a, g = _normal_equations(jac, w, r)
+    assert np.array_equal(a, a.transpose(1, 0, 2))
+    jw = jac * w[:, None]
+    low = np.tril_indices(len(a))
+    assert np.array_equal(a[low], np.einsum("mib,mjb->ijb", jw, jac)[low])
+    assert np.array_equal(g, np.einsum("mib,mb->ib", jw, r))
+    for i in (0, 1, 1000, n - 1):
+        one = slice(i, i + 1)
+        a1, g1 = _normal_equations(jac[..., one], w[:, one], r[:, one])
+        assert np.array_equal(a1, a[..., one]) and np.array_equal(g1, g[:, one])
+
+
 def test_polished_single_fit_does_not_depend_on_the_lm_path(bench_geometry):
     """The harmonic start and starts 1e-3 sigma away reach one optimum."""
     phi0 = list(np.linspace(0.0, 2.0 * math.pi, 11))
@@ -301,6 +351,12 @@ def test_resamples_whose_undamped_step_is_refused_reach_their_optimum():
 
 
 def test_singular_row_leaves_the_rest_of_its_block_fit():
+    """A row of zero weight does not change the bits of the other rows.
+
+    The seven rows alone keep every step of their first six, so they are
+    rebound to the trial arrays; beside the refused row they are copied in
+    by mask, with the same results.
+    """
     fit, x, y, w = misspecified_resamples(n=8)
     w[3] = 0.0   # a zero normal matrix: np.linalg.solve fails on the block
     others = np.arange(8) != 3

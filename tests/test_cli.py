@@ -635,18 +635,25 @@ def test_missing_key_or_empty_section_exits_2_naming_it(tmp_path, capsys, case):
 
 
 def test_count_data_error_of_the_bootstrap_names_no_config_block(tmp_path, capsys):
-    """A bad counts file is a data error; config.fit is not its source."""
-    out = str(tmp_path)
-    main(["simulate", "--config", recipe("fig2"), "--out", out])
-    path = tmp_path / "counts_noon.csv"
+    """A bad counts file is a data error: its message names the file and the
+    angle, and config.fit is not its source."""
+    data = tmp_path / "data"
+    main(["simulate", "--config", recipe("fig2"), "--out", str(data)])
+    path = data / "counts_noon.csv"
     lines = path.read_text().splitlines()
     path.write_text("\n".join([lines[0]] + [r for r in lines[1:] if ",on," in r]) + "\n")
+    config = json.loads(Path(recipe("fig2")).read_text())
+    config["fit"]["counts"] = {"noon": str(path)}
+    cfg = write_config(tmp_path, config)
     capsys.readouterr()
-    assert main(["fit", "--config", recipe("fig2"), "--out", out, "--fast"]) == 2
+    out = tmp_path / "run"
+    assert main(["fit", "--config", cfg, "--out", str(out), "--fast"]) == 2
     captured = capsys.readouterr()
-    assert "need records in both switch states" in captured.err
+    assert (f"config error: {path} (theta = +2.50 deg): "
+            "need records in both switch states") in captured.err
     assert "config.fit" not in captured.err
     assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "fit", "design"])
@@ -836,11 +843,12 @@ def test_optimizer_flag_needs_gfring_section(tmp_path):
 
 def _boundary_values(value, schema, path=()):
     """(key path, value) for each key of value that schema reads as a number
-    or a list: 0 and -1 for a number, [] for a list (of values or of specs)."""
+    or a list: 0 and -1 for a number; [] and, for a longer list, its first
+    item alone for a list (of values or of specs)."""
     if isinstance(schema, tuple):
         kind = schema[1]
         if isinstance(kind, list):
-            yield path, []
+            yield from _shortened(value, path)
         elif kind is not bool and kind is not str:
             yield path, 0
             yield path, -1
@@ -848,9 +856,15 @@ def _boundary_values(value, schema, path=()):
         for key, item in value.items():
             yield from _boundary_values(item, schema[key], path + (key,))
     else:
-        yield path, []
+        yield from _shortened(value, path)
         for i, item in enumerate(value):
             yield from _boundary_values(item, schema[0], path + (i,))
+
+
+def _shortened(value, path):
+    yield path, []
+    if len(value) > 1:
+        yield path, value[:1]
 
 
 def _reject_constant(name):
@@ -866,10 +880,11 @@ _SWEPT_RUNS = [("fig2", "simulate"), ("fig2", "fit --fast"),
 
 
 def test_boundary_values_of_every_schema_leaf(tmp_path, capsys):
-    """Each numeric leaf of a recipe at 0 and -1, and each list leaf at [],
-    exits 0, 2 or 3 without a traceback.  A failed run prints nothing on
-    stdout and leaves no --out; an exit 2 names a config path or the input
-    file; a run that succeeds writes only finite JSON numbers.
+    """Each numeric leaf of a recipe at 0 and -1, and each list leaf at []
+    and at its first item, exits 0, 2 or 3 without a traceback.  A failed
+    run prints nothing on stdout and leaves no --out; an exit 2 names a
+    config path or the input file; a run that succeeds writes only finite
+    JSON numbers.
 
     The sweep reads the leaves from _CONFIG_KEYS, so a key added to the
     schema is swept too.  Leaves of another command's section are left
