@@ -712,9 +712,13 @@ def demodulate_trace(trace, schedule=None):
 
     on = valid & is_on
     off = valid & ~is_on
-    d_chi = float(chi[on].mean() - chi[off].mean())
-    d_psi = float(psi[on].mean() - psi[off].mean())
+    # values near the float limit overflow the means; the check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_chi = float(chi[on].mean() - chi[off].mean())
+        d_psi = float(psi[on].mean() - psi[off].mean())
     mag = 2.0 * math.hypot(d_chi, d_psi)
+    if not math.isfinite(mag):
+        raise ValueError("on/off contrast is not finite: ellipse angles too large")
     return DemodResult(d_chi, d_psi, mag if d_chi >= 0.0 else -mag,
                        int(np.count_nonzero(on)), int(np.count_nonzero(off)))
 
@@ -775,15 +779,18 @@ def _check_angle_set(angles, phases, sigmas):
     return angles, phases, sigmas
 
 
+# half-width of the uniform mount-angle error a calibration resamples
+_ANGLE_HALFWIDTH = math.radians(1.0)
+
+
 def calibrate_scale_factor(angles, phases, sigmas, omega_earth=None,
-                           n_samples=10_000, angle_halfwidth=math.radians(1.0),
-                           seed=None):
+                           n_samples=10_000, seed=None):
     """Scale factor from loop phases measured at several frame angles.
 
     Fits phase = S omega_earth cos(theta + theta_offset) through its
     linearization a cos + b sin.  The Monte Carlo resamples each phase
     with its Gaussian sigma and each angle uniformly within
-    +-angle_halfwidth, and reports means and standard deviations.
+    +-_ANGLE_HALFWIDTH, and reports means and standard deviations.
     """
     angles, phases, sigmas = _check_angle_set(angles, phases, sigmas)
     if omega_earth is None:
@@ -798,7 +805,7 @@ def calibrate_scale_factor(angles, phases, sigmas, omega_earth=None,
     theta0_center = math.atan2(-b0, a0)
 
     rng = np.random.default_rng(seed_sequence(seed))
-    th = angles[None, :] + rng.uniform(-angle_halfwidth, angle_halfwidth,
+    th = angles[None, :] + rng.uniform(-_ANGLE_HALFWIDTH, _ANGLE_HALFWIDTH,
                                        (n_samples, len(angles)))
     ph = phases[None, :] + rng.normal(0.0, sigmas, (n_samples, len(angles)))
     a, b, *_ = _cosine_lsq(th, ph, w)

@@ -520,8 +520,10 @@ def cmd_fit(args, config, fit_cfg):
     if trace_path is not None:
         schedule = _build(SwitchSchedule, config.get("schedule", {}),
                           _SCHEDULE_KEYS, "config.schedule")
-        demod = report["demodulation"] = demodulate_trace(
-            read_trace_csv(_resolve(trace_path, args.out)), schedule)
+        trace_file = _resolve(trace_path, args.out)
+        trace = read_trace_csv(trace_file)  # names the file in its own errors
+        with _named(trace_file):
+            demod = report["demodulation"] = demodulate_trace(trace, schedule)
         lines.append(f"demodulated trace: phi_s = {1e3 * demod.phi_s:.3f} mrad")
 
     cal_cfg = fit_cfg.get("calibration")

@@ -171,12 +171,8 @@ def simulate_counts(kind, geom, phi0_list, true_omega, seed, duration_s=1800.0,
                                     visibility)
             if kind.name == "noon":
                 r_pair = trans * rates.pair_rate_detected * p_h
-                r_h = trans * 0.5 * rates.heralded_single_rate + noise.dark_rate
-                r_v = r_h
-                r_acc = r_h * r_v * rates.coincidence_window
-                n_h = _draw_counts(count_rng, r_h * t_use, sample_poisson)
-                n_v = _draw_counts(count_rng, r_v * t_use, sample_poisson)
-                n_hv = _draw_counts(count_rng, (r_pair + r_acc) * t_use, sample_poisson)
+                r_h = r_v = trans * 0.5 * rates.heralded_single_rate + noise.dark_rate
+                r_hv = r_pair + r_h * r_v * rates.coincidence_window
             else:
                 # heralded ports: darks only survive the herald coincidence window
                 r_bg = 0.5 * rates.heralded_single_rate * noise.dark_rate \
@@ -185,10 +181,10 @@ def simulate_counts(kind, geom, phi0_list, true_omega, seed, duration_s=1800.0,
                 a_v = rates.heralded_single_rate * (1.0 - channel_asymmetry)
                 r_h = trans * a_h * p_h + r_bg
                 r_v = trans * a_v * p_v + r_bg
-                r_acc = r_h * r_v * rates.coincidence_window
-                n_h = _draw_counts(count_rng, r_h * t_use, sample_poisson)
-                n_v = _draw_counts(count_rng, r_v * t_use, sample_poisson)
-                n_hv = _draw_counts(count_rng, r_acc * t_use, sample_poisson)
+                r_hv = r_h * r_v * rates.coincidence_window
+            # drawn in this order, n_h, n_v, n_hv, from the set point's stream
+            n_h, n_v, n_hv = (_draw_counts(count_rng, r * t_use, sample_poisson)
+                              for r in (r_h, r_v, r_hv))
             records.append(CountRecord(geom.frame_angle, phi0, switch,
                                        duration_s, n_h, n_v, n_hv))
     return records
@@ -291,13 +287,15 @@ def read_counts_csv(path):
                 raise ValueError(f"{path}: row {i} has {len(row)} fields")
             try:
                 theta, phi0, duration = (float(row[j]) for j in (0, 1, 3))
-                for j, v in zip((0, 1, 3), (theta, phi0, duration)):
-                    if not math.isfinite(v):
+                n_h, n_v, n_hv = (int(row[j]) for j in (4, 5, 6))
+                # a count too large for a float reads as inf here
+                for j in (0, 1, 3, 4, 5, 6):
+                    if not math.isfinite(float(row[j])):
                         raise ValueError(f"non-finite {COUNTS_CSV_COLUMNS[j]} {row[j]!r}")
                 records.append(CountRecord(
                     theta=math.radians(theta), phi0=phi0,
                     switch=SwitchState(row[2]), duration=duration,
-                    n_h=int(row[4]), n_v=int(row[5]), n_hv=int(row[6])))
+                    n_h=n_h, n_v=n_v, n_hv=n_hv))
             except (ValueError, KeyError) as exc:
                 raise ValueError(f"{path}: row {i}: {exc}") from exc
     return records
@@ -370,4 +368,7 @@ def read_trace_csv(path):
     if data.shape[1] != len(TRACE_CSV_COLUMNS) or not np.isfinite(data).all():
         raise ValueError(_trace_row_error(path)
                          or f"{path}: expected {len(TRACE_CSV_COLUMNS)} finite columns")
-    return PolarimeterTrace(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
+    try:
+        return PolarimeterTrace(data[:, 0], data[:, 1], data[:, 2], data[:, 3])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -74,11 +74,6 @@ def bias_unitary(phi):
     return hwp(-math.pi / 8.0) @ phase_shift(phi) @ hwp(-math.pi / 8.0)
 
 
-def waveplate_triplet(theta1, theta2, theta3):
-    """QWP(theta1) then QWP(theta2) then HWP(theta3), as one matrix."""
-    return hwp(theta3) @ qwp(theta2) @ qwp(theta1)
-
-
 @dataclass(frozen=True)
 class JonesVector:
     e_h: complex
@@ -171,62 +166,6 @@ def phase_distance(a, b):
     tr = np.trace(a.conj().T @ b)
     aligned = a if abs(tr) == 0.0 else a * np.exp(1.0j * np.angle(tr))
     return float(np.linalg.norm(aligned - b))
-
-
-# looser than the 1e-9 unitarity check on the input, so a target that passes
-# that check is never refused for its own small non-unitarity
-_TRIPLET_TOL = 1e-8
-
-
-def solve_triplet(target):
-    """Waveplate angles (theta1, theta2, theta3) realizing `target` up to global phase.
-
-    Any 2x2 unitary is a QWP-QWP-HWP triplet up to phase; the angles are
-    the closed-form decomposition of Simon & Mukunda, "Minimal
-    three-component SU(2) gadget for polarization optics", Phys. Lett. A
-    143, 165 (1990).  Raises ValueError for a non-unitary target.
-    """
-    target = np.asarray(target, dtype=complex)
-    if not is_unitary(target, tol=1e-9):
-        raise ValueError("target must be unitary")
-    u = target / np.sqrt(np.linalg.det(target))
-    # u = u0 - i(u1 s1 + u2 s2 + u3 s3) with s1 = diag(1, -1), s2 = sigma_x,
-    # s3 = sigma_y, so that hwp(theta) = -i(cos 2theta s1 + sin 2theta s2) up to sign
-    u0 = 0.5 * (u[0, 0] + u[1, 1]).real
-    u1 = 0.5 * (u[1, 1] - u[0, 0]).imag
-    u2 = -0.5 * (u[0, 1] + u[1, 0]).imag
-    u3 = 0.5 * (u[1, 0] - u[0, 1]).real
-    # theta3 = gamma / 2 leaves q = hwp(theta3)^-1 u with q1^2 + q2^2 = 1 - q0,
-    # which makes q a quarter-wave pair; atan2 keeps precision where acos would not
-    gamma = math.atan2(u2, u1) + math.atan2(math.hypot(u0, u3), math.hypot(u1, u2))
-    c, s = math.cos(gamma), math.sin(gamma)
-    q = np.array([-(c * u1 + s * u2), u0 * c + s * u3, u0 * s - c * u3, c * u2 - s * u1])
-    q0, q1, q2, q3 = q if q[0] >= 0.0 else -q
-    # qwp(theta2) qwp(theta1) has q0 = sin^2(theta1 - theta2) and (q1, q2)
-    # pointing along theta1 + theta2
-    total = math.atan2(q2, q1)
-    diff = math.copysign(math.atan2(math.sqrt(q0), math.hypot(q1, q2)), q3)
-    angles = (0.5 * (total + diff), 0.5 * (total - diff), 0.5 * gamma)
-    if phase_distance(waveplate_triplet(*angles), target) > _TRIPLET_TOL:
-        raise ValueError("no waveplate triplet found within tolerance")
-    return angles
-
-
-def reconstruct_fiber_unitary(out_h, out_plus):
-    """Unitary mapping H -> out_h and + -> out_plus, up to measurement noise.
-
-    The two columns follow from the outputs for the H and + inputs; the
-    result is projected to the nearest unitary.  Raises when the outputs
-    are close to parallel and the reconstruction is ill-conditioned.
-    """
-    oh = np.array(_as_components(out_h), dtype=complex)
-    op = np.array(_as_components(out_plus), dtype=complex)
-    col2 = math.sqrt(2.0) * op - oh
-    m = np.column_stack([oh, col2])
-    u, s, vh = np.linalg.svd(m)
-    if s[-1] < 0.1 * s[0]:
-        raise ValueError("outputs nearly parallel; fiber unitary ill-conditioned")
-    return u @ vh
 
 
 @dataclass(frozen=True)

@@ -861,24 +861,24 @@ def test_demod_validation():
         demodulate_trace(PolarimeterTrace(t[:3], zeros[:3], zeros[:3], zeros[:3]))
 
 
-def test_calibration_exact_on_clean_input():
+def test_calibration_exact_on_clean_input(monkeypatch):
+    monkeypatch.setattr(analysis, "_ANGLE_HALFWIDTH", 0.0)
     s_true = 40.0
     angles = np.radians([-90.0, -60.0, -30.0, 0.0, 30.0])
     phases = s_true * OMEGA_E * np.cos(angles)
     res = calibrate_scale_factor(angles, phases, np.full(5, 1e-15),
-                                 omega_earth=OMEGA_E, n_samples=64,
-                                 angle_halfwidth=0.0, seed=0)
+                                 omega_earth=OMEGA_E, n_samples=64, seed=0)
     assert res.scale_factor == pytest.approx(s_true, abs=1e-8)
     assert res.theta_offset == pytest.approx(0.0, abs=1e-8)
     assert res.scale_factor_sigma == pytest.approx(0.0, abs=1e-8)
 
 
-def test_calibration_finds_mount_offset():
+def test_calibration_finds_mount_offset(monkeypatch):
+    monkeypatch.setattr(analysis, "_ANGLE_HALFWIDTH", 0.0)
     angles = np.radians([-90.0, -60.0, -30.0, 0.0, 30.0])
     phases = 40.0 * OMEGA_E * np.cos(angles + math.radians(10.0))
     res = calibrate_scale_factor(angles, phases, np.full(5, 1e-15),
-                                 omega_earth=OMEGA_E, n_samples=64,
-                                 angle_halfwidth=0.0, seed=0)
+                                 omega_earth=OMEGA_E, n_samples=64, seed=0)
     assert res.theta_offset == pytest.approx(math.radians(10.0), abs=1e-8)
 
 

@@ -92,14 +92,10 @@ def test_non_finite_design_value_exits_2(tmp_path, capsys):
 SCIPY_BLOCKED = """
 import importlib, pkgutil, sys
 sys.modules["scipy"] = None  # any scipy import now raises ImportError
-import numpy as np
 import qsagnac
 for info in pkgutil.iter_modules(qsagnac.__path__):
     importlib.import_module("qsagnac." + info.name)
 from qsagnac.cli import main
-from oracles import solve_triplet
-z = np.random.default_rng(3).standard_normal((2, 2, 2))
-solve_triplet(np.linalg.qr(z[0] + 1j * z[1])[0])
 code = main(["design", "--config", sys.argv[1], "--out", sys.argv[2], "--optimize-gfring"])
 del sys.modules["scipy"]
 print(code, "scipy" in sys.modules or any(m.startswith("scipy.") for m in sys.modules))
@@ -107,11 +103,10 @@ print(code, "scipy" in sys.modules or any(m.startswith("scipy.") for m in sys.mo
 
 
 def fresh_python(*args):
-    """Run python on args with the package and the tests directory importable."""
+    """Run python on args with the package importable."""
     src = os.path.dirname(os.path.dirname(qsagnac.__file__))
-    tests = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, tests, os.environ.get("PYTHONPATH")) if p))
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
 
@@ -270,6 +265,83 @@ def test_fit_drive_that_never_crosses_half_exits_2(tmp_path, capsys):
     assert not (tmp_path / "fit_report.json").exists()
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "drive never switches" in capsys.readouterr().err
+
+
+def test_fit_count_too_large_for_a_float_exits_2(tmp_path, capsys):
+    """A count int() reads but float() cannot gave an OverflowError traceback."""
+    out = str(tmp_path)
+    main(["simulate", "--config", recipe("fig2"), "--out", out])
+    path = tmp_path / "counts_single.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[4].split(",")
+    fields[4] = "9" * 401
+    lines[4] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["fit", "--config", recipe("fig2"), "--out", out, "--fast"]) == 2
+    captured = capsys.readouterr()
+    assert "counts_single.csv: row 5: non-finite n_h '999" in captured.err
+    assert captured.out == ""
+
+
+def trace_run(tmp_path, text):
+    """fit of fig4_cw on a trace CSV of the given text; returns (code, trace path, out)."""
+    trace = tmp_path / "data" / "trace.csv"
+    trace.parent.mkdir()
+    trace.write_text(text)
+    config = json.loads(Path(recipe("fig4_cw")).read_text())
+    config["fit"]["trace"] = str(trace)
+    out = tmp_path / "run"
+    code = main(["fit", "--config", write_config(tmp_path, config), "--out", str(out),
+                 "--fast"])
+    return code, str(trace), out
+
+
+def test_fit_trace_too_large_to_average_exits_2(tmp_path, capsys):
+    """Finite ellipse angles whose means overflow gave phi_s = nan and exit 0."""
+    main(["simulate", "--config", recipe("fig4_cw"), "--out", str(tmp_path / "sim")])
+    header, *rows = (tmp_path / "sim" / "trace.csv").read_text().splitlines()
+    rows = [",".join(f[:2] + ["1e308"] + f[3:]) for f in (r.split(",") for r in rows)]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, trace, out = trace_run(tmp_path, "\n".join([header, *rows]) + "\n")
+    assert code == 2
+    assert not out.exists()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert f"config error: {trace}: on/off contrast is not finite" in captured.err
+    assert captured.out == ""
+
+
+def _trace_text(drive, t=None):
+    t = [0.05 * (i + 0.5) for i in range(len(drive))] if t is None else t
+    return "t_s,psi_rad,chi_rad,drive\n" + "".join(
+        f"{ti!r},0.0,0.001,{d}\n" for ti, d in zip(t, drive))
+
+
+_BAD_TRACES = {
+    "constant drive": (_trace_text([1] * 400), "drive never switches"),
+    "reversed rows": (_trace_text([1] * 200 + [0] * 200,
+                                  [0.05 * i for i in (*range(199), 200, 199)]
+                                  + [0.05 * i for i in range(201, 400)]),
+                      "sample times must increase"),
+    "one row": (_trace_text([1]), "trace too short"),
+    "drive flips every sample": (_trace_text([1, 0] * 200), "fewer than two samples"),
+}
+
+
+@pytest.mark.parametrize("case", _BAD_TRACES)
+def test_trace_data_error_exits_2_naming_the_trace_once(tmp_path, capsys, case):
+    text, message = _BAD_TRACES[case]
+    code, trace, out = trace_run(tmp_path, text)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"config error: {trace}: " in captured.err
+    assert message in captured.err
+    assert captured.err.count(trace) == 1
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_failed_fit_leaves_no_new_file(tmp_path, capsys):

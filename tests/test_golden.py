@@ -4,8 +4,10 @@ tests/golden/<recipe>/ holds the outputs of one run: for the fit recipes
 the fit_report.json, table_*.csv files and fit stdout of simulate + fit
 --fast, with the simulated data (simulate's stdout, the counts_*.csv
 files and the sha256 of trace.csv), for the design recipes the
-design_report.json, CSV files and stdout of design.  `python tests/golden/regenerate.py` rewrites them and
-prints the largest move of each field class.  Text outputs must match
+design_report.json, CSV files and stdout of design.  `python
+tests/golden/regenerate.py` rewrites them and prints the largest move of each
+field class; `python tests/golden/compare.py PARENT_SRC` prints the same
+moves between two source trees on the full recipes.  Text outputs must match
 exactly, and report keys in name and order.  Report fields compare by
 class:
 
@@ -42,12 +44,23 @@ _EARTH_SIGMAS = {"phi_on": "phi_on_sigma", "phi_off": "phi_off_sigma",
                  "phi_e": "phi_e_sigma"}
 
 
-def run_fast_recipe(name, out_dir):
-    """simulate + fit --fast of a bundled recipe; returns {file name: text}.
+def recipe_outputs(out, report):
+    """{file name: text} of the CSV files and the JSON report a run left in out.
 
     A trace.csv is pinned by its sha256, as trace.csv.sha256: the trace
     itself is too large to commit.
     """
+    files = {p.name: p.read_text() for p in sorted(out.glob("*.csv"))
+             if p.name != "trace.csv"}
+    trace = out / "trace.csv"
+    if trace.exists():
+        files["trace.csv.sha256"] = hashlib.sha256(trace.read_bytes()).hexdigest() + "\n"
+    files[report] = (out / report).read_text()
+    return files
+
+
+def run_fast_recipe(name, out_dir):
+    """simulate + fit --fast of a bundled recipe; returns {file name: text}."""
     config = str(resources.files("qsagnac") / "recipes" / f"{name}.json")
     out = Path(out_dir)
     simulate_stdout = io.StringIO()
@@ -56,16 +69,9 @@ def run_fast_recipe(name, out_dir):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         assert main(["fit", "--config", config, "--out", str(out), "--fast"]) == 0
-    files = {p.name: p.read_text()
-             for pattern in ("counts_*.csv", "table_*.csv")
-             for p in sorted(out.glob(pattern))}
-    trace = out / "trace.csv"
-    if trace.exists():
-        files["trace.csv.sha256"] = hashlib.sha256(trace.read_bytes()).hexdigest() + "\n"
-    files["simulate_stdout.txt"] = simulate_stdout.getvalue()
-    files["fit_report.json"] = (out / "fit_report.json").read_text()
-    files["fit_stdout.txt"] = stdout.getvalue()
-    return files
+    return {**recipe_outputs(out, "fit_report.json"),
+            "simulate_stdout.txt": simulate_stdout.getvalue(),
+            "fit_stdout.txt": stdout.getvalue()}
 
 
 def run_design_recipe(name, out_dir):
@@ -76,10 +82,8 @@ def run_design_recipe(name, out_dir):
     with contextlib.redirect_stdout(stdout):
         assert main(["design", "--config", config, "--out", str(out),
                      *DESIGN_RECIPES[name]]) == 0
-    files = {p.name: p.read_text() for p in sorted(out.glob("*.csv"))}
-    files["design_report.json"] = (out / "design_report.json").read_text()
-    files["design_stdout.txt"] = stdout.getvalue()
-    return files
+    return {**recipe_outputs(out, "design_report.json"),
+            "design_stdout.txt": stdout.getvalue()}
 
 
 def _at(report, path):

@@ -6,8 +6,7 @@ import pytest
 from oracles import (H, LEFT_CIRCULAR, MINUS, PLUS, RIGHT_CIRCULAR, V,
                      JonesVector, PolarizationEllipse, bias_unitary,
                      ellipse_of, hwp, is_unitary, phase_distance, phase_shift,
-                     reconstruct_fiber_unitary, sagnac_loop, solve_triplet,
-                     qwp, vector_of, waveplate_triplet)
+                     sagnac_loop, qwp, vector_of)
 
 
 def random_unitary(seed):
@@ -79,92 +78,6 @@ def test_bias_unitary_half_turn():
         1.0, abs=1e-12)
 
 
-def test_triplet_zero_angles():
-    expected = hwp(0.0) @ qwp(0.0) @ qwp(0.0)
-    assert np.allclose(waveplate_triplet(0.0, 0.0, 0.0), expected, atol=1e-15)
-
-
-def test_triplet_qwp_pair_collapses_to_hwp():
-    out = H.apply(waveplate_triplet(math.pi / 4, math.pi / 4, 0.0))
-    expected = H.apply(hwp(math.pi / 4)).apply(hwp(0.0))
-    assert state_overlap(out, expected) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_solve_triplet_identity():
-    angles = solve_triplet(np.eye(2, dtype=complex))
-    assert phase_distance(waveplate_triplet(*angles), np.eye(2)) < 1e-12
-
-
-def test_solve_triplet_bias():
-    target = bias_unitary(1.0)
-    angles = solve_triplet(target)
-    assert phase_distance(waveplate_triplet(*angles), target) < 1e-12
-
-
-def test_solve_triplet_round_trips_bias_point_four():
-    target = bias_unitary(0.4)
-    angles = solve_triplet(target)
-    assert phase_distance(waveplate_triplet(*angles), target) < 1e-12
-
-
-def test_solve_triplet_random_unitaries():
-    for seed in range(100):
-        target = random_unitary(seed)
-        angles = solve_triplet(target)
-        assert phase_distance(waveplate_triplet(*angles), target) < 1e-12, seed
-
-
-def test_solve_triplet_exact_on_every_target_family():
-    rng = np.random.default_rng(2024)
-    z = rng.standard_normal((10000, 2, 2)) + 1j * rng.standard_normal((10000, 2, 2))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r, axis1=1, axis2=2)
-    targets = list(q * (d / np.abs(d))[:, None, :])
-    # this grid reaches both edges of the decomposition, where the target's
-    # hypot(u1, u2) or hypot(u0, u3) is zero
-    grid = (0.0, math.pi / 8, -math.pi / 8, math.pi / 4, math.pi / 2)
-    targets += [waveplate_triplet(a, b, c) for a in grid for b in grid for c in grid]
-    targets += [np.eye(2), np.diag([1.0, 1.0j]), np.array([[0.0, 1.0], [1.0, 0.0]])]
-    for x in np.linspace(-math.pi, math.pi, 17):
-        targets += [hwp(x), qwp(x), sagnac_loop(x)]
-    for i, target in enumerate(targets):
-        angles = solve_triplet(target)
-        assert phase_distance(waveplate_triplet(*angles), target) < 1e-12, i
-
-
-def test_solve_triplet_rejects_nonunitary():
-    with pytest.raises(ValueError):
-        solve_triplet(np.array([[1.0, 0.0], [0.0, 2.0]], dtype=complex))
-
-
-def test_reconstruct_identity_fiber():
-    uf = reconstruct_fiber_unitary(H, PLUS)
-    assert phase_distance(uf, np.eye(2)) < 1e-10
-
-
-def test_reconstruct_seeded_fibers():
-    for seed in range(20):
-        uf = random_unitary(seed)
-        out_h = H.apply(uf)
-        out_p = PLUS.apply(uf)
-        rec = reconstruct_fiber_unitary(out_h, out_p)
-        assert phase_distance(rec, uf) < 1e-8, seed
-
-
-def test_reconstruct_rejects_parallel_outputs():
-    with pytest.raises(ValueError):
-        reconstruct_fiber_unitary(H, H)
-
-
-def test_compensation_round_trip():
-    # triplet implementing the inverse cancels the fiber
-    for seed in (3, 11, 42):
-        uf = random_unitary(seed)
-        inverse = uf.conj().T
-        comp = waveplate_triplet(*solve_triplet(inverse))
-        assert phase_distance(comp @ uf, np.eye(2)) < 1e-8
-
-
 def test_ellipse_of_h():
     ell = ellipse_of(H)
     assert ell.psi == 0.0
@@ -229,14 +142,12 @@ def test_qwp_squared_matches_hwp_everywhere():
 def test_classical_chain_reads_loop_phase():
     """Loop phase phi comes out as 2 chi after the full readout chain."""
     uf = random_unitary(11)
-    comp_exact = np.linalg.inv(uf)
-    comp_triplet = waveplate_triplet(*solve_triplet(comp_exact))
+    comp = np.linalg.inv(uf)
     for phi in np.linspace(-0.099, 0.099, 12):
         probe = hwp(math.pi / 8) @ sagnac_loop(phi) @ hwp(math.pi / 8)
-        for comp in (comp_exact, comp_triplet):
-            chain = bias_unitary(0.0) @ comp @ uf @ probe
-            ell = ellipse_of(H.apply(chain))
-            assert 2.0 * ell.chi == pytest.approx(phi, abs=1e-9)
+        chain = bias_unitary(0.0) @ comp @ uf @ probe
+        ell = ellipse_of(H.apply(chain))
+        assert 2.0 * ell.chi == pytest.approx(phi, abs=1e-9)
 
 
 def test_jones_vector_normalization():
