@@ -7,7 +7,7 @@ their own modules: qsagnac.expsim, qsagnac.analysis, qsagnac.sensedesign.
 
 __version__ = "0.1.0"
 
-from .sagnac import (CONSTANTS, OFF_TRANSMISSION, InterferometerGeometry,
-                     PhysicalConstants, SwitchState, sagnac_phase,
+from .sagnac import (C, OFF_TRANSMISSION, OMEGA_EARTH, OMEGA_GR,
+                     InterferometerGeometry, SwitchState, sagnac_phase,
                      scale_factor, switch_transmission, transmission)
 from .probe import NOON2, SINGLE, ProbeKind, fringe_probs

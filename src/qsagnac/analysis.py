@@ -36,9 +36,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expsim import CountRecord, NoiseConfig, SwitchSchedule, seed_sequence
+from .expsim import CountRecord, NoiseConfig, SwitchSchedule
 from .probe import KINDS
-from .sagnac import (CONSTANTS, DegenerateDesignError, FitError, SwitchState,
+from .sagnac import (OMEGA_EARTH, DegenerateDesignError, FitError, SwitchState,
                      UndefinedRatioError)
 
 
@@ -616,7 +616,7 @@ def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None, seed=Non
     base = _fit_switch_states(records, model)
     names = _MODELS[model][1]
 
-    rng = np.random.default_rng(seed_sequence(seed))
+    rng = np.random.default_rng(seed)
     samples = {s: [] for s in base}
     bad = 0
     left = n_samples
@@ -783,7 +783,7 @@ def _check_angle_set(angles, phases, sigmas):
 _ANGLE_HALFWIDTH = math.radians(1.0)
 
 
-def calibrate_scale_factor(angles, phases, sigmas, omega_earth=None,
+def calibrate_scale_factor(angles, phases, sigmas, omega_earth=OMEGA_EARTH,
                            n_samples=10_000, seed=None):
     """Scale factor from loop phases measured at several frame angles.
 
@@ -793,8 +793,6 @@ def calibrate_scale_factor(angles, phases, sigmas, omega_earth=None,
     +-_ANGLE_HALFWIDTH, and reports means and standard deviations.
     """
     angles, phases, sigmas = _check_angle_set(angles, phases, sigmas)
-    if omega_earth is None:
-        omega_earth = CONSTANTS.omega_earth
     if omega_earth <= 0.0:
         raise ValueError("omega_earth must be positive")
     if n_samples < 2:
@@ -804,7 +802,7 @@ def calibrate_scale_factor(angles, phases, sigmas, omega_earth=None,
     a0, b0, *_ = _cosine_lsq(angles, phases, w)
     theta0_center = math.atan2(-b0, a0)
 
-    rng = np.random.default_rng(seed_sequence(seed))
+    rng = np.random.default_rng(seed)
     th = angles[None, :] + rng.uniform(-_ANGLE_HALFWIDTH, _ANGLE_HALFWIDTH,
                                        (n_samples, len(angles)))
     ph = phases[None, :] + rng.normal(0.0, sigmas, (n_samples, len(angles)))

@@ -12,9 +12,11 @@ lines, so a failed run writes and prints nothing.  Relative input paths
 in a config are resolved against --out, so a fit can chain onto a
 simulate run in the same directory.  Exit codes: 0 success, 2 bad config
 or input (a section that asks for no output included), 3 fit or
-feasibility failure.  numpy, expsim and analysis are imported inside
-cmd_simulate and cmd_fit, the commands that run them, so design loads
-none of them; main catches the exit-3 errors from sagnac instead.
+feasibility failure.  An exit-2 or exit-3 error from a counts or trace
+file names that file, and one from a frame angle's bootstrap the angle.
+numpy, expsim and analysis are imported inside cmd_simulate and cmd_fit,
+the commands that run them, so design loads none of them; main catches
+the exit-3 errors from sagnac instead.
 """
 
 import argparse
@@ -31,7 +33,7 @@ from functools import partial
 
 from . import __version__
 from .probe import KINDS
-from .sagnac import (CONSTANTS, DegenerateDesignError, FitError,
+from .sagnac import (OMEGA_EARTH, DegenerateDesignError, FitError,
                      InterferometerGeometry, UndefinedRatioError, new_file,
                      scale_factor)
 from .sensedesign import (DesignSpec, InfeasibleDesignError, landscape,
@@ -129,8 +131,8 @@ def _build(fn, cfg, table, where, **given):
     """fn called with the keyword arguments of block cfg, updated by given.
 
     A parameter of fn with no default that neither supplies raises
-    ValueError naming its JSON key: "config.geometry: missing turns".  A plain
-    ValueError from fn is prefixed with where; a subclass, which exits 3, is not.
+    ValueError naming its JSON key: "config.geometry: missing turns".  A
+    ValueError or FitError from fn is prefixed with where by _named.
     """
     kwargs = {**config_kwargs(cfg, table), **given}
     keys = {field: key for key, (field, _) in table.items()}
@@ -145,14 +147,14 @@ def _build(fn, cfg, table, where, **given):
 
 @contextmanager
 def _named(where):
-    """Prefix where to a plain ValueError of the body; a subclass, which
-    exits 3, passes unchanged."""
+    """Prefix where to a ValueError or FitError of the body.
+
+    The error is raised again as its own class, so its exit code stays.
+    """
     try:
         yield
-    except ValueError as exc:
-        if type(exc) is not ValueError:
-            raise
-        raise ValueError(f"{where}: {exc}") from exc
+    except (ValueError, FitError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
 
 
 def from_degrees(degrees):
@@ -371,7 +373,7 @@ def cmd_simulate(args, config, sim):
     noise = _build(NoiseConfig, config.get("noise", {}), _NOISE_KEYS,
                    "config.noise")
     opts = config_kwargs(sim, _SIMULATE_KEYS)
-    true_omega = opts.pop("true_omega", CONSTANTS.omega_earth)
+    true_omega = opts.pop("true_omega", OMEGA_EARTH)
     thetas = opts.pop("theta_list", [geom.frame_angle])
 
     grids = sim.get("phi0_rad", {})
@@ -400,11 +402,10 @@ def cmd_simulate(args, config, sim):
     if trace_cfg is not None:
         trace_opts = config_kwargs(trace_cfg, _TRACE_KEYS)
         t_geom = replace(geom, frame_angle=trace_opts.get("frame_angle", geom.frame_angle))
-        trace = _build(simulate_polarimeter, {}, {}, "config.simulate.trace",
-                       geom=t_geom, true_omega=true_omega,
-                       total_time=trace_opts.get("total_time", 600.0),
-                       seed=root.spawn(1)[0], schedule=schedule, rates=rates,
-                       noise=noise)
+        with _named("config.simulate.trace"):
+            trace = simulate_polarimeter(
+                t_geom, true_omega, trace_opts.get("total_time", 600.0),
+                root.spawn(1)[0], schedule=schedule, rates=rates, noise=noise)
         outputs["trace.csv"] = partial(write_trace_csv, trace)
         lines.append(f"wrote trace.csv: {len(trace.t)} samples")
     return outputs, lines
@@ -491,11 +492,13 @@ def cmd_fit(args, config, fit_cfg):
 
         if len(angles) >= 3:
             if scale is None:
-                raise ValueError("angle sweep needs fit.scale_factor_s or geometry")
-            sweep = fit_angle_sweep(
-                list(groups), [a["earth_phase"].phi_e for a in angles],
-                [a["earth_phase"].phi_e_sigma for a in angles],
-                scale, enhancement=KINDS[kind].enhancement)
+                raise ValueError("config.fit: angle sweep needs fit.scale_factor_s "
+                                 "or geometry")
+            with _named(path):
+                sweep = fit_angle_sweep(
+                    list(groups), [a["earth_phase"].phi_e for a in angles],
+                    [a["earth_phase"].phi_e_sigma for a in angles],
+                    scale, enhancement=KINDS[kind].enhancement)
             kind_report["angle_sweep"] = sweep
             lines.append(f"{kind} sweep: amplitude = {1e3 * sweep.amplitude:.2f} "
                          f"+- {1e3 * sweep.amplitude_sigma:.2f} mrad, "
@@ -512,7 +515,9 @@ def cmd_fit(args, config, fit_cfg):
                       for kind in ("noon", "single"))
             pair2 = (e2.phi_e, e2.phi_e_sigma)
             pair1 = (e1.phi_e, e1.phi_e_sigma)
-        value, sigma = enhancement_factor(pair2, pair1)
+        # the one-photon response, the ratio's denominator, is single's
+        with _named(fit_cfg["counts"]["single"]):
+            value, sigma = enhancement_factor(pair2, pair1)
         report["enhancement"] = {"value": value, "sigma": sigma}
         lines.append(f"enhancement: {value:.2f} +- {sigma:.2f}")
 
@@ -556,8 +561,9 @@ def cmd_design(args, config, design_cfg):
     reports = []
     for i, d in enumerate(design_cfg.get("specs", [])):
         where = f"config.design.specs[{i}]"
-        reports.append(_build(rotation_resolution, {}, {}, where,
-                              spec=design_from_dict(d, where)))
+        spec = design_from_dict(d, where)
+        with _named(where):
+            reports.append(rotation_resolution(spec))
     outputs, lines = {}, []
     out_json = {"designs": reports}
 
@@ -584,7 +590,8 @@ def cmd_design(args, config, design_cfg):
     if args.optimize_gfring:
         g = design_cfg.get("gfring")
         if g is None:
-            raise ValueError("--optimize-gfring needs a design.gfring section")
+            raise ValueError("config.design: --optimize-gfring needs a "
+                             "design.gfring section")
         optimum = _build(optimize_gfring, g, _GFRING_KEYS, "config.design.gfring")
         out_json["gfring_optimum"] = optimum
         lines.append(f"gfring optimum: L = {optimum.fiber_length / 1e3:.2f} km, "

@@ -222,7 +222,7 @@ def simulate_polarimeter(geom, true_omega, total_time, seed, schedule=None,
         envelope[in_fall] = (hw - s_fall[in_fall]) / (2.0 * hw)
 
     phs = sagnac_phase(geom, true_omega, SwitchState.ON)
-    rng = np.random.default_rng(seed_sequence(seed))
+    rng = np.random.default_rng(seed)
     chi = 0.5 * phs * math.sqrt(1.0 - noise.leakage_fraction) * envelope \
         + 0.5 * noise.drift_rate * t \
         + rng.normal(0.0, noise.polarimeter_sigma, n)

@@ -54,24 +54,9 @@ def new_file(path, newline=None):
         raise
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Constants used throughout, as the module's CONSTANTS."""
-
-    c: float = 2.9979e8              # speed of light, m/s
-    omega_earth: float = 7.292115e-5  # Earth rotation rate, rad/s
-    omega_gr_ratio: float = 1e-9     # relativistic correction, fraction of omega_earth
-
-    def __post_init__(self):
-        if self.c <= 0.0 or self.omega_earth <= 0.0 or self.omega_gr_ratio <= 0.0:
-            raise ValueError("physical constants must be positive")
-
-    @property
-    def omega_gr(self) -> float:
-        return self.omega_gr_ratio * self.omega_earth
-
-
-CONSTANTS = PhysicalConstants()
+C = 2.9979e8                  # speed of light, m/s
+OMEGA_EARTH = 7.292115e-5      # Earth rotation rate, rad/s
+OMEGA_GR = 1e-9 * OMEGA_EARTH  # relativistic correction to it, rad/s
 
 
 class SwitchState(Enum):
@@ -148,7 +133,7 @@ class InterferometerGeometry:
 
 def scale_factor(geom):
     """Phase per unit rotation rate, S = 8 pi A / (lambda c), in seconds."""
-    return 8.0 * math.pi * geom.effective_area / (geom.wavelength * CONSTANTS.c)
+    return 8.0 * math.pi * geom.effective_area / (geom.wavelength * C)
 
 
 def sagnac_phase(geom, omega, switch=SwitchState.ON):

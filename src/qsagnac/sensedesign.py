@@ -10,8 +10,8 @@ rate resolution.
 import math
 from dataclasses import dataclass, field
 
-from .sagnac import (CONSTANTS, InterferometerGeometry, scale_factor,
-                     transmission)
+from .sagnac import (OMEGA_EARTH, OMEGA_GR, InterferometerGeometry,
+                     scale_factor, transmission)
 
 
 class InfeasibleDesignError(ValueError):
@@ -62,19 +62,6 @@ class DesignSpec:
         return math.sin(self.geometry.latitude)
 
 
-def pair_rate_out(spec):
-    """Probe rate after the loop: all photons of a probe must survive."""
-    return spec.pair_rate_in * transmission(
-        spec.alpha_db_per_km, spec.geometry.fiber_length, spec.photons_per_probe)
-
-
-def phase_resolution(spec):
-    """Shot-limited delta_phi = 1 / sqrt(2 R_out T), or the measured value."""
-    if spec.measured_delta_phi is not None:
-        return spec.measured_delta_phi
-    return 1.0 / math.sqrt(2.0 * pair_rate_out(spec) * spec.integration_time)
-
-
 @dataclass(frozen=True)
 class SensitivityReport:
     """Resolved sensitivity chain of one design."""
@@ -100,6 +87,9 @@ class SensitivityReport:
 def rotation_resolution(spec):
     """Full chain: survival, output rate, phase and rotation resolution.
 
+    A probe leaves the loop at R_out = R_in eta^n, all n photons surviving;
+    delta_phi is the measured value if the spec has one, else the shot
+    limit 1 / sqrt(2 R_out T).
     delta_omega = delta_phi / (S * projection_factor); the projected
     delta_phi / projection_factor is also reported, matching the
     convention of quoting tilted designs at their effective axis.
@@ -110,8 +100,9 @@ def rotation_resolution(spec):
     g = spec.geometry
     s = scale_factor(g)
     eta_all = transmission(spec.alpha_db_per_km, g.fiber_length, spec.photons_per_probe)
-    r_out = pair_rate_out(spec)
-    d_phi = phase_resolution(spec)
+    r_out = spec.pair_rate_in * eta_all
+    d_phi = (spec.measured_delta_phi if spec.measured_delta_phi is not None
+             else 1.0 / math.sqrt(2.0 * r_out * spec.integration_time))
     d_omega = d_phi / (s * p)
     return SensitivityReport(
         name=spec.name, shape=g.shape, fiber_length=g.fiber_length,
@@ -119,7 +110,7 @@ def rotation_resolution(spec):
         scale_factor=s, survival=eta_all, pair_rate_out=r_out, delta_phi=d_phi,
         projection=spec.projection, projection_factor=p,
         delta_phi_projected=d_phi / p, delta_omega=d_omega,
-        snr_gr=CONSTANTS.omega_gr / d_omega,
+        snr_gr=OMEGA_GR / d_omega,
         measured=spec.measured_delta_phi is not None)
 
 
@@ -174,7 +165,7 @@ def optimize_gfring(latitude, alpha_db_per_km=0.16, pair_rate_in=1e10,
         # any design passes; report the configured search bounds
         return build(nt_max, l_min)
 
-    limit = CONSTANTS.omega_gr / target_snr
+    limit = OMEGA_GR / target_snr
     base = report(1, l_star).delta_omega
     if base > limit:
         raise InfeasibleDesignError(
@@ -216,9 +207,9 @@ class LandscapeRow:
 
 def regime_label(delta_omega):
     """Which rotation signals the resolution can see."""
-    if delta_omega >= CONSTANTS.omega_earth:
+    if delta_omega >= OMEGA_EARTH:
         return "above_omega_e"
-    if delta_omega >= CONSTANTS.omega_gr:
+    if delta_omega >= OMEGA_GR:
         return "below_omega_e"
     return "below_omega_gr"
 

@@ -14,6 +14,7 @@ import pytest
 
 import qsagnac
 from qsagnac.cli import _CONFIG_KEYS, main
+from qsagnac.expsim import COUNTS_CSV_COLUMNS, TRACE_CSV_COLUMNS
 
 
 def recipe(name):
@@ -728,6 +729,69 @@ def test_count_data_error_of_the_bootstrap_names_no_config_block(tmp_path, capsy
     assert not out.exists()
 
 
+def _zero_total_row(rows):
+    fields = rows[3].split(",")
+    rows[3] = ",".join(fields[:4] + ["0", "0", "0"])
+    return rows
+
+
+def _half_turns_apart(rows):
+    """Frame angles moved to 0, 180, 360, ... deg, where every sine is zero."""
+    angles = {}
+    split = [row.split(",", 1) for row in rows]
+    for theta, _ in split:
+        angles.setdefault(theta, str(180 * len(angles)))
+    return [f"{angles[theta]},{rest}" for theta, rest in split]
+
+
+def _off_counts_as_on(rows):
+    """Each off record takes the counts of the on record before it, so the
+    one-photon Earth phase is zero."""
+    out = []
+    for row in rows:
+        if ",off," in row:
+            row = ",".join(row.split(",")[:4] + out[-1].split(",")[4:])
+        out.append(row)
+    return out
+
+
+# case: (recipe, mutation of counts_single.csv's rows, message after its path)
+_EXIT_3_COUNTS = {
+    "zero-total row": ("fig2", _zero_total_row, " (theta = +2.50 deg): record "
+                       "with zero total counts; ratio undefined"),
+    "four set points": ("fig2", lambda rows: rows[:8], " (theta = +2.50 deg): "
+                        "need at least 5 distinct bias set points, got 4"),
+    "angles a half-turn apart": ("fig3_tables12", _half_turns_apart,
+                                 ": angle set does not separate cos and sin"),
+    "no one-photon phase": ("fig2", _off_counts_as_on,
+                            ": one-photon response consistent with zero"),
+}
+
+
+@pytest.mark.parametrize("case", _EXIT_3_COUNTS)
+def test_count_data_error_of_exit_3_names_the_csv(tmp_path, capsys, case):
+    """A fit, degenerate-design or undefined-ratio error from count data
+    keeps exit 3 and names the counts file, with the frame angle when one
+    angle's bootstrap raised it, as an exit-2 data error does."""
+    name, mutate, message = _EXIT_3_COUNTS[case]
+    data = tmp_path / "data"
+    main(["simulate", "--config", recipe(name), "--out", str(data)])
+    path = data / "counts_single.csv"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *mutate(rows)]) + "\n")
+    config = json.loads(Path(recipe(name)).read_text())
+    config["fit"]["counts"] = {"noon": str(data / "counts_noon.csv"),
+                               "single": str(path)}
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert main(["fit", "--config", write_config(tmp_path, config),
+                 "--out", str(out), "--fast"]) == 3
+    captured = capsys.readouterr()
+    assert f"error: {path}{message}" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "fit", "design"])
 @pytest.mark.parametrize("section", [[], "x", 5], ids=["list", "string", "number"])
 def test_command_section_not_an_object_exits_2(tmp_path, capsys, command, section):
@@ -1014,4 +1078,93 @@ def test_boundary_values_of_every_schema_leaf(tmp_path, capsys):
                     except ValueError as exc:
                         findings.append(f"{case}: {report.name}: {exc}")
     assert n > 100
+    assert findings == []
+
+
+def _data_file_mutations(columns, text):
+    """(case, text) for each malformed or edge-case form of a data file.
+
+    Each column of one data row in turn holds a non-number, NaN, -inf and
+    a 400-digit number; then the file is cut mid-row, one row gains or
+    loses a field, the rows are repeated or reversed, or only the header
+    is left.
+    """
+    header, *rows = text.splitlines()
+    mid = len(rows) // 2
+    fields = rows[mid].split(",")
+
+    def with_row(row):
+        return "\n".join([header, *rows[:mid], row, *rows[mid + 1:]]) + "\n"
+
+    for j, name in enumerate(columns):
+        for label, value in (("non-number", "x"), ("nan", "nan"), ("-inf", "-inf"),
+                             ("400 digits", "9" * 400)):
+            yield f"{name} {label}", with_row(
+                ",".join(fields[:j] + [value] + fields[j + 1:]))
+    yield "truncated", "\n".join([header, *rows[:mid]]) + "\n" + rows[mid][:4]
+    yield "extra field", with_row(rows[mid] + ",0")
+    yield "missing field", with_row(",".join(fields[:-1]))
+    yield "repeated rows", "\n".join([header, *rows, *rows]) + "\n"
+    yield "reversed rows", "\n".join([header, *rows[::-1]]) + "\n"
+    yield "header only", header + "\n"
+
+
+def test_mutated_data_files_exit_cleanly_naming_the_file(tmp_path, capsys):
+    """Each mutation of a column of COUNTS_CSV_COLUMNS or TRACE_CSV_COLUMNS,
+    and of the file as a whole, makes fit --fast exit 0, 2 or 3 without a
+    traceback.  A failed run prints nothing on stdout, leaves no --out and
+    names the data file; a run that succeeds writes only finite JSON
+    numbers.
+
+    The count mutations go to each kind's file of fig2, as a kind reads
+    only some count columns; the trace mutations to the trace of fig4_cw,
+    fitted without its calibration.
+    """
+    data = tmp_path / "data"
+    for name in ("fig2", "fig4_cw"):
+        assert main(["simulate", "--config", recipe(name),
+                     "--out", str(data / name)]) == 0
+    capsys.readouterr()
+    fig2 = json.loads(Path(recipe("fig2")).read_text())
+    fig4 = json.loads(Path(recipe("fig4_cw")).read_text())
+    del fig4["fit"]["calibration"]
+    trace_text = (data / "fig4_cw" / "trace.csv").read_text()
+    constant = "".join(line.rsplit(",", 1)[0] + ",1\n"
+                       for line in trace_text.splitlines()[1:])
+    inputs = [(fig4, "trace", None, "trace.csv", case, text) for case, text in (
+        *_data_file_mutations(TRACE_CSV_COLUMNS, trace_text),
+        ("constant drive", trace_text.split("\n", 1)[0] + "\n" + constant))]
+    for kind in ("noon", "single"):
+        text = (data / "fig2" / f"counts_{kind}.csv").read_text()
+        inputs += [(fig2, "counts", kind, f"counts_{kind}.csv", case, mutated)
+                   for case, mutated in _data_file_mutations(COUNTS_CSV_COLUMNS, text)]
+    findings = []
+    for n, (base, key, kind, file_name, case, text) in enumerate(inputs):
+        path = tmp_path / f"in{n}" / file_name
+        path.parent.mkdir()
+        path.write_text(text)
+        config = json.loads(json.dumps(base))
+        config["fit"][key] = {kind: str(path)} if kind else str(path)
+        cfg = write_config(tmp_path, config, name=f"m{n}.json")
+        out = tmp_path / f"out{n}"
+        case = f"{file_name} {case}"
+        try:
+            code = main(["fit", "--fast", "--config", cfg, "--out", str(out)])
+        except Exception:
+            code = f"raised {traceback.format_exc()}"
+        captured = capsys.readouterr()
+        if code not in (0, 2, 3) or "Traceback" in captured.err:
+            findings.append(f"{case}: exit {code}, {captured.err!r}")
+        elif code:
+            if captured.out or out.exists():
+                findings.append(f"{case}: exit {code} left stdout or --out")
+            if str(path) not in captured.err:
+                findings.append(f"{case}: {captured.err.strip()!r} names no data file")
+        else:
+            for report in out.glob("*.json"):
+                try:
+                    json.loads(report.read_text(), parse_constant=_reject_constant)
+                except ValueError as exc:
+                    findings.append(f"{case}: {report.name}: {exc}")
+    assert len(inputs) > 80
     assert findings == []

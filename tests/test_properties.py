@@ -12,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from qsagnac import CONSTANTS, InterferometerGeometry, SwitchState  # noqa: E402
+from qsagnac import OMEGA_EARTH, InterferometerGeometry, SwitchState  # noqa: E402
 from qsagnac.analysis import _MODELS, demodulate_trace, nlls, wrap_phase  # noqa: E402
 from qsagnac.expsim import (CountRecord, read_counts_csv,  # noqa: E402
                             simulate_polarimeter, write_counts_csv)
@@ -99,7 +99,7 @@ def test_constant_polarimeter_offset_moves_phi_s_by_rounding_only(seed, offset, 
     demodulate_trace differences the on and off means of each column, so
     the offset moves phi_s only by the rounding of those means.
     """
-    trace = simulate_polarimeter(_BENCH_LOOP, CONSTANTS.omega_earth, 120.0, seed=seed)
+    trace = simulate_polarimeter(_BENCH_LOOP, OMEGA_EARTH, 120.0, seed=seed)
     values = getattr(trace, column)
     shifted = replace(trace, **{column: values + offset})
     moved = demodulate_trace(shifted).phi_s - demodulate_trace(trace).phi_s

@@ -5,11 +5,10 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from qsagnac import CONSTANTS, InterferometerGeometry
+from qsagnac import C, OMEGA_EARTH, OMEGA_GR, InterferometerGeometry
 from qsagnac.cli import design_from_dict
 from qsagnac.sensedesign import (DesignSpec, InfeasibleDesignError, landscape,
-                                 optimize_gfring, pair_rate_out,
-                                 phase_resolution, regime_label,
+                                 optimize_gfring, regime_label,
                                  rotation_resolution)
 
 LN10 = math.log(10.0)
@@ -81,32 +80,36 @@ def make_spec(**over):
 
 
 def test_pair_rate_out():
-    assert pair_rate_out(make_spec(alpha_db_per_km=0.0)) == 1e9
+    rate = rotation_resolution(make_spec(alpha_db_per_km=0.0)).pair_rate_out
+    assert rate == 1e9
     # 10 dB of one-photon loss costs a pair 20 dB
     spec = make_spec(geometry=InterferometerGeometry.square(20000.0, 360),
                      alpha_db_per_km=0.5)
-    assert pair_rate_out(spec) == pytest.approx(1e9 * 1e-2, rel=1e-12)
+    assert rotation_resolution(spec).pair_rate_out \
+        == pytest.approx(1e9 * 1e-2, rel=1e-12)
     gfog = next(s for s in load_table_specs() if s.name == "GFOG")
-    assert pair_rate_out(gfog) == pytest.approx(1e10 * 10 ** -1.5, rel=1e-12)
+    assert rotation_resolution(gfog).pair_rate_out \
+        == pytest.approx(1e10 * 10 ** -1.5, rel=1e-12)
 
 
 def test_phase_resolution_shot_limit():
     spec = make_spec(alpha_db_per_km=0.0, pair_rate_in=0.5, integration_time=1.0)
-    assert phase_resolution(spec) == pytest.approx(1.0, rel=1e-12)
+    assert rotation_resolution(spec).delta_phi == pytest.approx(1.0, rel=1e-12)
     doubled = make_spec(alpha_db_per_km=0.0, pair_rate_in=0.5,
                         integration_time=2.0)
-    assert phase_resolution(doubled) == pytest.approx(1.0 / math.sqrt(2.0),
-                                                      rel=1e-12)
+    assert rotation_resolution(doubled).delta_phi \
+        == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
 
 
 def test_measured_phase_resolution_short_circuits():
     spec = make_spec(measured_delta_phi=1.79e-4)
-    assert phase_resolution(spec) == 1.79e-4
-    assert rotation_resolution(spec).measured is True
+    rep = rotation_resolution(spec)
+    assert rep.delta_phi == 1.79e-4
+    assert rep.measured is True
 
 
 def test_unit_scale_factor_maps_phase_to_rate():
-    area = CONSTANTS.c * 1550e-9 / (8.0 * math.pi)
+    area = C * 1550e-9 / (8.0 * math.pi)
     geom = InterferometerGeometry.square(2000.0, 360, wavelength=1550e-9,
                                          effective_area=area)
     rep = rotation_resolution(make_spec(geometry=geom))
@@ -126,7 +129,7 @@ def test_closed_form_identity_for_square_rings():
                 spec = make_spec(geometry=geom, alpha_db_per_km=alpha,
                                  pair_rate_in=1e10, projection="sin_latitude")
                 closed = (math.sqrt(2.0 / (1e10 * 5.56e6)) * turns * 1550e-9
-                          * CONSTANTS.c * 10 ** (alpha * length / 1000.0 / 10.0)
+                          * C * 10 ** (alpha * length / 1000.0 / 10.0)
                           / (math.pi * math.sin(lat) * length ** 2))
                 assert rotation_resolution(spec).delta_omega \
                     == pytest.approx(closed, rel=1e-12)
@@ -172,7 +175,7 @@ def test_gfring_optimum_reproduces_design_point():
     assert opt.report.snr_gr == pytest.approx(3.0, rel=1e-6)
     assert opt.loss_optimal_length == pytest.approx(20000.0 / (0.16 * LN10),
                                                     rel=1e-12)
-    assert opt.report.delta_omega <= CONSTANTS.omega_gr / 3.0
+    assert opt.report.delta_omega <= OMEGA_GR / 3.0
 
 
 def test_gfring_lower_rate_prefers_fewer_turns():
@@ -213,10 +216,10 @@ def test_gfring_turn_count_infeasible_by_rounding_falls_back():
         integration_time=5.56e6, projection="sin_latitude")).delta_omega
     # targets a few rounding steps either side of exactly 8 turns at L*
     for k in range(-8, 9):
-        target = CONSTANTS.omega_gr / (8.0 * base) * (1.0 + k * 2.2e-16)
+        target = OMEGA_GR / (8.0 * base) * (1.0 + k * 2.2e-16)
         opt = optimize_gfring(lat, target_snr=target)
         assert opt.turns in (7, 8), k
-        assert opt.report.delta_omega <= CONSTANTS.omega_gr / target, k
+        assert opt.report.delta_omega <= OMEGA_GR / target, k
 
 
 def test_gfring_infeasible_target():
@@ -248,10 +251,10 @@ def test_landscape_labels_and_order():
 
 
 def test_regime_label_boundaries():
-    assert regime_label(CONSTANTS.omega_earth) == "above_omega_e"
-    assert regime_label(CONSTANTS.omega_earth * 0.999) == "below_omega_e"
-    assert regime_label(CONSTANTS.omega_gr) == "below_omega_e"
-    assert regime_label(CONSTANTS.omega_gr * 0.999) == "below_omega_gr"
+    assert regime_label(OMEGA_EARTH) == "above_omega_e"
+    assert regime_label(OMEGA_EARTH * 0.999) == "below_omega_e"
+    assert regime_label(OMEGA_GR) == "below_omega_e"
+    assert regime_label(OMEGA_GR * 0.999) == "below_omega_gr"
 
 
 def test_design_from_dict_validation():
