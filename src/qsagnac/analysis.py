@@ -439,7 +439,11 @@ def _check_records(records, min_span):
     durations = {r.duration for r in records}
     if len(durations) != 1:
         raise ValueError("records mix durations")
-    phis = sorted({r.phi0 for r in records})
+    phis = sorted(r.phi0 for r in records)
+    for a, b in zip(phis, phis[1:]):
+        if a == b:
+            raise ValueError(f"bias set point {a:.12g} rad repeats in the "
+                             f"{records[0].switch.value} records")
     if len(phis) < _MIN_POINTS:
         raise DegenerateDesignError(
             f"need at least {_MIN_POINTS} distinct bias set points, got {len(phis)}")

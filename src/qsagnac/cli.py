@@ -13,7 +13,8 @@ in a config are resolved against --out, so a fit can chain onto a
 simulate run in the same directory.  Exit codes: 0 success, 2 bad config
 or input (a section that asks for no output included), 3 fit or
 feasibility failure.  An exit-2 or exit-3 error from a counts or trace
-file names that file, and one from a frame angle's bootstrap the angle.
+file names that file by the path it was read from, and one from a frame
+angle's bootstrap the angle.
 numpy, expsim and analysis are imported inside cmd_simulate and cmd_fit,
 the commands that run them, so design loads none of them; main catches
 the exit-3 errors from sagnac instead.
@@ -469,7 +470,8 @@ def cmd_fit(args, config, fit_cfg):
     outputs, lines = {}, []
 
     for kind, path in fit_cfg.get("counts", {}).items():
-        records = read_counts_csv(_resolve(path, args.out))
+        path = _resolve(path, args.out)
+        records = read_counts_csv(path)
         if not records:
             raise ValueError(f"{path}: no count records")
         groups = group_records_by_angle(records)
@@ -516,7 +518,7 @@ def cmd_fit(args, config, fit_cfg):
             pair2 = (e2.phi_e, e2.phi_e_sigma)
             pair1 = (e1.phi_e, e1.phi_e_sigma)
         # the one-photon response, the ratio's denominator, is single's
-        with _named(fit_cfg["counts"]["single"]):
+        with _named(_resolve(fit_cfg["counts"]["single"], args.out)):
             value, sigma = enhancement_factor(pair2, pair1)
         report["enhancement"] = {"value": value, "sigma": sigma}
         lines.append(f"enhancement: {value:.2f} +- {sigma:.2f}")

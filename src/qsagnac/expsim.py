@@ -243,6 +243,12 @@ def angle_sweep(kind, geom, theta_list, phi0_list, true_omega, seed,
         else [float(b) for b in base_phase]
     if len(phases) != len(theta_list):
         raise ValueError("base_phase must have one value per angle")
+    # fit reads each set point as one record per switch state; a repeat would
+    # count one measurement twice
+    phis = sorted(phi0_list)
+    for a, b in zip(phis, phis[1:]):
+        if a == b:
+            raise ValueError(f"bias set point {a:.12g} rad repeats")
 
     children = seed_sequence(seed).spawn(len(theta_list))
     records = []

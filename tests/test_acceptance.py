@@ -1,59 +1,50 @@
 """Acceptance gate: one test per numbered criterion, one verdict line each.
 
-Verdict lines print with capture suspended so they reach the real stdout."""
+Verdict lines print with capture suspended so they reach the real stdout.
+Each criterion reads its inputs from the bundled recipe it reproduces, so
+the gate checks what fit, design and the goldens run."""
 
+import json
 import math
+from dataclasses import replace
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from oracles import (H, bias_unitary, ellipse_of, hwp, is_unitary,
                      phase_shift, qwp, sagnac_loop)
-from qsagnac import (NOON2, SINGLE, InterferometerGeometry, SwitchState,
-                     sagnac_phase, scale_factor)
+from qsagnac import NOON2, SINGLE, SwitchState, sagnac_phase, scale_factor
 from qsagnac.analysis import (calibrate_scale_factor, demodulate_trace,
                               enhancement_factor, extract_earth_phase,
                               fit_switch_pair, mc_uncertainty, nlls, wrap_phase)
-from qsagnac.cli import design_from_dict
+from qsagnac.cli import (_GFRING_KEYS, config_kwargs, design_from_dict,
+                         geometry_from_dict)
 from qsagnac.expsim import (NoiseConfig, RateConfig, simulate_counts,
                             simulate_polarimeter)
 from qsagnac.sensedesign import optimize_gfring, rotation_resolution
 
-OMEGA_E = 7.29e-5
 
-GEOM = InterferometerGeometry.square(fiber_length=2000.0, turns=360,
-                                     effective_area=715.0, wavelength=1546e-9)
+def recipe(name):
+    """The bundled recipe name, whose inputs each criterion reproduces."""
+    path = resources.files("qsagnac") / "recipes" / f"{name}.json"
+    return json.loads(path.read_text())
+
+
+FIG2 = recipe("fig2")
+SIM = FIG2["simulate"]
+OMEGA_E = SIM["true_omega_rad_s"]
+PHI0_NOON = SIM["phi0_rad"]["noon"]
+PHI0_SINGLE = SIM["phi0_rad"]["single"]
+# the paper's 715 m^2 loop at the recipe's 2.5 deg frame angle, and at zero
+GEOM_25 = geometry_from_dict(FIG2["geometry"], "fig2 geometry")
+GEOM = replace(GEOM_25, frame_angle=0.0)
+# the one-photon rotation phase of the tilted loop, the truth of the estimators
+PHI_S_25 = scale_factor(GEOM) * OMEGA_E * math.cos(GEOM_25.frame_angle)
 
 QUIET = NoiseConfig(dark_rate=0.0, motor_sigma=0.0, drift_rate=0.0,
                     walk_sigma=0.0, polarimeter_sigma=0.0, leakage_fraction=0.0)
 TIGHT = RateConfig(coincidence_window=1e-15)
-
-PHI0_NOON = [-0.392699081699, 0.314159265359, 1.021017612417, 1.727875959474,
-             2.434734306532, 3.14159265359, 3.848451000647, 4.555309347705,
-             5.262167694763, 5.969026041821, 6.675884388878]
-PHI0_SINGLE = [-0.785398163397, 0.0, 0.785398163397, 1.570796326795,
-               2.356194490192, 3.14159265359, 3.926990816987, 4.712388980385,
-               5.497787143782, 6.28318530718, 7.068583470577]
-
-BENCHMARK_DESIGNS = [
-    dict(name="this work", shape="square", fiber_length_m=2000.0, turns=360,
-         effective_area_m2=715.0, wavelength_m=1.546e-6,
-         alpha_db_per_km=0.5, pair_rate_in_hz=4000.0,
-         integration_time_s=5.56e6, measured_delta_phi_rad=1.79e-4),
-    dict(name="CFOG", shape="circular", fiber_length_m=3000.0,
-         perimeter_m=0.63, wavelength_m=1.55e-6, alpha_db_per_km=0.5,
-         pair_rate_in_hz=1e9, integration_time_s=5.56e6),
-    dict(name="LFOG", shape="circular", fiber_length_m=8000.0,
-         perimeter_m=2.15, wavelength_m=1.55e-6, alpha_db_per_km=0.5,
-         pair_rate_in_hz=1e9, integration_time_s=5.56e6),
-    dict(name="GFOG", shape="circular", fiber_length_m=15000.0,
-         perimeter_m=12.57, wavelength_m=1.55e-6, alpha_db_per_km=0.5,
-         pair_rate_in_hz=1e10, integration_time_s=5.56e6),
-    dict(name="GFRING", shape="square", fiber_length_m=47500.0, turns=8,
-         wavelength_m=1.55e-6, latitude_deg=48.2, alpha_db_per_km=0.16,
-         pair_rate_in_hz=1e10, integration_time_s=5.56e6,
-         projection="sin_latitude"),
-]
 
 
 @pytest.fixture
@@ -64,10 +55,6 @@ def verdict(capfd):
             print(line, flush=True)
         assert ok, line
     return check
-
-
-def phi_s_at(theta_deg):
-    return scale_factor(GEOM) * OMEGA_E * math.cos(math.radians(theta_deg))
 
 
 def test_criterion_1_scale_factor(verdict):
@@ -86,20 +73,18 @@ def test_criterion_2_sagnac_phase(verdict):
 
 
 def test_criterion_3_unbiased_estimator_and_enhancement(verdict):
-    from dataclasses import replace
-    geom = replace(GEOM, frame_angle=math.radians(2.5))
     estimates = {"noon": [], "single": []}
     roots = np.random.SeedSequence(2024).spawn(200)
     for child in roots:
         a, b = child.spawn(2)
-        recs = simulate_counts(NOON2, geom, PHI0_NOON, OMEGA_E, a,
+        recs = simulate_counts(NOON2, GEOM_25, PHI0_NOON, OMEGA_E, a,
                                duration_s=10.0)
         estimates["noon"].append(fit_switch_pair(recs, "noon")[2].phi_e)
-        recs = simulate_counts(SINGLE, geom, PHI0_SINGLE, OMEGA_E, b,
+        recs = simulate_counts(SINGLE, GEOM_25, PHI0_SINGLE, OMEGA_E, b,
                                duration_s=10.0)
         estimates["single"].append(fit_switch_pair(recs, "single")[2].phi_e)
 
-    truth = {"noon": 2.0 * phi_s_at(2.5), "single": phi_s_at(2.5)}
+    truth = {"noon": 2.0 * PHI_S_25, "single": PHI_S_25}
     bias_ok, notes = True, []
     for kind, vals in estimates.items():
         vals = np.array(vals)
@@ -111,8 +96,8 @@ def test_criterion_3_unbiased_estimator_and_enhancement(verdict):
 
     clean = {}
     for kind, phis in (("noon", PHI0_NOON), ("single", PHI0_SINGLE)):
-        recs = simulate_counts(NOON2 if kind == "noon" else SINGLE, geom, phis,
-                               OMEGA_E, 0, duration_s=1e6, noise=QUIET,
+        recs = simulate_counts(NOON2 if kind == "noon" else SINGLE, GEOM_25,
+                               phis, OMEGA_E, 0, duration_s=1e6, noise=QUIET,
                                rates=TIGHT, sample_poisson=False)
         fit_on, fit_off, earth = fit_switch_pair(recs, kind)
         clean[kind] = (earth.phi_e, earth.phi_e_sigma)
@@ -123,12 +108,12 @@ def test_criterion_3_unbiased_estimator_and_enhancement(verdict):
 
 
 def test_criterion_4_table_statistics(verdict):
-    from dataclasses import replace
-    geom = replace(GEOM, frame_angle=math.radians(2.5))
-    recs_noon = simulate_counts(NOON2, geom, PHI0_NOON, OMEGA_E, 7,
-                                duration_s=1800.0, visibility=0.9714)
-    recs_single = simulate_counts(SINGLE, geom, PHI0_SINGLE, OMEGA_E, 8,
-                                  duration_s=900.0, visibility=0.9967)
+    recs_noon = simulate_counts(NOON2, GEOM_25, PHI0_NOON, OMEGA_E, 7,
+                                duration_s=SIM["duration_s"]["noon"],
+                                visibility=SIM["visibility"]["noon"])
+    recs_single = simulate_counts(SINGLE, GEOM_25, PHI0_SINGLE, OMEGA_E, 8,
+                                  duration_s=SIM["duration_s"]["single"],
+                                  visibility=SIM["visibility"]["single"])
     mc_noon = mc_uncertainty(recs_noon, "noon", n_samples=1000, seed=1)
     mc_single = mc_uncertainty(recs_single, "single", n_samples=1000, seed=2)
 
@@ -145,11 +130,11 @@ def test_criterion_4_table_statistics(verdict):
 
 
 def test_criterion_5_calibration(verdict):
-    angles = np.radians([-90.0, -67.5, -45.0, -22.5, 0.0, 22.5])
-    phases = [1.481e-06, 0.0010837959, 0.0020011126, 0.0026137781,
-              0.0028285196, 0.0026126446]
-    cal = calibrate_scale_factor(angles, phases, np.full(6, 2e-5),
-                                 omega_earth=OMEGA_E, n_samples=10_000, seed=5)
+    given = recipe("fig4_cw")["fit"]["calibration"]
+    cal = calibrate_scale_factor(np.radians(given["angles_deg"]),
+                                 given["phases_rad"], given["sigmas_rad"],
+                                 omega_earth=given["omega_earth_rad_s"],
+                                 n_samples=given["mc_samples"], seed=5)
     ok = (abs(cal.scale_factor - 38.8) <= 0.15
           and abs(cal.theta_offset) <= math.radians(0.5))
     verdict(5, ok,
@@ -164,7 +149,7 @@ def test_criterion_6_design_table(verdict):
     printed_d_omega = {"this work": 4.61e-6, "LFOG": 3.21e-10,
                        "GFOG": 2.11e-11, "GFRING": 2.43e-14}
     reports = {d["name"]: rotation_resolution(design_from_dict(d))
-               for d in BENCHMARK_DESIGNS}
+               for d in recipe("table3")["design"]["specs"]}
 
     ok = all(abs(reports[n].scale_factor - s) / s < 0.015
              for n, s in printed_s.items())
@@ -182,8 +167,8 @@ def test_criterion_6_design_table(verdict):
 
 
 def test_criterion_7_gfring_optimizer(verdict):
-    opt = optimize_gfring(math.radians(48.2), alpha_db_per_km=0.16,
-                          pair_rate_in=1e10, target_snr=3.0)
+    gfring = recipe("table3")["design"]["gfring"]
+    opt = optimize_gfring(**config_kwargs(gfring, _GFRING_KEYS))
     ok = opt.turns == 8 and abs(opt.fiber_length - 47500.0) / 47500.0 <= 0.05
     verdict(7, ok, f"L = {opt.fiber_length / 1e3:.2f} km (vs 47.5 +- 5%), "
                    f"n_t = {opt.turns} (vs 8)")
@@ -224,19 +209,17 @@ def _round_trip_suite():
 
 
 def _coverage_suite():
-    from dataclasses import replace
-    geom = replace(GEOM, frame_angle=math.radians(2.5))
     noise = replace(QUIET, dark_rate=300.0)
-    truth = 2.0 * phi_s_at(2.5)
+    truth = 2.0 * PHI_S_25
     hits = 0
     n_sets = 400
     for child in np.random.SeedSequence(77).spawn(n_sets):
         a, b = child.spawn(2)
-        recs = simulate_counts(NOON2, geom, PHI0_NOON, OMEGA_E, a,
+        recs = simulate_counts(NOON2, GEOM_25, PHI0_NOON, OMEGA_E, a,
                                duration_s=10.0, visibility=0.97, noise=noise)
-        fit_on, fit_off, _ = fit_switch_pair(recs, "noon")
         mc = mc_uncertainty(recs, "noon", n_samples=400, motor_sigma=0.0,
                             seed=b)
+        fit_on, fit_off = mc.fits
         earth = extract_earth_phase(fit_on, fit_off, mc=mc)
         if abs(earth.phi_e - truth) <= earth.phi_e_sigma:
             hits += 1

@@ -706,8 +706,8 @@ def test_realistic_extraction_within_three_sigma(bench_geometry):
     geom = replace(bench_geometry, frame_angle=math.radians(2.5))
     phi0 = list(np.linspace(0.0, math.pi, 22, endpoint=False))
     recs = simulate_counts(NOON2, geom, phi0, OMEGA_E, seed=42)
-    fit_on, fit_off, _ = fit_switch_pair(recs, "noon")
     mc = mc_uncertainty(recs, "noon", n_samples=2000, seed=1)
+    fit_on, fit_off = mc.fits
     earth = extract_earth_phase(fit_on, fit_off, mc=mc)
     truth = 2.0 * PHI_S * math.cos(math.radians(2.5))
     assert abs(earth.phi_e - truth) < 3.0 * earth.phi_e_sigma

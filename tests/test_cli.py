@@ -214,12 +214,15 @@ def test_fit_without_counts_exits_2(tmp_path):
                  "--fast"]) == 2
 
 
-def test_fit_empty_counts_exits_2(tmp_path):
+def test_fit_empty_counts_exits_2(tmp_path, capsys):
+    """An empty counts file is named by the path fit read it from."""
     header = "theta_deg,phi0_rad,switch,duration_s,n_h,n_v,n_hv\n"
     (tmp_path / "counts_noon.csv").write_text(header)
     (tmp_path / "counts_single.csv").write_text(header)
     assert main(["fit", "--config", recipe("fig2"), "--out", str(tmp_path),
                  "--fast"]) == 2
+    assert (f"config error: {tmp_path / 'counts_noon.csv'}: no count records"
+            in capsys.readouterr().err)
 
 
 def test_fit_non_finite_counts_field_exits_2(tmp_path, capsys):
@@ -376,9 +379,10 @@ def test_simulate_kinds_exits_2(tmp_path, capsys):
     cfg = config_with(tmp_path, "fig2", "simulate.kinds", ["noon", "single"])
     out = tmp_path / "run"
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "config.simulate: unknown key(s) kinds" in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert "config.simulate: unknown key(s) kinds" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -566,16 +570,6 @@ def test_json_integers_read_as_floats_and_integral_floats_as_ints(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-@pytest.mark.parametrize("counts, key_path", [
-    (5, "fit.counts"), (["counts_noon.csv"], "fit.counts"),
-    ({"noon": 5}, "fit.counts.noon"), (None, "fit.counts")],
-    ids=["number", "list", "number path", "null"])
-def test_fit_counts_neither_path_nor_object_exits_2(tmp_path, capsys, counts,
-                                                    key_path):
-    assert run_with(tmp_path, "fig2", "fit", "fit.counts", counts) == 2
-    assert f"{message_path(key_path)}: " in capsys.readouterr().err
-
-
 # case -> (recipe, command, key path, value): each is rejected when the
 # config loads, naming its key path, before any output is written
 _MALFORMED = {
@@ -595,6 +589,11 @@ _MALFORMED = {
     "per-kind scalar": ("fig2", "simulate", "simulate.duration_s", 900.0),
     "base_phase_rad scalar": ("fig2", "simulate", "simulate.base_phase_rad.noon", 0.0),
     "counts path": ("fig2", "fit", "fit.counts", "counts_noon.csv"),
+    # fit.counts is neither an object of paths nor a path
+    "counts number": ("fig2", "fit", "fit.counts", 5),
+    "counts list": ("fig2", "fit", "fit.counts", ["counts_noon.csv"]),
+    "counts number path": ("fig2", "fit", "fit.counts.noon", 5),
+    "counts null": ("fig2", "fit", "fit.counts", None),
     "specs object": ("table3", "design", "design.specs", {}),
     "spec name number": ("table3", "design", "design.specs.0.name", 5),
     # True == 1, so the version check alone passes it
@@ -611,9 +610,10 @@ def test_malformed_config_exits_2_naming_its_key(tmp_path, capsys, case):
     cfg = config_with(tmp_path, name, key_path, value)
     out = tmp_path / "run"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"{message_path(key_path)}: " in err
-    assert "Traceback" not in err
+    captured = capsys.readouterr()
+    assert f"{message_path(key_path)}: " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -645,6 +645,10 @@ _NOTHING_TO_READ = {
                       "config.simulate (noon): duration must be positive"),
     "phi0 grid empty": ("fig2", "simulate", "simulate.phi0_rad.noon", [],
                         "config.simulate (noon): need at least one bias set point"),
+    # a repeated set point wrote a counts file that fit refuses
+    "phi0 grid repeated": ("fig2", "simulate", "simulate.phi0_rad.noon",
+                           [0.0, 0.0, 0.5, 1.0, 1.5, 2.0],
+                           "config.simulate (noon): bias set point 0 rad repeats"),
     "frequency zero": ("fig2", "simulate", "schedule.frequency_hz", 0,
                        "config.schedule: switch frequency must be positive"),
     # zero turns and a zero perimeter divided by zero, with a traceback
@@ -725,8 +729,29 @@ def test_count_data_error_of_the_bootstrap_names_no_config_block(tmp_path, capsy
     assert (f"config error: {path} (theta = +2.50 deg): "
             "need records in both switch states") in captured.err
     assert "config.fit" not in captured.err
+    assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_repeated_set_point_exits_2_naming_the_csv(tmp_path, capsys):
+    """A counts file written twice would fit each record twice and quote an
+    error too small by sqrt(2); fit refuses it, naming the file by the path
+    it read and the frame angle."""
+    out = tmp_path / "run"
+    main(["simulate", "--config", recipe("fig2"), "--out", str(out)])
+    path = out / "counts_single.csv"
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, *rows, *rows]) + "\n")
+    before = sorted(os.listdir(out))
+    capsys.readouterr()
+    assert main(["fit", "--config", recipe("fig2"), "--out", str(out), "--fast"]) == 2
+    captured = capsys.readouterr()
+    assert (f"config error: {path} (theta = +2.50 deg): bias set point "
+            "-0.785398163397 rad repeats in the on records") in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert sorted(os.listdir(out)) == before
 
 
 def _zero_total_row(rows):
@@ -951,6 +976,7 @@ def test_design_landscape_without_specs(tmp_path, capsys, specs):
                  "--optimize-gfring"]) == 2
     captured = capsys.readouterr()
     assert "config.design: landscape asked for, but no specs" in captured.err
+    assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
 
