@@ -10,11 +10,14 @@ callee rejects.  Each command computes its products and returns them as
 then writes them into --out, the manifest last, and only then prints the
 lines, so a failed run writes and prints nothing.  Relative input paths
 in a config are resolved against --out, so a fit can chain onto a
-simulate run in the same directory.  Exit codes: 0 success, 2 bad config
-or input (a section that asks for no output included), 3 fit or
-feasibility failure.  An exit-2 or exit-3 error from a counts or trace
-file names that file by the path it was read from, and one from a frame
-angle's bootstrap the angle.
+simulate run in the same directory.  simulate and fit take --seed, and
+fit alone --fast; a command takes no flag that would change nothing.
+Exit codes: 0 success, 2 bad config or input (a section that asks for no
+output included), 3 fit or feasibility failure; any other exception,
+such as a TypeError, is a bug and is raised, not reported as bad input.
+An exit-2 or exit-3 error from a counts or trace file names that file by
+the path it was read from, and one from a frame angle's bootstrap the
+angle.
 numpy, expsim and analysis are imported inside cmd_simulate and cmd_fit,
 the commands that run them, so design loads none of them; main catches
 the exit-3 errors from sagnac instead.
@@ -334,6 +337,9 @@ def _json_writer(report):
 def _write_outputs(args, config, outputs):
     """Create --out, write each output in order, then the manifest listing them.
 
+    The manifest records the seed of simulate and fit and the --fast of
+    fit, the flags each command takes.
+
     The command's old manifest is removed before the first output is
     written, so a run that fails partway leaves no manifest that describes
     files it did not write.
@@ -348,8 +354,7 @@ def _write_outputs(args, config, outputs):
         write(os.path.join(args.out, name))
     _json_writer({
         "command": args.command,
-        "seed": args.seed,
-        "fast": args.fast,
+        **{flag: getattr(args, flag) for flag in ("seed", "fast") if flag in args},
         "config_sha256": hashlib.sha256(
             json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "config": config,
@@ -613,14 +618,16 @@ def build_parser():
                      ("design", cmd_design)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run config")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--fast", action="store_true",
-                       help="cut Monte-Carlo sample counts to 1000")
         if name == "design":
             p.add_argument("--optimize-gfring", action="store_true",
                            help="run the giant-ring length/turns optimizer")
+        else:
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the config seed")
+        if name == "fit":
+            p.add_argument("--fast", action="store_true",
+                           help="cut Monte-Carlo sample counts to 1000")
         p.set_defaults(fn=fn)
     return parser
 
@@ -631,12 +638,13 @@ def main(argv=None):
         config = _load_config(args.config)
         if args.command not in config:
             raise ValueError(f"config has no {args.command!r} section")
-        where = "--seed"
-        if args.seed is None:
-            args.seed = config_kwargs(config, _TOP_KEYS).get("seed", 0)
-            where = "config.seed"
-        if args.seed < 0:
-            raise ValueError(f"{where}: seed {args.seed} is negative")
+        if "seed" in args:  # simulate and fit; design draws no random numbers
+            where = "--seed"
+            if args.seed is None:
+                args.seed = config_kwargs(config, _TOP_KEYS).get("seed", 0)
+                where = "config.seed"
+            if args.seed < 0:
+                raise ValueError(f"{where}: seed {args.seed} is negative")
         outputs, lines = args.fn(args, config, config[args.command])
         _write_outputs(args, config, outputs)
         for line in lines:
@@ -646,7 +654,7 @@ def main(argv=None):
             UndefinedRatioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

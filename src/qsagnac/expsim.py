@@ -136,7 +136,9 @@ def simulate_counts(kind, geom, phi0_list, true_omega, seed, duration_s=1800.0,
     probe's phase enhancement, so the fitted phase drops by k * phi_s
     when the loop is switched in and the on/off difference is positive.
     Bias noise (set-point jitter, drift, walk) is drawn once per set
-    point and shared by the two switch states.
+    point and shared by the two switch states.  channel_asymmetry, the
+    gain imbalance of the heralded ports, is read by SINGLE alone, so a
+    nonzero value with NOON2 raises ValueError.
     """
     if kind not in (NOON2, SINGLE):
         raise TypeError(f"kind must be NOON2 or SINGLE, not {kind!r}")
@@ -144,6 +146,8 @@ def simulate_counts(kind, geom, phi0_list, true_omega, seed, duration_s=1800.0,
         raise ValueError("duration must be positive")
     if len(phi0_list) == 0:
         raise ValueError("need at least one bias set point")
+    if kind is NOON2 and channel_asymmetry != 0.0:
+        raise ValueError("channel asymmetry is read by the single kind only")
     schedule = schedule or SwitchSchedule()
     rates = rates or RateConfig()
     noise = noise or NoiseConfig()
@@ -243,12 +247,13 @@ def angle_sweep(kind, geom, theta_list, phi0_list, true_omega, seed,
         else [float(b) for b in base_phase]
     if len(phases) != len(theta_list):
         raise ValueError("base_phase must have one value per angle")
-    # fit reads each set point as one record per switch state; a repeat would
-    # count one measurement twice
-    phis = sorted(phi0_list)
-    for a, b in zip(phis, phis[1:]):
-        if a == b:
-            raise ValueError(f"bias set point {a:.12g} rad repeats")
+    # fit groups records by angle and reads each set point of a group as one
+    # record per switch state; a repeat would count one measurement twice
+    for name, values in (("frame angle", theta_list), ("bias set point", phi0_list)):
+        ordered = sorted(values)
+        for a, b in zip(ordered, ordered[1:]):
+            if a == b:
+                raise ValueError(f"{name} {a:.12g} rad repeats")
 
     children = seed_sequence(seed).spawn(len(theta_list))
     records = []

@@ -222,7 +222,8 @@ def test_convention_simulated_counts_match_fit_models(bench_geometry, quiet_nois
         recs = simulate_counts(kind, bench_geometry, phi0, omega, seed=3,
                                duration_s=100.0, rates=rates, noise=quiet_noise,
                                base_phase=base,
-                               visibility=0.9, channel_asymmetry=asym,
+                               visibility=0.9,
+                               channel_asymmetry=asym if kind is SINGLE else 0.0,
                                sample_poisson=False)
         for switch in (SwitchState.ON, SwitchState.OFF):
             rs = [r for r in recs if r.switch is switch]
