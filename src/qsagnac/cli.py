@@ -5,7 +5,12 @@ module alone knows its format: check_config checks the whole config
 against the key tables when it loads, config_kwargs reads a block into
 keyword arguments, and _build passes them on to what the block
 configures, naming by its path a required key left out or a value the
-callee rejects.  Each command computes its products and returns them as
+callee rejects.  A config gives each angle once: the loop's geometry
+carries none, simulate takes its frame angles from the simulate block,
+and a design spec gives only the orientation key its projection reads.
+A key that only some runs of simulate or fit read, named in
+_SIMULATE_READERS and _FIT_READERS, exits 2 when none of them runs.
+Each command computes its products and returns them as
 {file name: writer}, with its stdout summary as a list of lines; main
 then writes them into --out, the manifest last, and only then prints the
 lines, so a failed run writes and prints nothing.  Relative input paths
@@ -19,8 +24,9 @@ An exit-2 or exit-3 error from a counts or trace file names that file by
 the path it was read from, and one from a frame angle's bootstrap the
 angle.
 numpy, expsim and analysis are imported inside cmd_simulate and cmd_fit,
-the commands that run them, so design loads none of them; main catches
-the exit-3 errors from sagnac instead.
+the commands that run them, and sensedesign inside cmd_design and
+design_from_dict, so no command loads a stage it does not run; main
+catches the exit-3 errors from sagnac instead.
 """
 
 import argparse
@@ -38,10 +44,8 @@ from functools import partial
 from . import __version__
 from .probe import KINDS
 from .sagnac import (OMEGA_EARTH, DegenerateDesignError, FitError,
-                     InterferometerGeometry, UndefinedRatioError, new_file,
-                     scale_factor)
-from .sensedesign import (DesignSpec, InfeasibleDesignError, landscape,
-                          optimize_gfring, rotation_resolution)
+                     InfeasibleDesignError, InterferometerGeometry,
+                     UndefinedRatioError, new_file, scale_factor)
 
 SCHEMA_VERSION = 1
 
@@ -178,10 +182,14 @@ _GEOMETRY_KEYS = {
     "fiber_length_m": ("fiber_length", float),
     "turns": ("turns", int),
     "perimeter_m": ("perimeter", float),
-    "frame_angle_deg": ("frame_angle", from_degrees),
-    "latitude_deg": ("latitude", from_degrees),
     "wavelength_m": ("wavelength", float),
     "effective_area_m2": ("effective_area", float),
+}
+# a design spec's orientation, of which its projection reads one; simulate
+# takes its angles from simulate.theta_deg and simulate.trace.theta_deg
+_ORIENTATION_KEYS = {
+    "frame_angle_deg": ("frame_angle", from_degrees),
+    "latitude_deg": ("latitude", from_degrees),
 }
 _SCHEDULE_KEYS = {
     "frequency_hz": ("frequency", float),
@@ -265,19 +273,58 @@ _CONFIG_KEYS = {
     "rates": _RATES_KEYS, "noise": _NOISE_KEYS,
     "simulate": {**_SIMULATE_KEYS, "trace": _TRACE_KEYS,
                  **{key: dict.fromkeys(KINDS, entry)
-                    for key, entry in _PER_KIND_KEYS.items()}},
+                    for key, entry in _PER_KIND_KEYS.items()},
+                 # the gain imbalance of the heralded ports, which noon has not
+                 "channel_asymmetry": {"single": _PER_KIND_KEYS["channel_asymmetry"]}},
     "fit": {**_FIT_KEYS, **_MC_KEYS, "calibration": _CALIBRATION_KEYS,
             "counts": dict.fromkeys(KINDS, ("counts", str))},
     "design": {"landscape": ("landscape", bool), "gfring": _GFRING_KEYS,
-               "specs": [{**_GEOMETRY_KEYS, **_DESIGN_KEYS}]},
+               "specs": [{**_GEOMETRY_KEYS, **_ORIENTATION_KEYS, **_DESIGN_KEYS}]},
 }
 
+# key path -> the runs that read it, for each key that some run of its
+# command does not read: simulate runs the counts of each kind phi0_rad
+# gives a grid for and a trace if it has a trace block, and fit's bootstrap
+# and angle sweep run on fit.counts
+_COUNTS = tuple(f"{kind} counts" for kind in KINDS)
+_SIMULATE_READERS = {
+    "rates.pair_rate_detected_hz": ("noon counts",),
+    "rates.heralded_single_rate_hz": _COUNTS,
+    "rates.coincidence_window_s": _COUNTS,
+    "rates.cw_sample_rate_hz": ("trace",),
+    "noise.dark_rate_hz": _COUNTS,
+    "noise.motor_sigma_rad": _COUNTS,
+    "noise.walk_sigma_rad": _COUNTS,
+    "noise.polarimeter_sigma_rad": ("trace",),
+    "noise.leakage_fraction": ("trace",),
+    "simulate.theta_deg": _COUNTS,
+    "simulate.sample_poisson": _COUNTS,
+    **{f"simulate.{key}.{kind}": (f"{kind} counts",)
+       for key in _PER_KIND_KEYS for kind in _CONFIG_KEYS["simulate"][key]},
+}
+_FIT_READERS = {f"fit.{key}": ("counts",) for key in (*_MC_KEYS, "scale_factor_s")}
 
-def geometry_from_dict(d, where):
+
+def _refuse_unread(config, readers, runs, verb):
+    """Raise ValueError naming the first key path of readers that config
+    gives and that none of runs reads: "config.rates.cw_sample_rate_hz: no
+    trace simulated, so nothing reads it"."""
+    for path, names in readers.items():
+        *blocks, key = path.split(".")
+        block = config
+        for name in blocks:
+            block = block.get(name, {})
+        if key in block and runs.isdisjoint(names):
+            raise ValueError(f"config.{path}: no {' or '.join(names)} {verb}, "
+                             "so nothing reads it")
+
+
+def geometry_from_dict(d, where, **orientation):
     """InterferometerGeometry from its JSON form; `shape` defaults to square.
 
     A square loop takes `turns` and a circular one `perimeter_m`; the other
-    shape's key is an error, not ignored.
+    shape's key is an error, not ignored.  orientation, frame_angle or
+    latitude in radians, is passed on; the loop keys carry no angle.
     """
     shape = d.get("shape", "square")
     if shape == "square":
@@ -289,13 +336,27 @@ def geometry_from_dict(d, where):
     if other in d:
         raise ValueError(f"{where}.{other}: a {shape} loop does not read it")
     return _build(build, {k: v for k, v in d.items() if k != "shape"},
-                  _GEOMETRY_KEYS, where)
+                  _GEOMETRY_KEYS, where, **orientation)
+
+
+# a design's projection -> the orientation key it does not read
+_UNPROJECTED = {"cos_frame_angle": "latitude_deg", "sin_latitude": "frame_angle_deg"}
 
 
 def design_from_dict(d, where="design spec"):
-    """DesignSpec from its JSON form: geometry keys plus the design keys."""
-    return _build(DesignSpec, d, _DESIGN_KEYS, where,
-                  geometry=geometry_from_dict(d, where))
+    """DesignSpec from its JSON form: geometry, orientation and design keys.
+
+    The orientation key that the spec's projection does not read is an
+    error, not ignored.
+    """
+    from .sensedesign import DesignSpec
+
+    projection = d.get("projection", DesignSpec.projection)
+    unread = _UNPROJECTED.get(projection)
+    if unread in d:
+        raise ValueError(f"{where}.{unread}: a {projection} projection does not read it")
+    geometry = geometry_from_dict(d, where, **config_kwargs(d, _ORIENTATION_KEYS))
+    return _build(DesignSpec, d, _DESIGN_KEYS, where, geometry=geometry)
 
 
 def _resolve(path, out_dir):
@@ -371,6 +432,11 @@ def cmd_simulate(args, config, sim):
     if not sim.get("phi0_rad") and "trace" not in sim:
         raise ValueError("config.simulate: no phi0_rad grid and no trace, "
                          "so nothing is simulated")
+    grids = sim.get("phi0_rad", {})
+    runs = {f"{kind} counts" for kind in grids}
+    if "trace" in sim:
+        runs.add("trace")
+    _refuse_unread(config, _SIMULATE_READERS, runs, "simulated")
     geom = geometry_from_dict(config.get("geometry", {}), "config.geometry")
     schedule = _build(SwitchSchedule, config.get("schedule", {}),
                       _SCHEDULE_KEYS, "config.schedule")
@@ -380,14 +446,8 @@ def cmd_simulate(args, config, sim):
                    "config.noise")
     opts = config_kwargs(sim, _SIMULATE_KEYS)
     true_omega = opts.pop("true_omega", OMEGA_EARTH)
-    thetas = opts.pop("theta_list", [geom.frame_angle])
-
-    grids = sim.get("phi0_rad", {})
-    for key in _PER_KIND_KEYS:
-        for kind in sim.get(key, {}):
-            if kind not in grids:
-                raise ValueError(f"config.simulate.{key}.{kind}: no "
-                                 f"simulate.phi0_rad.{kind} grid, so nothing reads it")
+    # a frame angle left out is 0, the loop normal along the rotation axis
+    thetas = opts.pop("theta_list", [0.0])
 
     root = np.random.SeedSequence(args.seed)
     outputs, lines = {}, []
@@ -407,7 +467,7 @@ def cmd_simulate(args, config, sim):
     trace_cfg = sim.get("trace")
     if trace_cfg is not None:
         trace_opts = config_kwargs(trace_cfg, _TRACE_KEYS)
-        t_geom = replace(geom, frame_angle=trace_opts.get("frame_angle", geom.frame_angle))
+        t_geom = replace(geom, frame_angle=trace_opts.get("frame_angle", 0.0))
         with _named("config.simulate.trace"):
             trace = simulate_polarimeter(
                 t_geom, true_omega, trace_opts.get("total_time", 600.0),
@@ -448,6 +508,8 @@ def cmd_fit(args, config, fit_cfg):
             and "calibration" not in fit_cfg:
         raise ValueError("config.fit: no counts, trace or calibration, "
                          "so nothing is fitted")
+    _refuse_unread(config, _FIT_READERS,
+                   {"counts"} if fit_cfg.get("counts") else set(), "fitted")
     # checked here, not left to the callees: --fast replaces a sample count
     # unread, and a count-data error of the bootstrap names its CSV, not a
     # config block
@@ -558,6 +620,8 @@ _DESIGN_COLUMNS = ("name", "shape", "fiber_length_m", "perimeter_m", "turns",
 
 
 def cmd_design(args, config, design_cfg):
+    from .sensedesign import landscape, optimize_gfring, rotation_resolution
+
     if not design_cfg.get("specs"):
         if not args.optimize_gfring:
             raise ValueError("config.design: no specs and no --optimize-gfring, "

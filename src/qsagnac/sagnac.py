@@ -10,7 +10,8 @@ The scale factor S = 8 pi A / (lambda c) converts rotation rate to phase.
 
 Every stage imports this module, and it loads no numpy, so it also holds
 what the CLI needs without importing the stages: the exit-3 errors of the
-estimation pipeline and new_file, through which every output is written.
+estimation pipeline and of the design optimizer, and new_file, through
+which every output is written.
 """
 
 import math
@@ -30,6 +31,10 @@ class DegenerateDesignError(ValueError):
 
 class UndefinedRatioError(ValueError):
     """Denominator consistent with zero; the ratio carries no information."""
+
+
+class InfeasibleDesignError(ValueError):
+    """No design inside the search bounds reaches the requested target."""
 
 
 @contextmanager

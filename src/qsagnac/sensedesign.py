@@ -10,13 +10,8 @@ rate resolution.
 import math
 from dataclasses import dataclass, field
 
-from .sagnac import (OMEGA_EARTH, OMEGA_GR, InterferometerGeometry,
-                     scale_factor, transmission)
-
-
-class InfeasibleDesignError(ValueError):
-    """No design inside the search bounds reaches the requested target."""
-
+from .sagnac import (OMEGA_EARTH, OMEGA_GR, InfeasibleDesignError,
+                     InterferometerGeometry, scale_factor, transmission)
 
 PROJECTIONS = ("cos_frame_angle", "sin_latitude")
 

@@ -36,9 +36,10 @@ SIM = FIG2["simulate"]
 OMEGA_E = SIM["true_omega_rad_s"]
 PHI0_NOON = SIM["phi0_rad"]["noon"]
 PHI0_SINGLE = SIM["phi0_rad"]["single"]
-# the paper's 715 m^2 loop at the recipe's 2.5 deg frame angle, and at zero
-GEOM_25 = geometry_from_dict(FIG2["geometry"], "fig2 geometry")
-GEOM = replace(GEOM_25, frame_angle=0.0)
+# the paper's 715 m^2 loop at zero frame angle, and at the recipe's one
+# frame angle of 2.5 deg
+GEOM = geometry_from_dict(FIG2["geometry"], "fig2 geometry")
+GEOM_25 = replace(GEOM, frame_angle=math.radians(SIM["theta_deg"][0]))
 # the one-photon rotation phase of the tilted loop, the truth of the estimators
 PHI_S_25 = scale_factor(GEOM) * OMEGA_E * math.cos(GEOM_25.frame_angle)
 

@@ -140,6 +140,16 @@ def test_simulate_leaves_analysis_out(tmp_path):
     assert (tmp_path / "counts_noon.csv").exists()
 
 
+def test_simulate_and_fit_leave_sensedesign_out(tmp_path):
+    """The design stage loads in design alone."""
+    code = RUN_MAIN + "print('qsagnac.sensedesign' in sys.modules)\n"
+    for command in (["simulate"], ["fit", "--fast"]):
+        out = fresh_python("-c", code, "0", *command, "--config", recipe("fig4_cw"),
+                           "--out", str(tmp_path))
+        assert out.stdout.splitlines()[-2:] == ["0", "False"]
+    assert (tmp_path / "fit_report.json").exists()
+
+
 def test_fit_fig2_fast(tmp_path, capsys):
     out = str(tmp_path)
     main(["simulate", "--config", recipe("fig2"), "--out", out])
@@ -266,7 +276,7 @@ def test_programming_error_is_raised_not_reported_as_bad_input(tmp_path, monkeyp
     def broken(spec):
         raise TypeError("broken(): a bug, not bad input")
 
-    monkeypatch.setattr("qsagnac.cli.rotation_resolution", broken)
+    monkeypatch.setattr("qsagnac.sensedesign.rotation_resolution", broken)
     with pytest.raises(TypeError, match="a bug, not bad input"):
         main(["design", "--config", recipe("table3"), "--out", str(tmp_path / "run")])
 
@@ -277,8 +287,9 @@ LEFT_OUT = object()
 def edited(config, edits):
     """config, or recipe config by name, with each dotted key path of edits set.
 
-    A number in a key path indexes a list (design.specs.1.turns); the value
-    LEFT_OUT removes the key.
+    A number in a key path indexes a list (design.specs.1.turns), and a
+    block on the path that config lacks is added; the value LEFT_OUT
+    removes the key.
     """
     if isinstance(config, str):
         config = json.loads(Path(recipe(config)).read_text())
@@ -286,7 +297,8 @@ def edited(config, edits):
         *parents, key = key_path.split(".")
         block = config
         for parent in parents:
-            block = block[int(parent) if isinstance(block, list) else parent]
+            block = (block[int(parent)] if isinstance(block, list)
+                     else block.setdefault(parent, {}))
         if value is LEFT_OUT:
             del block[key]
         else:
@@ -506,11 +518,56 @@ _BAD_CONFIGS = {
         "config.simulate: unknown key(s) kinds"),
     # a kind with no phi0_rad grid is not simulated, so its other keys are unread
     "test_per_kind_key_without_a_grid_exits_2": {key: (
-        "fig2", "simulate", {f"simulate.{other}.single": LEFT_OUT for other in (
+        "fig2", "simulate", {**{f"simulate.{other}.single": LEFT_OUT for other in (
             "phi0_rad", "duration_s", "visibility", "base_phase_rad") if other != key},
-        2, f"config.simulate.{key}.single: no simulate.phi0_rad.single grid, "
+            **({"simulate.channel_asymmetry.single": 0.1} if key == "channel_asymmetry"
+               else {})},
+        2, f"config.simulate.{key}.single: no single counts simulated, "
            "so nothing reads it")
-        for key in ("duration_s", "visibility", "base_phase_rad")},
+        for key in ("duration_s", "visibility", "base_phase_rad", "channel_asymmetry")},
+    # a key that only runs the config does not ask for read: the loop's
+    # geometry carries no angle, the counts and the trace read keys of their
+    # own, and a spec's projection reads one orientation key
+    "test_key_that_no_run_reads_exits_2": {
+        **{f"{name} {path}": (name, "simulate", {path: value}, 2,
+                              f"config.{path}: no {runs} simulated, so nothing reads it")
+           for name, path, value, runs in (
+               ("fig2", "noise.polarimeter_sigma_rad", 0.01, "trace"),
+               ("fig2", "noise.leakage_fraction", 0.2, "trace"),
+               ("fig2", "rates.cw_sample_rate_hz", 50.0, "trace"),
+               ("fig4_cw", "noise.dark_rate_hz", 1000.0, "noon counts or single counts"),
+               ("fig4_cw", "noise.motor_sigma_rad", 0.01, "noon counts or single counts"),
+               ("fig4_cw", "noise.walk_sigma_rad", 0.01, "noon counts or single counts"),
+               ("fig4_cw", "simulate.sample_poisson", False, "noon counts or single counts"),
+               ("fig4_cw", "simulate.theta_deg", [2.5], "noon counts or single counts"),
+               ("fig4_cw", "rates.pair_rate_detected_hz", 1.0, "noon counts"))},
+        **{f"fig2 geometry.{key}": ("fig2", "simulate", {f"geometry.{key}": 40.0}, 2,
+                                    f"config.geometry: unknown key(s) {key}")
+           for key in ("frame_angle_deg", "latitude_deg")},
+        "fig2 without noon rates.pair_rate_detected_hz": (
+            "fig2", "simulate", {**{f"simulate.{key}.noon": LEFT_OUT for key in (
+                "phi0_rad", "duration_s", "visibility", "base_phase_rad")},
+                "rates.pair_rate_detected_hz": 1.0}, 2,
+            "config.rates.pair_rate_detected_hz: no noon counts simulated, "
+            "so nothing reads it"),
+        **{f"fig4_cw fit.{key}": ("fig4_cw", "fit --fast", {f"fit.{key}": value}, 2,
+                                  f"config.fit.{key}: no counts fitted, so nothing reads it")
+           for key, value in (("mc_samples", 1000), ("motor_sigma_rad", 0.0024),
+                              ("scale_factor_s", 38.8))},
+        "spec latitude under cos_frame_angle": (
+            "table3", "design", {"design.specs.0.latitude_deg": 48.2}, 2,
+            "config.design.specs[0].latitude_deg: a cos_frame_angle projection "
+            "does not read it"),
+        "spec latitude under the default projection": (
+            "fig5", "design", {"design.specs.1.projection": LEFT_OUT,
+                               "design.specs.1.latitude_deg": 48.2}, 2,
+            "config.design.specs[1].latitude_deg: a cos_frame_angle projection "
+            "does not read it"),
+        "spec frame angle under sin_latitude": (
+            "fig5", "design", {"design.specs.4.frame_angle_deg": 0.0}, 2,
+            "config.design.specs[4].frame_angle_deg: a sin_latitude projection "
+            "does not read it"),
+    },
     "test_unknown_config_key_exits_2": {
         # a typo such as fit.mc_sample would otherwise run the 100k default
         "fit": ("fig2", "fit", {"fit.mc_sample": 5}, 2, "config.fit: unknown key(s) mc_sample"),
@@ -626,7 +683,7 @@ _BAD_CONFIGS = {
         # the noon counts do not read it, so it would change nothing
         "channel asymmetry of noon": (
             "fig2", "simulate", {"simulate.channel_asymmetry": {"noon": 0.4}}, 2,
-            "config.simulate (noon): channel asymmetry is read by the single kind only"),
+            "config.simulate.channel_asymmetry: unknown key(s) noon"),
         "frequency zero": ("fig2", "simulate", {"schedule.frequency_hz": 0}, 2,
                            "config.schedule: switch frequency must be positive"),
         # zero turns and a zero perimeter divided by zero, with a traceback
@@ -887,39 +944,73 @@ def _shortened(value, path):
         yield path, value[:1]
 
 
-# (recipe, command line): simulate and fit --fast of the count and trace
-# recipes, fit --fast of the angle sweep, design of both design recipes
-_SWEPT_RUNS = [("fig2", "simulate"), ("fig2", "fit --fast"),
-               ("fig4_cw", "simulate"), ("fig4_cw", "fit --fast"),
-               ("fig3_tables12", "fit --fast"),
-               ("table3", "design --optimize-gfring"), ("fig5", "design")]
+def _swept_leaves(schema, path=()):
+    """The key path of each leaf _boundary_values sweeps in a config of
+    schema, with "*" for a list index."""
+    if isinstance(schema, tuple):
+        if isinstance(schema[1], list) or schema[1] not in (bool, str):
+            yield path
+    elif isinstance(schema, dict):
+        for key, item in schema.items():
+            yield from _swept_leaves(item, path + (key,))
+    else:
+        yield path
+        yield from _swept_leaves(schema[0], path + ("*",))
+
+
+_RUN_KEYS = ("schema_version", "seed")
+# (recipe, command line, edits that add leaves the recipe lacks, the key
+# paths swept): simulate of the count and trace recipes, each with the
+# rates and noise its path reads, and of a circular loop; fit --fast of
+# the count, trace and angle-sweep recipes; design of both design recipes.
+# Each leaf is swept only on a run that reads it: a one-angle fit and a
+# trace fit use no scale factor, and only a trace fit reads the schedule.
+_SWEPT_RUNS = [
+    ("fig2", "simulate", {
+        "rates.pair_rate_detected_hz": 4000.0, "rates.heralded_single_rate_hz": 20000.0,
+        "rates.coincidence_window_s": 3.75e-9, "noise.dark_rate_hz": 300.0,
+        "noise.motor_sigma_rad": 2.4e-3, "noise.drift_rate_rad_s": 0.0,
+        "noise.walk_sigma_rad": 0.0, "simulate.channel_asymmetry.single": 0.0},
+     (*_RUN_KEYS, "geometry", "schedule", "rates", "noise", "simulate")),
+    ("fig2", "simulate", _SHAPES["circular"], ("geometry",)),
+    ("fig2", "fit --fast", {}, (*_RUN_KEYS, "fit")),
+    ("fig4_cw", "simulate", {
+        "rates.cw_sample_rate_hz": 20.0, "noise.drift_rate_rad_s": 0.0,
+        "noise.polarimeter_sigma_rad": 2e-4, "noise.leakage_fraction": 0.1},
+     (*_RUN_KEYS, "geometry", "schedule", "rates", "noise", "simulate")),
+    ("fig4_cw", "fit --fast", {}, (*_RUN_KEYS, "schedule", "fit")),
+    ("fig3_tables12", "fit --fast", {}, (*_RUN_KEYS, "geometry", "fit")),
+    ("fig3_tables12", "fit --fast", {"fit.scale_factor_s": 38.8}, ("fit.scale_factor_s",)),
+    ("table3", "design --optimize-gfring", {}, ("schema_version", "design")),
+    ("fig5", "design", {}, ("schema_version", "design")),
+]
 
 
 def test_boundary_values_of_every_schema_leaf(tmp_path, capsys, simulated):
-    """Each numeric leaf of a recipe at 0 and -1, and each list leaf at []
+    """Each numeric leaf of a config at 0 and -1, and each list leaf at []
     and at its first item, exits 0, 2 or 3 as _judge holds it to, a failed
     run naming a config path, the config file or a data file.
 
-    The sweep reads the leaves from _CONFIG_KEYS, so a key added to the
-    schema is swept too.  Leaves of another command's section are left
-    alone, and a fit reads the counts and trace of one unmutated simulate
-    run by absolute path.
+    The sweep reads the leaves from _CONFIG_KEYS and must reach each of
+    them on a run of _SWEPT_RUNS, so a key added to the schema fails it
+    until a run that reads the key is given one.  A fit reads the counts
+    and trace of one unmutated simulate run by absolute path.
     """
-    findings, n = [], 0
-    for name, command_line in _SWEPT_RUNS:
+    findings, n, reached = [], 0, set()
+    for name, command_line, edits, swept in _SWEPT_RUNS:
         argv = command_line.split()
-        base = json.loads(Path(recipe(name)).read_text())
+        base = edited(name, edits)
         fit = base.get("fit", {})
         for kind, path in fit.get("counts", {}).items():
             fit["counts"][kind] = str(simulated / name / path)
         if "trace" in fit:
             fit["trace"] = str(simulated / name / fit["trace"])
-        others = {"simulate", "fit", "design"} - {argv[0]}
         for path, value in _boundary_values(base, _CONFIG_KEYS):
-            if path[0] in others:
+            key_path = ".".join(map(str, path))
+            if not any(key_path == p or key_path.startswith(p + ".") for p in swept):
                 continue
             n += 1
-            key_path = ".".join(map(str, path))
+            reached.add(tuple("*" if isinstance(p, int) else p for p in path))
             # each config to a path of its own: rewriting one file in place
             # waits on the file system
             cfg = write_config(tmp_path, edited(json.loads(json.dumps(base)),
@@ -928,7 +1019,7 @@ def test_boundary_values_of_every_schema_leaf(tmp_path, capsys, simulated):
             findings += [f"{case}: {breach}" for breach in _judge(
                 capsys, argv + ["--config", cfg, "--out", str(tmp_path / f"out{n}")],
                 None, ("config.", cfg, str(simulated)), collect=True)]
-    assert n > 100
+    assert set(_swept_leaves(_CONFIG_KEYS)) - reached == set()
     assert findings == []
 
 
