@@ -8,8 +8,9 @@ configures, naming by its path a required key left out or a value the
 callee rejects.  A config gives each angle once: the loop's geometry
 carries none, simulate takes its frame angles from the simulate block,
 and a design spec gives only the orientation key its projection reads.
-A key that only some runs of simulate or fit read, named in
-_SIMULATE_READERS and _FIT_READERS, exits 2 when none of them runs.
+A key that only some runs read, named in _SIMULATE_READERS,
+_FIT_READERS, _SHAPE_READERS (a loop shape) and _PROJECTION_READERS (a
+design spec's projection), exits 2 when none of them runs.
 Each command computes its products and returns them as
 {file name: writer}, with its stdout summary as a list of lines; main
 then writes them into --out, the manifest last, and only then prints the
@@ -228,10 +229,6 @@ _TRACE_KEYS = {
     "theta_deg": ("frame_angle", from_degrees),
     "total_time_s": ("total_time", float),
 }
-_FIT_KEYS = {
-    "scale_factor_s": ("scale_factor_s", float),
-    "trace": ("trace", str),
-}
 _MC_KEYS = {
     "mc_samples": ("n_samples", int),
     "motor_sigma_rad": ("motor_sigma", float),
@@ -276,16 +273,17 @@ _CONFIG_KEYS = {
                     for key, entry in _PER_KIND_KEYS.items()},
                  # the gain imbalance of the heralded ports, which noon has not
                  "channel_asymmetry": {"single": _PER_KIND_KEYS["channel_asymmetry"]}},
-    "fit": {**_FIT_KEYS, **_MC_KEYS, "calibration": _CALIBRATION_KEYS,
+    "fit": {"trace": ("trace", str), **_MC_KEYS, "calibration": _CALIBRATION_KEYS,
             "counts": dict.fromkeys(KINDS, ("counts", str))},
     "design": {"landscape": ("landscape", bool), "gfring": _GFRING_KEYS,
                "specs": [{**_GEOMETRY_KEYS, **_ORIENTATION_KEYS, **_DESIGN_KEYS}]},
 }
 
 # key path -> the runs that read it, for each key that some run of its
-# command does not read: simulate runs the counts of each kind phi0_rad
-# gives a grid for and a trace if it has a trace block, and fit's bootstrap
-# and angle sweep run on fit.counts
+# block does not read: simulate runs the counts of each kind phi0_rad
+# gives a grid for and a trace if it has a trace block, fit's bootstrap
+# and angle sweep run on fit.counts, a geometry is one loop shape and a
+# design spec one projection
 _COUNTS = tuple(f"{kind} counts" for kind in KINDS)
 _SIMULATE_READERS = {
     "rates.pair_rate_detected_hz": ("noon counts",),
@@ -302,21 +300,24 @@ _SIMULATE_READERS = {
     **{f"simulate.{key}.{kind}": (f"{kind} counts",)
        for key in _PER_KIND_KEYS for kind in _CONFIG_KEYS["simulate"][key]},
 }
-_FIT_READERS = {f"fit.{key}": ("counts",) for key in (*_MC_KEYS, "scale_factor_s")}
+_FIT_READERS = {f"fit.{key}": ("fit.counts",) for key in _MC_KEYS}
+_SHAPE_READERS = {"turns": ("square loop",), "perimeter_m": ("circular loop",)}
+_PROJECTION_READERS = {"frame_angle_deg": ("cos_frame_angle projection",),
+                       "latitude_deg": ("sin_latitude projection",)}
 
 
-def _refuse_unread(config, readers, runs, verb):
-    """Raise ValueError naming the first key path of readers that config
-    gives and that none of runs reads: "config.rates.cw_sample_rate_hz: no
-    trace simulated, so nothing reads it"."""
+def _refuse_unread(block, where, readers, runs):
+    """Raise ValueError naming the first key path of readers, below block
+    at where, that block gives and that none of runs reads:
+    "config.rates.cw_sample_rate_hz: read only by trace; this run has none"."""
     for path, names in readers.items():
-        *blocks, key = path.split(".")
-        block = config
-        for name in blocks:
-            block = block.get(name, {})
-        if key in block and runs.isdisjoint(names):
-            raise ValueError(f"config.{path}: no {' or '.join(names)} {verb}, "
-                             "so nothing reads it")
+        *parents, key = path.split(".")
+        inner = block
+        for name in parents:
+            inner = inner.get(name, {})
+        if key in inner and runs.isdisjoint(names):
+            raise ValueError(f"{where}.{path}: read only by {' or '.join(names)}; "
+                             "this run has none")
 
 
 def geometry_from_dict(d, where, **orientation):
@@ -327,20 +328,12 @@ def geometry_from_dict(d, where, **orientation):
     latitude in radians, is passed on; the loop keys carry no angle.
     """
     shape = d.get("shape", "square")
-    if shape == "square":
-        build, other = InterferometerGeometry.square, "perimeter_m"
-    elif shape == "circular":
-        build, other = InterferometerGeometry.circular, "turns"
-    else:
+    if shape not in ("square", "circular"):
         raise ValueError(f"{where}.shape: unknown loop shape {shape!r}")
-    if other in d:
-        raise ValueError(f"{where}.{other}: a {shape} loop does not read it")
-    return _build(build, {k: v for k, v in d.items() if k != "shape"},
+    _refuse_unread(d, where, _SHAPE_READERS, {f"{shape} loop"})
+    return _build(getattr(InterferometerGeometry, shape),
+                  {k: v for k, v in d.items() if k != "shape"},
                   _GEOMETRY_KEYS, where, **orientation)
-
-
-# a design's projection -> the orientation key it does not read
-_UNPROJECTED = {"cos_frame_angle": "latitude_deg", "sin_latitude": "frame_angle_deg"}
 
 
 def design_from_dict(d, where="design spec"):
@@ -351,12 +344,12 @@ def design_from_dict(d, where="design spec"):
     """
     from .sensedesign import DesignSpec
 
-    projection = d.get("projection", DesignSpec.projection)
-    unread = _UNPROJECTED.get(projection)
-    if unread in d:
-        raise ValueError(f"{where}.{unread}: a {projection} projection does not read it")
     geometry = geometry_from_dict(d, where, **config_kwargs(d, _ORIENTATION_KEYS))
-    return _build(DesignSpec, d, _DESIGN_KEYS, where, geometry=geometry)
+    # refused once DesignSpec has checked the projection, so an unknown one
+    # is named as such
+    spec = _build(DesignSpec, d, _DESIGN_KEYS, where, geometry=geometry)
+    _refuse_unread(d, where, _PROJECTION_READERS, {f"{spec.projection} projection"})
+    return spec
 
 
 def _resolve(path, out_dir):
@@ -436,7 +429,7 @@ def cmd_simulate(args, config, sim):
     runs = {f"{kind} counts" for kind in grids}
     if "trace" in sim:
         runs.add("trace")
-    _refuse_unread(config, _SIMULATE_READERS, runs, "simulated")
+    _refuse_unread(config, "config", _SIMULATE_READERS, runs)
     geom = geometry_from_dict(config.get("geometry", {}), "config.geometry")
     schedule = _build(SwitchSchedule, config.get("schedule", {}),
                       _SCHEDULE_KEYS, "config.schedule")
@@ -508,8 +501,8 @@ def cmd_fit(args, config, fit_cfg):
             and "calibration" not in fit_cfg:
         raise ValueError("config.fit: no counts, trace or calibration, "
                          "so nothing is fitted")
-    _refuse_unread(config, _FIT_READERS,
-                   {"counts"} if fit_cfg.get("counts") else set(), "fitted")
+    _refuse_unread(config, "config", _FIT_READERS,
+                   {"fit.counts"} if fit_cfg.get("counts") else set())
     # checked here, not left to the callees: --fast replaces a sample count
     # unread, and a count-data error of the bootstrap names its CSV, not a
     # config block
@@ -518,20 +511,14 @@ def cmd_fit(args, config, fit_cfg):
         if block.get("mc_samples", 2) < 2:
             raise ValueError(f"{where}: mc_samples {block['mc_samples']}, "
                              "need at least two resamples")
-    if fit_cfg.get("scale_factor_s", 1.0) <= 0.0:
-        raise ValueError(f"config.fit: scale_factor_s {fit_cfg['scale_factor_s']} "
-                         "is not positive")
     if fit_cfg.get("motor_sigma_rad", 0.0) < 0.0:
         raise ValueError(f"config.fit: motor_sigma_rad {fit_cfg['motor_sigma_rad']} "
                          "is negative")
     fast = {"n_samples": _FAST_SAMPLES} if args.fast else {}
     mc_opts = {**config_kwargs(fit_cfg, _MC_KEYS), **fast}
-    opts = config_kwargs(fit_cfg, _FIT_KEYS)
-
-    scale = opts.get("scale_factor_s")
-    geom_cfg = config.get("geometry")
-    if scale is None and geom_cfg:
-        scale = scale_factor(geometry_from_dict(geom_cfg, "config.geometry"))
+    # checked whenever given, as simulate does, though only a sweep reads it
+    scale = (scale_factor(geometry_from_dict(config["geometry"], "config.geometry"))
+             if "geometry" in config else None)
     root = np.random.SeedSequence(args.seed)
     report = {"seed": args.seed, "kinds": {}}
     outputs, lines = {}, []
@@ -542,6 +529,8 @@ def cmd_fit(args, config, fit_cfg):
         if not records:
             raise ValueError(f"{path}: no count records")
         groups = group_records_by_angle(records)
+        if len(groups) >= 3 and scale is None:
+            raise ValueError("config.fit: angle sweep needs geometry")
         angles = []
         for theta, recs in groups.items():
             with _named(f"{path} (theta = {math.degrees(theta):+.2f} deg)"):
@@ -560,9 +549,6 @@ def cmd_fit(args, config, fit_cfg):
             _TABLE_COLUMNS, [_table_row(angle) for angle in angles])
 
         if len(angles) >= 3:
-            if scale is None:
-                raise ValueError("config.fit: angle sweep needs fit.scale_factor_s "
-                                 "or geometry")
             with _named(path):
                 sweep = fit_angle_sweep(
                     list(groups), [a["earth_phase"].phi_e for a in angles],
@@ -590,7 +576,7 @@ def cmd_fit(args, config, fit_cfg):
         report["enhancement"] = {"value": value, "sigma": sigma}
         lines.append(f"enhancement: {value:.2f} +- {sigma:.2f}")
 
-    trace_path = opts.get("trace")
+    trace_path = fit_cfg.get("trace")
     if trace_path is not None:
         schedule = _build(SwitchSchedule, config.get("schedule", {}),
                           _SCHEDULE_KEYS, "config.schedule")

@@ -153,6 +153,8 @@ def simulate_counts(kind, geom, phi0_list, true_omega, seed, duration_s=1800.0,
     noise = noise or NoiseConfig()
     if not 0.0 <= visibility <= 1.0:
         raise ValueError("visibility must be in [0, 1]")
+    if not -1.0 <= channel_asymmetry <= 1.0:
+        raise ValueError("channel asymmetry must be in [-1, 1]")
 
     children = seed_sequence(seed).spawn(len(phi0_list))
     records = []

@@ -522,15 +522,14 @@ _BAD_CONFIGS = {
             "phi0_rad", "duration_s", "visibility", "base_phase_rad") if other != key},
             **({"simulate.channel_asymmetry.single": 0.1} if key == "channel_asymmetry"
                else {})},
-        2, f"config.simulate.{key}.single: no single counts simulated, "
-           "so nothing reads it")
+        2, f"config.simulate.{key}.single: read only by single counts; this run has none")
         for key in ("duration_s", "visibility", "base_phase_rad", "channel_asymmetry")},
     # a key that only runs the config does not ask for read: the loop's
     # geometry carries no angle, the counts and the trace read keys of their
     # own, and a spec's projection reads one orientation key
     "test_key_that_no_run_reads_exits_2": {
         **{f"{name} {path}": (name, "simulate", {path: value}, 2,
-                              f"config.{path}: no {runs} simulated, so nothing reads it")
+                              f"config.{path}: read only by {runs}; this run has none")
            for name, path, value, runs in (
                ("fig2", "noise.polarimeter_sigma_rad", 0.01, "trace"),
                ("fig2", "noise.leakage_fraction", 0.2, "trace"),
@@ -548,25 +547,28 @@ _BAD_CONFIGS = {
             "fig2", "simulate", {**{f"simulate.{key}.noon": LEFT_OUT for key in (
                 "phi0_rad", "duration_s", "visibility", "base_phase_rad")},
                 "rates.pair_rate_detected_hz": 1.0}, 2,
-            "config.rates.pair_rate_detected_hz: no noon counts simulated, "
-            "so nothing reads it"),
+            "config.rates.pair_rate_detected_hz: read only by noon counts; "
+            "this run has none"),
         **{f"fig4_cw fit.{key}": ("fig4_cw", "fit --fast", {f"fit.{key}": value}, 2,
-                                  f"config.fit.{key}: no counts fitted, so nothing reads it")
-           for key, value in (("mc_samples", 1000), ("motor_sigma_rad", 0.0024),
-                              ("scale_factor_s", 38.8))},
+                                  f"config.fit.{key}: read only by fit.counts; "
+                                  "this run has none")
+           for key, value in (("mc_samples", 1000), ("motor_sigma_rad", 0.0024))},
+        # the geometry is the one source of the scale factor
+        "fig4_cw fit.scale_factor_s": ("fig4_cw", "fit --fast", {"fit.scale_factor_s": 38.8},
+                                       2, "config.fit: unknown key(s) scale_factor_s"),
         "spec latitude under cos_frame_angle": (
             "table3", "design", {"design.specs.0.latitude_deg": 48.2}, 2,
-            "config.design.specs[0].latitude_deg: a cos_frame_angle projection "
-            "does not read it"),
+            "config.design.specs[0].latitude_deg: read only by sin_latitude projection; "
+            "this run has none"),
         "spec latitude under the default projection": (
             "fig5", "design", {"design.specs.1.projection": LEFT_OUT,
                                "design.specs.1.latitude_deg": 48.2}, 2,
-            "config.design.specs[1].latitude_deg: a cos_frame_angle projection "
-            "does not read it"),
+            "config.design.specs[1].latitude_deg: read only by sin_latitude projection; "
+            "this run has none"),
         "spec frame angle under sin_latitude": (
             "fig5", "design", {"design.specs.4.frame_angle_deg": 0.0}, 2,
-            "config.design.specs[4].frame_angle_deg: a sin_latitude projection "
-            "does not read it"),
+            "config.design.specs[4].frame_angle_deg: read only by cos_frame_angle "
+            "projection; this run has none"),
     },
     "test_unknown_config_key_exits_2": {
         # a typo such as fit.mc_sample would otherwise run the 100k default
@@ -686,10 +688,12 @@ _BAD_CONFIGS = {
             "config.simulate.channel_asymmetry: unknown key(s) noon"),
         "frequency zero": ("fig2", "simulate", {"schedule.frequency_hz": 0}, 2,
                            "config.schedule: switch frequency must be positive"),
-        # zero turns and a zero perimeter divided by zero, with a traceback
-        **{f"turns zero under {command}": ("fig2", command, {"geometry.turns": 0}, 2,
-                                           "config.geometry: need at least one turn")
-           for command in ("simulate", "fit")},
+        # zero turns and a zero perimeter divided by zero, with a traceback;
+        # fit checks a geometry whenever it is given, as simulate does
+        **{f"turns zero under {command}{case}": (name, command, {"geometry.turns": 0}, 2,
+                                                 "config.geometry: need at least one turn")
+           for name, command, case in (("fig2", "simulate", ""), ("fig2", "fit", ""),
+                                       ("fig3_tables12", "fit", " of an angle sweep"))},
         "circular perimeter zero": ("fig2", "simulate", {"geometry": {
             "shape": "circular", "fiber_length_m": 2000.0, "perimeter_m": 0}}, 2,
             "config.geometry: perimeter must be positive"),
@@ -697,6 +701,9 @@ _BAD_CONFIGS = {
                           "config.geometry.shape: unknown loop shape 'hexagonal'"),
         "spec shape unknown": ("table3", "design", {"design.specs.2.shape": "hexagonal"},
                                2, "config.design.specs[2].shape: unknown loop shape"),
+        # named as unknown, not as a projection that leaves frame_angle_deg unread
+        "spec projection unknown": ("table3", "design", {"design.specs.0.projection": "cos"},
+                                    2, "config.design.specs[0]: unknown projection 'cos'"),
         # a zero rate wrote S = Infinity into fit_report.json
         "calibration zero rate": ("fig4_cw", "fit", {"fit": {"calibration": {
             "omega_earth_rad_s": 0, "angles_deg": [-90.0, -45.0, 0.0],
@@ -710,8 +717,15 @@ _BAD_CONFIGS = {
         "trace total time zero": ("fig4_cw", "simulate", {"simulate.trace.total_time_s": 0},
                                   2, "config.simulate.trace: trace must cover at least "
                                   "ten switch periods"),
+        # the scale factor is the geometry's alone
         "scale factor zero": ("fig3_tables12", "fit", {"fit.scale_factor_s": 0}, 2,
-                              "config.fit: scale_factor_s 0 is not positive"),
+                              "config.fit: unknown key(s) scale_factor_s"),
+        # a port of a gain imbalance beyond one had a negative rate
+        **{f"channel asymmetry beyond one, sample_poisson {poisson}": (
+            "fig2", "simulate", {"simulate.channel_asymmetry.single": 1.5,
+                                 "simulate.sample_poisson": poisson}, 2,
+            "config.simulate (single): channel asymmetry must be in [-1, 1]")
+           for poisson in (True, False)},
         # the bootstrap drew no motor offsets for it and reported it as given
         "motor sigma negative under --fast": (
             "fig2", "fit --fast", {"fit.motor_sigma_rad": -1.0}, 2,
@@ -737,10 +751,15 @@ _BAD_CONFIGS = {
         for command in ("simulate", "fit", "design")},
     # a key the shape does not read is an error, not silently dropped
     "test_geometry_key_of_the_other_shape_exits_2": {
-        f"{shape}-{key}-{value}": (
+        **{f"{shape}-{key}-{value}": (
             "fig2", "simulate", {**_SHAPES[shape], f"geometry.{key}": value}, 2,
-            f"config.geometry.{key}: a {shape} loop does not read it")
-        for shape, key, value in (("square", "perimeter_m", 5.0), ("circular", "turns", 7))},
+            f"config.geometry.{key}: read only by {other} loop; this run has none")
+           for shape, key, value, other in (("square", "perimeter_m", 5.0, "circular"),
+                                            ("circular", "turns", 7, "square"))},
+        "spec-square-perimeter_m-5.0": (
+            "table3", "design", {"design.specs.0.perimeter_m": 5.0}, 2,
+            "config.design.specs[0].perimeter_m: read only by circular loop; "
+            "this run has none")},
     # an empty specs list designs nothing unless the optimizer runs
     "test_design_empty_spec_list": ({"schema_version": 1, "design": {"specs": []}}, "design",
                                     {}, 2, "config.design: no specs and no --optimize-gfring"),
@@ -877,6 +896,18 @@ _BAD_DATA = {
 }
 
 
+def test_angle_sweep_without_geometry_exits_2(tmp_path, capsys, simulated):
+    """fit of three or more angles with no geometry has no scale factor for
+    its sweep: it exits 2 before any bootstrap and writes nothing."""
+    config = edited("fig3_tables12", {"geometry": LEFT_OUT})
+    counts = config["fit"]["counts"]
+    for kind, path in counts.items():
+        counts[kind] = str(simulated / "fig3_tables12" / path)
+    _judge(capsys, ["fit", "--fast", "--config", write_config(tmp_path, config),
+                    "--out", str(tmp_path / "run")], 2,
+           "config error: config.fit: angle sweep needs geometry")
+
+
 def _judge_data_row(tmp_path, capsys, simulated, row):
     name, file_name, mutate, code, message = row
     config = edited(name, {})
@@ -980,7 +1011,6 @@ _SWEPT_RUNS = [
      (*_RUN_KEYS, "geometry", "schedule", "rates", "noise", "simulate")),
     ("fig4_cw", "fit --fast", {}, (*_RUN_KEYS, "schedule", "fit")),
     ("fig3_tables12", "fit --fast", {}, (*_RUN_KEYS, "geometry", "fit")),
-    ("fig3_tables12", "fit --fast", {"fit.scale_factor_s": 38.8}, ("fit.scale_factor_s",)),
     ("table3", "design --optimize-gfring", {}, ("schema_version", "design")),
     ("fig5", "design", {}, ("schema_version", "design")),
 ]
