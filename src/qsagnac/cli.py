@@ -7,10 +7,10 @@ keyword arguments, and _build passes them on to what the block
 configures, naming by its path a required key left out or a value the
 callee rejects.  A config gives each angle once: the loop's geometry
 carries none, simulate takes its frame angles from the simulate block,
-and a design spec gives only the orientation key its projection reads.
-A key that only some runs read, named in _SIMULATE_READERS,
-_FIT_READERS, _SHAPE_READERS (a loop shape) and _PROJECTION_READERS (a
-design spec's projection), exits 2 when none of them runs.
+and a design spec its one orientation key, whose name picks the
+projection.  A key that only some runs read, named in _SIMULATE_READERS,
+_FIT_READERS and _SHAPE_READERS (a loop shape), exits 2 when none of
+them runs.
 Each command computes its products and returns them as
 {file name: writer}, with its stdout summary as a list of lines; main
 then writes them into --out, the manifest last, and only then prints the
@@ -186,12 +186,6 @@ _GEOMETRY_KEYS = {
     "wavelength_m": ("wavelength", float),
     "effective_area_m2": ("effective_area", float),
 }
-# a design spec's orientation, of which its projection reads one; simulate
-# takes its angles from simulate.theta_deg and simulate.trace.theta_deg
-_ORIENTATION_KEYS = {
-    "frame_angle_deg": ("frame_angle", from_degrees),
-    "latitude_deg": ("latitude", from_degrees),
-}
 _SCHEDULE_KEYS = {
     "frequency_hz": ("frequency", float),
     "duty": ("duty", float),
@@ -246,7 +240,9 @@ _DESIGN_KEYS = {
     "pair_rate_in_hz": ("pair_rate_in", float),
     "integration_time_s": ("integration_time", float),
     "photons_per_probe": ("photons_per_probe", int),
-    "projection": ("projection", str),
+    # the spec's orientation: one of the two, which picks its projection
+    "frame_angle_deg": ("frame_angle", from_degrees),
+    "latitude_deg": ("latitude", from_degrees),
     "measured_delta_phi_rad": ("measured_delta_phi", float),
 }
 _GFRING_KEYS = {
@@ -276,14 +272,13 @@ _CONFIG_KEYS = {
     "fit": {"trace": ("trace", str), **_MC_KEYS, "calibration": _CALIBRATION_KEYS,
             "counts": dict.fromkeys(KINDS, ("counts", str))},
     "design": {"landscape": ("landscape", bool), "gfring": _GFRING_KEYS,
-               "specs": [{**_GEOMETRY_KEYS, **_ORIENTATION_KEYS, **_DESIGN_KEYS}]},
+               "specs": [{**_GEOMETRY_KEYS, **_DESIGN_KEYS}]},
 }
 
 # key path -> the runs that read it, for each key that some run of its
 # block does not read: simulate runs the counts of each kind phi0_rad
 # gives a grid for and a trace if it has a trace block, fit's bootstrap
-# and angle sweep run on fit.counts, a geometry is one loop shape and a
-# design spec one projection
+# and angle sweep run on fit.counts, and a geometry is one loop shape
 _COUNTS = tuple(f"{kind} counts" for kind in KINDS)
 _SIMULATE_READERS = {
     "rates.pair_rate_detected_hz": ("noon counts",),
@@ -302,8 +297,6 @@ _SIMULATE_READERS = {
 }
 _FIT_READERS = {f"fit.{key}": ("fit.counts",) for key in _MC_KEYS}
 _SHAPE_READERS = {"turns": ("square loop",), "perimeter_m": ("circular loop",)}
-_PROJECTION_READERS = {"frame_angle_deg": ("cos_frame_angle projection",),
-                       "latitude_deg": ("sin_latitude projection",)}
 
 
 def _refuse_unread(block, where, readers, runs):
@@ -320,12 +313,11 @@ def _refuse_unread(block, where, readers, runs):
                              "this run has none")
 
 
-def geometry_from_dict(d, where, **orientation):
+def geometry_from_dict(d, where):
     """InterferometerGeometry from its JSON form; `shape` defaults to square.
 
     A square loop takes `turns` and a circular one `perimeter_m`; the other
-    shape's key is an error, not ignored.  orientation, frame_angle or
-    latitude in radians, is passed on; the loop keys carry no angle.
+    shape's key is an error, not ignored.  The loop keys carry no angle.
     """
     shape = d.get("shape", "square")
     if shape not in ("square", "circular"):
@@ -333,23 +325,14 @@ def geometry_from_dict(d, where, **orientation):
     _refuse_unread(d, where, _SHAPE_READERS, {f"{shape} loop"})
     return _build(getattr(InterferometerGeometry, shape),
                   {k: v for k, v in d.items() if k != "shape"},
-                  _GEOMETRY_KEYS, where, **orientation)
+                  _GEOMETRY_KEYS, where)
 
 
 def design_from_dict(d, where="design spec"):
-    """DesignSpec from its JSON form: geometry, orientation and design keys.
-
-    The orientation key that the spec's projection does not read is an
-    error, not ignored.
-    """
+    """DesignSpec from its JSON form: the geometry keys and the design keys."""
     from .sensedesign import DesignSpec
 
-    geometry = geometry_from_dict(d, where, **config_kwargs(d, _ORIENTATION_KEYS))
-    # refused once DesignSpec has checked the projection, so an unknown one
-    # is named as such
-    spec = _build(DesignSpec, d, _DESIGN_KEYS, where, geometry=geometry)
-    _refuse_unread(d, where, _PROJECTION_READERS, {f"{spec.projection} projection"})
-    return spec
+    return _build(DesignSpec, d, _DESIGN_KEYS, where, geometry=geometry_from_dict(d, where))
 
 
 def _resolve(path, out_dir):

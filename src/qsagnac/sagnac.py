@@ -83,9 +83,8 @@ class InterferometerGeometry:
     frame of side L_f / (4 n_t) enclose A = (1/n_t) (L_f/4)^2; n_t circular
     turns of perimeter P enclose A = n_t pi (P / 2 pi)^2.
 
-    frame_angle is the angle between the loop normal and the rotation axis
-    (projection cos); latitude applies to surface-parallel loops whose
-    projection is sin(latitude).  Angles in radians, lengths in meters.
+    frame_angle, in radians, is the angle between the loop normal and the
+    rotation axis; a design spec carries its own orientation.  Lengths in meters.
     """
 
     shape: str
@@ -94,7 +93,6 @@ class InterferometerGeometry:
     turns: int
     effective_area: float
     frame_angle: float = 0.0
-    latitude: float = 0.0
     wavelength: float = 1550e-9
 
     def __post_init__(self):
@@ -112,8 +110,8 @@ class InterferometerGeometry:
                 f"{self.perimeter} m do not add up to {self.fiber_length} m")
 
     @classmethod
-    def square(cls, fiber_length, turns, frame_angle=0.0, latitude=0.0,
-               wavelength=1550e-9, effective_area=None):
+    def square(cls, fiber_length, turns, frame_angle=0.0, wavelength=1550e-9,
+               effective_area=None):
         """Square frame wound with `turns` turns of total fiber length `fiber_length`."""
         if turns < 1:
             raise ValueError("need at least one turn")
@@ -121,10 +119,10 @@ class InterferometerGeometry:
         side = perimeter / 4.0
         area = side * side * turns if effective_area is None else effective_area
         return cls("square", fiber_length, perimeter, turns, area,
-                   frame_angle, latitude, wavelength)
+                   frame_angle, wavelength)
 
     @classmethod
-    def circular(cls, fiber_length, perimeter, frame_angle=0.0, latitude=0.0,
+    def circular(cls, fiber_length, perimeter, frame_angle=0.0,
                  wavelength=1550e-9, effective_area=None):
         """Circular coil of given single-turn perimeter; turn count is rounded."""
         if perimeter <= 0.0:
@@ -133,7 +131,7 @@ class InterferometerGeometry:
         radius = perimeter / (2.0 * math.pi)
         area = turns * math.pi * radius * radius if effective_area is None else effective_area
         return cls("circular", fiber_length, perimeter, turns, area,
-                   frame_angle, latitude, wavelength)
+                   frame_angle, wavelength)
 
 
 def scale_factor(geom):

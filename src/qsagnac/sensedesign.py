@@ -1,10 +1,10 @@
 """Sensitivity of future loop designs and the giant-ring optimizer.
 
-A design is a loop geometry plus source rate, fiber loss, and
-integration time.  Photon pairs surviving the loop at rate R give a
-shot-limited phase resolution delta_phi = 1 / sqrt(2 R T); dividing by
-the scale factor and the rotation projection turns it into a rotation
-rate resolution.
+A design is a loop geometry plus its orientation, source rate, fiber
+loss, and integration time.  Photon pairs surviving the loop at rate R
+give a shot-limited phase resolution delta_phi = 1 / sqrt(2 R T);
+dividing by the scale factor and the rotation projection turns it into a
+rotation rate resolution.
 """
 
 import math
@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 from .sagnac import (OMEGA_EARTH, OMEGA_GR, InfeasibleDesignError,
                      InterferometerGeometry, scale_factor, transmission)
-
-PROJECTIONS = ("cos_frame_angle", "sin_latitude")
 
 
 def _reported_as(key):
@@ -23,38 +21,52 @@ def _reported_as(key):
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """One gyroscope design point.
+    """One gyroscope design point, its orientation included (radians).
 
-    measured_delta_phi substitutes an achieved phase resolution for the
-    shot-noise projection, for designs that were actually run.
+    A loop at frame_angle projects cos(frame_angle) of the rotation rate and
+    a ring lying flat at latitude sin(latitude); the angle given names the
+    projection, frame angle 0 if neither is, and the loop's must be 0.  An
+    achieved measured_delta_phi, for designs that were actually run, takes
+    the place of the shot limit and of the integration_time it reads.
     """
 
     name: str
     geometry: InterferometerGeometry
     alpha_db_per_km: float
     pair_rate_in: float
-    integration_time: float
+    integration_time: float = None
     photons_per_probe: int = 2
-    projection: str = "cos_frame_angle"
+    frame_angle: float = None
+    latitude: float = None
     measured_delta_phi: float = None
 
     def __post_init__(self):
         if self.alpha_db_per_km < 0.0:
             raise ValueError("loss coefficient must be >= 0")
-        if self.pair_rate_in <= 0.0 or self.integration_time <= 0.0:
-            raise ValueError("rate and integration time must be positive")
+        if self.pair_rate_in <= 0.0:
+            raise ValueError("pair rate must be positive")
         if self.photons_per_probe < 1:
             raise ValueError("need at least one photon per probe")
-        if self.projection not in PROJECTIONS:
-            raise ValueError(f"unknown projection {self.projection!r}")
-        if self.measured_delta_phi is not None and self.measured_delta_phi <= 0.0:
+        if self.frame_angle is not None and self.latitude is not None:
+            raise ValueError("give a frame angle or a latitude, not both")
+        if self.geometry.frame_angle != 0.0:
+            raise ValueError("the spec, not its loop, carries the frame angle")
+        if self.measured_delta_phi is None:
+            if self.integration_time is None or self.integration_time <= 0.0:
+                raise ValueError("a shot-limited design needs a positive integration time")
+        elif self.integration_time is not None:
+            raise ValueError("a measured phase resolution reads no integration time")
+        elif self.measured_delta_phi <= 0.0:
             raise ValueError("measured phase resolution must be positive")
 
     @property
+    def projection(self):
+        return "cos_frame_angle" if self.latitude is None else "sin_latitude"
+
+    @property
     def projection_factor(self):
-        if self.projection == "cos_frame_angle":
-            return math.cos(self.geometry.frame_angle)
-        return math.sin(self.geometry.latitude)
+        return (math.cos(self.frame_angle or 0.0) if self.latitude is None
+                else math.sin(self.latitude))
 
 
 @dataclass(frozen=True)
@@ -91,7 +103,8 @@ def rotation_resolution(spec):
     """
     p = spec.projection_factor
     if p <= 0.0:
-        raise ValueError("projection factor is zero; rotation not observable")
+        raise ValueError(f"projection factor {p:.3g} is not positive; "
+                         "rotation not observable")
     g = spec.geometry
     s = scale_factor(g)
     eta_all = transmission(spec.alpha_db_per_km, g.fiber_length, spec.photons_per_probe)
@@ -132,7 +145,7 @@ def optimize_gfring(latitude, alpha_db_per_km=0.16, pair_rate_in=1e10,
     adjacent floats and returns the feasible end, so the design meets the
     target exactly.  A floor l_min at or past L* that misses the target
     raises InfeasibleDesignError.  A surface-parallel ring projects
-    sin(latitude).
+    sin(latitude), and a target_snr at or below 0 asks for no design.
     """
     if math.sin(latitude) <= 0.0:
         raise ValueError("latitude must project a positive rotation component")
@@ -140,14 +153,15 @@ def optimize_gfring(latitude, alpha_db_per_km=0.16, pair_rate_in=1e10,
         raise ValueError("optimizer needs a positive loss coefficient")
     if nt_max < 1 or l_min <= 0.0:
         raise ValueError("search bounds must be positive")
+    if target_snr <= 0.0:
+        raise ValueError(f"target SNR {target_snr:g} is not positive")
 
     def report(turns, length):
-        geom = InterferometerGeometry.square(length, turns, latitude=latitude,
-                                             wavelength=wavelength)
+        geom = InterferometerGeometry.square(length, turns, wavelength=wavelength)
         return rotation_resolution(DesignSpec(
             name="GFRING", geometry=geom, alpha_db_per_km=alpha_db_per_km,
             pair_rate_in=pair_rate_in, integration_time=integration_time,
-            photons_per_probe=2, projection="sin_latitude"))
+            photons_per_probe=2, latitude=latitude))
 
     l_star = 20000.0 / (alpha_db_per_km * math.log(10.0))
 
@@ -155,10 +169,6 @@ def optimize_gfring(latitude, alpha_db_per_km=0.16, pair_rate_in=1e10,
         return GfringOptimum(fiber_length=length, turns=turns,
                              target_snr=target_snr, loss_optimal_length=l_star,
                              report=report(turns, length))
-
-    if target_snr <= 0.0:
-        # any design passes; report the configured search bounds
-        return build(nt_max, l_min)
 
     limit = OMEGA_GR / target_snr
     base = report(1, l_star).delta_omega

@@ -428,6 +428,13 @@ def _reject_constant(name):
     raise ValueError(f"non-finite JSON number {name}")
 
 
+def _value_at(doc, key_path):
+    """The value at a dotted key path of doc, a number indexing a list."""
+    for key in key_path.split("."):
+        doc = doc[int(key)] if isinstance(doc, list) else doc[key]
+    return doc
+
+
 def _judge(capsys, argv, code, message, data=None, collect=False):
     """Run main on argv and hold the run to the CLI's exit contract.
 
@@ -437,7 +444,8 @@ def _judge(capsys, argv, code, message, data=None, collect=False):
     leaves the --out listing as it found it, so an absent --out stays
     absent.  With data, the path of a data file, that line names the file
     once and no config. block.  A zero exit writes only finite JSON
-    numbers.  Returns the breaches; unless collect, asserts there are none.
+    numbers, and where message is {report name: {key path: value}}, those
+    values.  Returns the breaches; unless collect, asserts there are none.
     """
     out = Path(argv[argv.index("--out") + 1])
     listing = sorted(os.listdir(out)) if out.exists() else None
@@ -464,9 +472,13 @@ def _judge(capsys, argv, code, message, data=None, collect=False):
     else:
         for report in out.glob("*.json"):
             try:
-                json.loads(report.read_text(), parse_constant=_reject_constant)
+                doc = json.loads(report.read_text(), parse_constant=_reject_constant)
             except ValueError as exc:
                 breaches.append(f"{report.name}: {exc}")
+                continue
+            wanted = message.get(report.name, {}) if isinstance(message, dict) else {}
+            breaches += [f"{report.name}: {path} is {_value_at(doc, path)!r}, not {value!r}"
+                         for path, value in wanted.items() if _value_at(doc, path) != value]
     assert collect or breaches == []
     return breaches
 
@@ -526,7 +538,7 @@ _BAD_CONFIGS = {
         for key in ("duration_s", "visibility", "base_phase_rad", "channel_asymmetry")},
     # a key that only runs the config does not ask for read: the loop's
     # geometry carries no angle, the counts and the trace read keys of their
-    # own, and a spec's projection reads one orientation key
+    # own, and a spec gives one orientation key, whose name picks the projection
     "test_key_that_no_run_reads_exits_2": {
         **{f"{name} {path}": (name, "simulate", {path: value}, 2,
                               f"config.{path}: read only by {runs}; this run has none")
@@ -556,19 +568,18 @@ _BAD_CONFIGS = {
         # the geometry is the one source of the scale factor
         "fig4_cw fit.scale_factor_s": ("fig4_cw", "fit --fast", {"fit.scale_factor_s": 38.8},
                                        2, "config.fit: unknown key(s) scale_factor_s"),
+        # both angles given: each would pick its own projection
         "spec latitude under cos_frame_angle": (
             "table3", "design", {"design.specs.0.latitude_deg": 48.2}, 2,
-            "config.design.specs[0].latitude_deg: read only by sin_latitude projection; "
-            "this run has none"),
+            "config.design.specs[0]: give a frame angle or a latitude, not both"),
+        # a latitude alone picks sin_latitude, which the report names
         "spec latitude under the default projection": (
-            "fig5", "design", {"design.specs.1.projection": LEFT_OUT,
-                               "design.specs.1.latitude_deg": 48.2}, 2,
-            "config.design.specs[1].latitude_deg: read only by sin_latitude projection; "
-            "this run has none"),
+            "fig5", "design", {"design.specs.1.latitude_deg": 48.2}, 0,
+            {"design_report.json": {"designs.1.projection": "sin_latitude",
+                                    "designs.2.projection": "cos_frame_angle"}}),
         "spec frame angle under sin_latitude": (
             "fig5", "design", {"design.specs.4.frame_angle_deg": 0.0}, 2,
-            "config.design.specs[4].frame_angle_deg: read only by cos_frame_angle "
-            "projection; this run has none"),
+            "config.design.specs[4]: give a frame angle or a latitude, not both"),
     },
     "test_unknown_config_key_exits_2": {
         # a typo such as fit.mc_sample would otherwise run the 100k default
@@ -612,7 +623,7 @@ _BAD_CONFIGS = {
         "float list item from a bool": (
             "fig2", "simulate", {"simulate.phi0_rad.noon": [0.0, 1.0, True]}, 2,
             "config.simulate.phi0_rad.noon[2]: True is not a JSON number"),
-        "str from a number": _not_a("string", "table3", "design", "design.specs.0.projection", 1),
+        "str from a number": _not_a("string", "table3", "design", "design.specs.0.shape", 1),
     },
     "test_malformed_config_exits_2_naming_its_key": {
         # a falsy block used to run on the defaults
@@ -658,9 +669,21 @@ _BAD_CONFIGS = {
             "config.geometry: missing perimeter_m"),
         **{f"spec {key}": ("table3", "design", {f"design.specs.1.{key}": LEFT_OUT}, 2,
                            f"config.design.specs[1]: missing {key}")
-           for key in ("alpha_db_per_km", "pair_rate_in_hz", "integration_time_s")},
+           for key in ("alpha_db_per_km", "pair_rate_in_hz")},
+        # only a shot-limited design reads its integration time
+        "spec integration_time_s": (
+            "table3", "design", {"design.specs.1.integration_time_s": LEFT_OUT}, 2,
+            "config.design.specs[1]: a shot-limited design needs a positive "
+            "integration time"),
+        "spec integration_time_s of a measured design": (
+            "table3", "design", {"design.specs.0.integration_time_s": 1.0}, 2,
+            "config.design.specs[0]: a measured phase resolution reads no "
+            "integration time"),
         "gfring empty": ("table3", "design --optimize-gfring", {"design.gfring": {}}, 2,
                          "config.design.gfring: missing latitude_deg"),
+        "gfring target zero": ("table3", "design --optimize-gfring",
+                               {"design.gfring.target_snr": 0}, 2,
+                               "config.design.gfring: target SNR 0 is not positive"),
         "calibration empty": ("fig4_cw", "fit", {"fit": {"calibration": {}}}, 2,
                               "config.fit.calibration: missing angles_deg, phases_rad, "
                               "sigmas_rad"),
@@ -701,9 +724,11 @@ _BAD_CONFIGS = {
                           "config.geometry.shape: unknown loop shape 'hexagonal'"),
         "spec shape unknown": ("table3", "design", {"design.specs.2.shape": "hexagonal"},
                                2, "config.design.specs[2].shape: unknown loop shape"),
-        # named as unknown, not as a projection that leaves frame_angle_deg unread
-        "spec projection unknown": ("table3", "design", {"design.specs.0.projection": "cos"},
-                                    2, "config.design.specs[0]: unknown projection 'cos'"),
+        # the orientation key given names the projection, so a projection key
+        # is unknown whatever its value
+        "spec projection unknown": (
+            "table3", "design", {"design.specs.0.projection": "cos_frame_angle"}, 2,
+            "config.design.specs[0]: unknown key(s) projection"),
         # a zero rate wrote S = Infinity into fit_report.json
         "calibration zero rate": ("fig4_cw", "fit", {"fit": {"calibration": {
             "omega_earth_rad_s": 0, "angles_deg": [-90.0, -45.0, 0.0],
@@ -741,8 +766,16 @@ _BAD_CONFIGS = {
             "config.fit.calibration: mc_samples 0, need at least two resamples"),
         **{f"{name} zero projection": (
             name, "design", {"design.specs.4.latitude_deg": 0}, 2,
-            "config.design.specs[4]: projection factor is zero; rotation not observable")
+            "config.design.specs[4]: projection factor 0 is not positive; "
+            "rotation not observable")
            for name in ("table3", "fig5")},
+        # a negative factor was reported as zero
+        "table3 southern latitude": (
+            "table3", "design", {"design.specs.4.latitude_deg": -48.2}, 2,
+            "config.design.specs[4]: projection factor -0.745 is not positive"),
+        "table3 frame angle of a half-turn": (
+            "table3", "design", {"design.specs.0.frame_angle_deg": 180}, 2,
+            "config.design.specs[0]: projection factor -1 is not positive"),
     },
     "test_command_section_not_an_object_exits_2": {
         f"{case}-{command}": ({"schema_version": 1, command: section}, command, {}, 2,

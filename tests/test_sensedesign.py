@@ -102,7 +102,7 @@ def test_phase_resolution_shot_limit():
 
 
 def test_measured_phase_resolution_short_circuits():
-    spec = make_spec(measured_delta_phi=1.79e-4)
+    spec = make_spec(measured_delta_phi=1.79e-4, integration_time=None)
     rep = rotation_resolution(spec)
     assert rep.delta_phi == 1.79e-4
     assert rep.measured is True
@@ -124,10 +124,9 @@ def test_closed_form_identity_for_square_rings():
         for turns in (1, 8, 32):
             for alpha in (0.16, 0.5):
                 geom = InterferometerGeometry.square(length, turns,
-                                                     latitude=lat,
                                                      wavelength=1550e-9)
                 spec = make_spec(geometry=geom, alpha_db_per_km=alpha,
-                                 pair_rate_in=1e10, projection="sin_latitude")
+                                 pair_rate_in=1e10, latitude=lat)
                 closed = (math.sqrt(2.0 / (1e10 * 5.56e6)) * turns * 1550e-9
                           * C * 10 ** (alpha * length / 1000.0 / 10.0)
                           / (math.pi * math.sin(lat) * length ** 2))
@@ -145,13 +144,13 @@ def test_resolution_scalings():
 
 def test_rotation_resolution_rejects_zero_projection():
     # sin(0) is exactly zero; an equatorial surface ring sees no rotation
-    geom = InterferometerGeometry.square(2000.0, 360, latitude=0.0)
-    with pytest.raises(ValueError, match="projection"):
-        rotation_resolution(make_spec(geometry=geom,
-                                      projection="sin_latitude"))
-    flipped = InterferometerGeometry.square(2000.0, 360, frame_angle=math.pi)
-    with pytest.raises(ValueError, match="projection"):
-        rotation_resolution(make_spec(geometry=flipped))
+    with pytest.raises(ValueError, match="projection factor 0 is not positive"):
+        rotation_resolution(make_spec(latitude=0.0))
+    with pytest.raises(ValueError, match="projection factor -1 is not positive"):
+        rotation_resolution(make_spec(frame_angle=math.pi))
+    # a negative factor is named as such, not as zero
+    with pytest.raises(ValueError, match="projection factor -0.745 is not positive"):
+        rotation_resolution(make_spec(latitude=math.radians(-48.2)))
 
 
 def test_design_spec_validation():
@@ -161,10 +160,20 @@ def test_design_spec_validation():
         make_spec(pair_rate_in=0.0)
     with pytest.raises(ValueError):
         make_spec(photons_per_probe=0)
+    with pytest.raises(ValueError, match="not both"):
+        make_spec(frame_angle=0.0, latitude=0.1)
+    # the spec is the one home of its frame angle
+    tilted = InterferometerGeometry.square(2000.0, 360, frame_angle=0.5)
+    with pytest.raises(ValueError, match="not its loop, carries the frame angle"):
+        make_spec(geometry=tilted)
     with pytest.raises(ValueError):
-        make_spec(projection="cos_latitude")
-    with pytest.raises(ValueError):
-        make_spec(measured_delta_phi=0.0)
+        make_spec(measured_delta_phi=0.0, integration_time=None)
+    with pytest.raises(ValueError, match="needs a positive integration time"):
+        make_spec(integration_time=None)
+    with pytest.raises(ValueError, match="needs a positive integration time"):
+        make_spec(integration_time=0.0)
+    with pytest.raises(ValueError, match="reads no integration time"):
+        make_spec(measured_delta_phi=1.79e-4)
 
 
 def test_gfring_optimum_reproduces_design_point():
@@ -186,10 +195,11 @@ def test_gfring_lower_rate_prefers_fewer_turns():
 
 
 def test_gfring_zero_target_returns_search_floor():
-    opt = optimize_gfring(math.radians(48.2), target_snr=0.0, nt_max=16,
-                          l_min=250.0)
-    assert opt.turns == 16
-    assert opt.fiber_length == 250.0
+    """A target at or below zero asks for no design, so it is refused."""
+    for target in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"target SNR {target:g} is not positive"):
+            optimize_gfring(math.radians(48.2), target_snr=target, nt_max=16,
+                            l_min=250.0)
 
 
 def test_gfring_single_turn_cap():
@@ -209,11 +219,10 @@ def test_gfring_never_returns_a_length_below_its_floor():
 
 def test_gfring_turn_count_infeasible_by_rounding_falls_back():
     lat = math.radians(48.2)
-    geom = InterferometerGeometry.square(20000.0 / (0.16 * LN10), 1, latitude=lat,
-                                         wavelength=1550e-9)
+    geom = InterferometerGeometry.square(20000.0 / (0.16 * LN10), 1, wavelength=1550e-9)
     base = rotation_resolution(DesignSpec(
         name="GFRING", geometry=geom, alpha_db_per_km=0.16, pair_rate_in=1e10,
-        integration_time=5.56e6, projection="sin_latitude")).delta_omega
+        integration_time=5.56e6, latitude=lat)).delta_omega
     # targets a few rounding steps either side of exactly 8 turns at L*
     for k in range(-8, 9):
         target = OMEGA_GR / (8.0 * base) * (1.0 + k * 2.2e-16)
