@@ -27,11 +27,17 @@ repeatability.  Shifting every set point by delta only moves the fitted
 phase by -k delta, so each resample is fit on the observed set points and
 the offset is subtracted from its phase.  One-photon resamples are fit by
 the same solver, batched, from the observed-data fit to their own optimum.
+Where the process may use two CPUs, a batch of more than _GN_BLOCK
+one-photon resamples fits its on state in a forked child process while
+this one draws and fits the off state; the child hands back the bits the
+same fits give in this process.
 The bootstrap returns those observed-data fits, so the CLI fits each
 switch state once, in mc_uncertainty.
 """
 
 import math
+import os
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -592,6 +598,70 @@ def _resample_fits(fit, x, y, w, delta):
     return p, bad
 
 
+def _refit_in_child(model, rows):
+    """Whether a bootstrap batch of rows resamples fits its on state in a child.
+
+    Only a process that may use two or more CPUs forks, and only for the
+    least-squares fits of more than one _GN_BLOCK of single rows: the
+    closed-form noon fits took longer with a fork, and so did a fresh
+    fit --fast, whose single states have 1000 rows.
+    """
+    return (model == "single" and rows > _GN_BLOCK
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+@contextmanager
+def _resample_fits_in_child(fit, x, y, w, delta):
+    """_resample_fits(fit, x, y, w, delta), run in a forked child process.
+
+    Yields a function that waits for the child and returns its (params,
+    bad), handed back through an anonymous shared map: the bits the call
+    gives in this process.  If the child cannot be forked or does not exit
+    cleanly, the function makes the call here instead, for the same bits or
+    the same exception.  A child still running when the block exits (on an
+    exception in this process) is killed and reaped; none outlives it.
+    """
+    # imported here, where a child is forked, not by every import of the module
+    import mmap
+    import signal
+
+    shape = (len(fit.params), len(y))
+    with mmap.mmap(-1, 8 * (shape[0] * shape[1] + 1)) as buf:
+        try:
+            pid = os.fork()
+        except OSError:
+            pid = None
+        if pid == 0:
+            code = 1
+            try:
+                p, bad = _resample_fits(fit, x, y, w, delta)
+                out = np.frombuffer(buf)
+                out[:-1].reshape(shape)[...] = p
+                out[-1] = bad
+                code = 0
+            finally:
+                os._exit(code)
+        running = pid is not None
+
+        def result():
+            nonlocal running
+            if running:
+                status = os.waitpid(pid, 0)[1]
+                running = False
+                if status == 0:
+                    out = np.frombuffer(buf)
+                    return out[:-1].reshape(shape).copy(), int(out[-1])
+            return _resample_fits(fit, x, y, w, delta)
+
+        try:
+            yield result
+        finally:
+            if running:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 # resamples drawn and fit per batch; the RNG stream depends on it
 _MC_CHUNK = 20_000
 
@@ -609,9 +679,14 @@ def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None, seed=Non
     solved in closed form; single resamples are fit from the observed-data
     fit to their optimum by the batched least squares of _resample_fits.
     Resamples are drawn and fit in batches of _MC_CHUNK (20 000), which
-    fixes the RNG stream for a seed.  nonconverged_fraction counts the
-    resamples whose fit did not converge; FitError is raised if it
-    exceeds 1%.  fits holds the observed-data fits (on, off).
+    fixes the RNG stream for a seed.  Where _refit_in_child holds (a
+    process that may use two CPUs, single batches of more than _GN_BLOCK
+    rows), a batch's on-state refits run in a forked child while the off
+    state is drawn and fit here; the child returns the bits of the same
+    fits made here, and the draws keep their order.
+    nonconverged_fraction counts the resamples whose fit did not converge;
+    FitError is raised if it exceeds 1%.  fits holds the observed-data
+    fits (on, off).
     """
     if n_samples < 2:
         raise ValueError("need at least two resamples")
@@ -622,25 +697,31 @@ def mc_uncertainty(records, model, n_samples=100_000, motor_sigma=None, seed=Non
 
     rng = np.random.default_rng(seed)
     samples = {s: [] for s in base}
-    bad = 0
     left = n_samples
     while left > 0:
         b = min(_MC_CHUNK, left)
         left -= b
         delta = rng.normal(0.0, motor_sigma, b) if motor_sigma > 0.0 else np.zeros(b)
-        for s, (fit, x, counts) in base.items():
-            y, w = _observations(model, **{
-                c: rng.poisson(mu, (b, len(x))).astype(float) for c, mu in counts.items()})
-            p, n_bad = _resample_fits(fit, x, y, w, delta)
-            bad += n_bad
-            samples[s].append(p)
+        with ExitStack() as children:
+            pending = {}
+            for s, (fit, x, counts) in base.items():
+                y, w = _observations(model, **{
+                    c: rng.poisson(mu, (b, len(x))).astype(float) for c, mu in counts.items()})
+                if s is SwitchState.ON and _refit_in_child(model, b):
+                    # fit in a child while the off state is drawn and fit here
+                    pending[s] = children.enter_context(
+                        _resample_fits_in_child(fit, x, y, w, delta))
+                else:
+                    samples[s].append(_resample_fits(fit, x, y, w, delta))
+            for s, result in pending.items():
+                samples[s].append(result())
 
-    frac = bad / (2 * n_samples)
+    frac = sum(bad for fits in samples.values() for _, bad in fits) / (2 * n_samples)
     if frac > 0.01:
         raise FitError(f"{frac:.1%} of bootstrap refits failed to converge")
 
     means, sigmas = {}, {}
-    stacked = {s: np.concatenate(samples[s], axis=1) for s in base}
+    stacked = {s: np.concatenate([p for p, _ in samples[s]], axis=1) for s in base}
     for s in base:
         means[s.value] = {n: float(m) for n, m in zip(names, stacked[s].mean(axis=1))}
         sigmas[s.value] = {n: float(v) for n, v in zip(names, stacked[s].std(axis=1, ddof=1))}

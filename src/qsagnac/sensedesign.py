@@ -100,9 +100,13 @@ def rotation_resolution(spec):
     delta_omega = delta_phi / (S * projection_factor); the projected
     delta_phi / projection_factor is also reported, matching the
     convention of quoting tilted designs at their effective axis.
+    A factor no larger than the rounding of its angle's cosine or sine,
+    |angle| 2^-52, is refused as not positive: at a frame angle of 90 deg
+    the cosine rounds to 6.1e-17, and the rotation is not observable.
     """
     p = spec.projection_factor
-    if p <= 0.0:
+    angle = spec.frame_angle if spec.latitude is None else spec.latitude
+    if p <= abs(angle or 0.0) * 2.0 ** -52:
         raise ValueError(f"projection factor {p:.3g} is not positive; "
                          "rotation not observable")
     g = spec.geometry

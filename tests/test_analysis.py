@@ -1,6 +1,7 @@
 import math
+import os
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from importlib import resources
 
@@ -777,6 +778,112 @@ def test_mc_validation(quiet_noise):
         mc_uncertainty(recs, "gauss", n_samples=100)
     with pytest.raises(ValueError):
         mc_uncertainty(recs, "noon", n_samples=1)
+
+
+# 5000 single resamples: three _GN_BLOCK blocks in one batch
+FORK_SAMPLES = 5000
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the children forked from this process while the test runs."""
+    fork, pids = os.fork, []
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def refit_in_child(monkeypatch, fork):
+    monkeypatch.setattr(analysis, "_refit_in_child", lambda model, rows: fork)
+
+
+def mc_values(mc):
+    """Every McUncertainty field, the base fits by their parameters."""
+    return [[f.params for f in mc.fits] if field.name == "fits"
+            else getattr(mc, field.name) for field in fields(mc)]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+
+
+def test_forked_on_state_refits_give_the_inline_bits(monkeypatch, quiet_noise, forks):
+    recs = noiseless_records(SINGLE, quiet_noise)
+    refit_in_child(monkeypatch, False)
+    inline = mc_uncertainty(recs, "single", n_samples=FORK_SAMPLES, seed=7)
+    assert forks == []
+    refit_in_child(monkeypatch, True)
+    forked = mc_uncertainty(recs, "single", n_samples=FORK_SAMPLES, seed=7)
+    assert len(forks) == 1
+    assert mc_values(forked) == mc_values(inline)
+    assert forked.nonconverged_fraction == inline.nonconverged_fraction
+    assert_no_child_left()
+
+
+def test_bootstrap_forks_only_for_more_than_one_single_block(monkeypatch, quiet_noise):
+    """Closed-form noon fits and a single block run inline on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert analysis._refit_in_child("single", analysis._GN_BLOCK + 1) is hasattr(os, "fork")
+    assert not analysis._refit_in_child("single", analysis._GN_BLOCK)
+    assert not analysis._refit_in_child("noon", 10 * analysis._GN_BLOCK)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not analysis._refit_in_child("single", 10 * analysis._GN_BLOCK)
+
+
+def test_failed_child_is_replaced_by_the_inline_fits(monkeypatch, quiet_noise, forks):
+    recs = noiseless_records(SINGLE, quiet_noise)
+    refit_in_child(monkeypatch, False)
+    inline = mc_uncertainty(recs, "single", n_samples=FORK_SAMPLES, seed=7)
+    parent = os.getpid()
+
+    def parent_only(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("refit in a child")
+        return _resample_fits(*args)
+
+    monkeypatch.setattr(analysis, "_resample_fits", parent_only)
+    refit_in_child(monkeypatch, True)
+    assert mc_values(mc_uncertainty(
+        recs, "single", n_samples=FORK_SAMPLES, seed=7)) == mc_values(inline)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_unforkable_child_is_replaced_by_the_inline_fits(monkeypatch, quiet_noise):
+    recs = noiseless_records(SINGLE, quiet_noise)
+    refit_in_child(monkeypatch, False)
+    inline = mc_uncertainty(recs, "single", n_samples=FORK_SAMPLES, seed=7)
+
+    def no_fork():
+        raise BlockingIOError("Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    refit_in_child(monkeypatch, True)
+    assert mc_values(mc_uncertainty(
+        recs, "single", n_samples=FORK_SAMPLES, seed=7)) == mc_values(inline)
+
+
+def test_error_after_the_fork_kills_the_child(monkeypatch, quiet_noise, forks):
+    """An off record of one count draws zero totals once the on state is forked."""
+    recs = noiseless_records(SINGLE, quiet_noise)
+    i = next(i for i, r in enumerate(recs) if r.switch is SwitchState.OFF)
+    recs[i] = replace(recs[i], n_h=0, n_v=1)
+    messages = []
+    for fork in (False, True):
+        refit_in_child(monkeypatch, fork)
+        with pytest.raises(FitError) as err:
+            mc_uncertainty(recs, "single", n_samples=FORK_SAMPLES, seed=7)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == "record with zero total counts; ratio undefined"
+    assert len(forks) == 1
+    assert_no_child_left()
 
 
 def test_demod_noiseless_is_exact(bench_geometry, quiet_noise):

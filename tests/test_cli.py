@@ -776,6 +776,11 @@ _BAD_CONFIGS = {
         "table3 frame angle of a half-turn": (
             "table3", "design", {"design.specs.0.frame_angle_deg": 180}, 2,
             "config.design.specs[0]: projection factor -1 is not positive"),
+        # cos(pi/2) rounds to 6.12e-17, which read as a positive factor
+        "table3 frame angle of a quarter-turn": (
+            "table3", "design", {"design.specs.0.frame_angle_deg": 90}, 2,
+            "config.design.specs[0]: projection factor 6.12e-17 is not positive; "
+            "rotation not observable"),
     },
     "test_command_section_not_an_object_exits_2": {
         f"{case}-{command}": ({"schema_version": 1, command: section}, command, {}, 2,
